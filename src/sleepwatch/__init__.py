@@ -19,7 +19,6 @@ from .errors import SleepwatchError
 from .lifecycle import (
     DeathMode,
     EnergyModel,
-    Node,
     NodePolicy,
     NodeState,
     default_energy,
@@ -41,7 +40,6 @@ __all__ = [
     "Decision",
     "EnergyModel",
     "NetworkChainParams",
-    "Node",
     "NodePolicy",
     "NodeState",
     "RunSummary",

@@ -54,8 +54,8 @@ class AttackModel:
             raise ConfigInvalid(f"coverage must lie in [0, 1], got {self.coverage}")
         if not 0.0 <= self.sleep_block <= 1.0:
             raise ConfigInvalid(f"sleep_block must lie in [0, 1], got {self.sleep_block}")
-        if self.extra_drain < 0.0:
-            raise ConfigInvalid(f"extra_drain must be non-negative, got {self.extra_drain}")
+        if not 0.0 <= self.extra_drain < math.inf:
+            raise ConfigInvalid(f"extra_drain must be non-negative and finite, got {self.extra_drain}")
         if self.end_tick is not None and self.start_tick > self.end_tick:
             raise ConfigInvalid(
                 f"attack window is empty: start {self.start_tick} > end {self.end_tick}"
@@ -124,16 +124,3 @@ def transform_policy(policy: NodePolicy, model: AttackModel) -> NodePolicy:
     p[:, NodeState.ACTIVE] += moved
     return validate_policy(NodePolicy(p))
 
-
-def attack_drain(model: AttackModel, node_state: NodeState, tick: int, affected: bool) -> float:
-    """Extra per-tick battery drain on one node.
-
-    Nonzero only for an affected node, inside the attack window, that is
-    neither Dead nor asleep (a node that did manage to sleep is not
-    receiving attack traffic).
-    """
-    if not affected or not model.in_window(tick):
-        return 0.0
-    if node_state is NodeState.DEAD or node_state is NodeState.SLEEP:
-        return 0.0
-    return model.extra_drain

@@ -29,6 +29,7 @@ from .errors import NoAbsorptionPath, SleepwatchError
 from .lifecycle import NodeState, expected_node_lifetime
 from .network import (
     THRESHOLD_ROUNDING,
+    NetworkChainParams,
     build_matrix,
     death_probability,
     expected_death_time,
@@ -176,14 +177,14 @@ def _verdict_dict(verdict: Verdict, baseline: Baseline) -> dict:
     }
 
 
-def _build_baseline(parsed: ParsedConfig, scenario: ScenarioConfig) -> Baseline:
+def _build_baseline(parsed: ParsedConfig) -> Baseline:
     det = parsed.detector
     if det.source is BaselineSource.ANALYTIC:
         return compute_baseline(parsed.params, ticks_per_chain_step=det.ticks_per_chain_step)
     seed = det.baseline_seed
     if seed is None:
-        seed = scenario.seed + BASELINE_SEED_OFFSET
-    calibration = replace(scenario, attack=no_attack(), runs=det.baseline_runs, seed=seed)
+        seed = parsed.scenario.seed + BASELINE_SEED_OFFSET
+    calibration = replace(parsed.scenario, attack=no_attack(), runs=det.baseline_runs, seed=seed)
     return compute_baseline(parsed.params, scenario=calibration)
 
 
@@ -213,7 +214,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     parsed = _load(args)
-    baseline = _build_baseline(parsed, parsed.scenario)
+    baseline = _build_baseline(parsed)
     summary = run_many(parsed.scenario)
     verdict = detect(summary, baseline, parsed.detector.theta)
     doc = _verdict_dict(verdict, baseline)
@@ -224,37 +225,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return _EXIT_FOR_DECISION[verdict.decision]
 
 
-def _sweep_scenario(parsed: ParsedConfig, param: str, value: float) -> tuple[ScenarioConfig, Baseline]:
-    """Scenario and baseline for one sweep point."""
+def _sweep_point(parsed: ParsedConfig, param: str, value: float) -> ParsedConfig:
+    """Config for one sweep point; its baseline comes from :func:`_build_baseline`."""
     scenario = parsed.scenario
-    det = parsed.detector
-    i0 = parsed.params.initial_dead
     if param == "m":
         m = int(value)
         scenario = replace(scenario, m_override=m)
-        i0_eff = min(i0, m - 1)
-        steps = expected_death_time(i0_eff, m)
-        if det.source is BaselineSource.ANALYTIC:
-            if steps <= 0.0:
-                raise SleepwatchError(f"initial_dead {i0_eff} degenerate while sweeping m={m}")
-            return scenario, Baseline(det.ticks_per_chain_step * steps, BaselineSource.ANALYTIC,
-                                      det.ticks_per_chain_step, m, i0_eff)
-        seed = det.baseline_seed
-        if seed is None:
-            seed = scenario.seed + BASELINE_SEED_OFFSET
-        calibration = replace(scenario, attack=no_attack(), runs=det.baseline_runs, seed=seed)
-        baseline_summary = run_many(calibration)
-        if baseline_summary.mean_death_tick is None:
-            raise SleepwatchError(f"baseline censored while sweeping m={m}")
-        mean = baseline_summary.mean_death_tick
-        tpcs = mean / steps if steps > 0.0 else 1.0
-        return scenario, Baseline(mean, BaselineSource.MONTE_CARLO, tpcs, m, i0_eff)
-    baseline = _build_baseline(parsed, scenario)
+        params = NetworkChainParams.with_threshold(m, min(parsed.params.initial_dead, m - 1))
+        return replace(parsed, scenario=scenario, params=params)
     if param in ("coverage", "sleep_block"):
         attack = scenario.attack if scenario.attack is not None else no_attack()
         attack = replace(attack, **{param: float(value)})
-        scenario = replace(scenario, attack=attack)
-    return scenario, baseline
+        return replace(parsed, scenario=replace(scenario, attack=attack))
+    return parsed
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -273,8 +256,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = ["value,baseline,mean_death_tick,normal,under_attack,inconclusive"]
     for value in values:
         theta = float(value) if args.param == "theta" else parsed.detector.theta
-        scenario, baseline = _sweep_scenario(parsed, args.param, value)
-        summary = run_many(scenario)
+        point = _sweep_point(parsed, args.param, value)
+        baseline = _build_baseline(point)
+        summary = run_many(point.scenario)
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
         for trace in summary.traces:
             counts[detect(trace, baseline, theta).decision] += 1

@@ -213,10 +213,15 @@ def parse_config(doc: dict) -> ParsedConfig:
     return ParsedConfig(scenario=scenario, params=params, detector=detector)
 
 
+def _reject_constant(token: str):
+    # json.loads accepts NaN/Infinity/-Infinity, which strict JSON does not have
+    raise ConfigInvalid(f"non-finite number {token} is not allowed")
+
+
 def load_config(path: str | Path) -> ParsedConfig:
     """Parse a scenario JSON file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
     return parse_config(doc)

@@ -17,12 +17,13 @@ and compares elapsed + projected against the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .attack import AttackKind, no_attack
+from .attack import AttackKind
 from .errors import ConfigInvalid, DegenerateBaseline, Uncalibratable, WindowTooShort
 from .network import NetworkChainParams, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
@@ -52,10 +53,10 @@ class Baseline:
     initial_dead: int
 
     def __post_init__(self) -> None:
-        if self.expected_death_ticks <= 0.0:
-            raise DegenerateBaseline(f"baseline must be positive, got {self.expected_death_ticks}")
-        if self.ticks_per_chain_step <= 0.0:
-            raise ConfigInvalid(f"ticks_per_chain_step must be positive, got {self.ticks_per_chain_step}")
+        if not 0.0 < self.ticks_per_chain_step < math.inf:
+            raise ConfigInvalid(f"ticks_per_chain_step must be finite and > 0, got {self.ticks_per_chain_step}")
+        if not 0.0 < self.expected_death_ticks < math.inf:
+            raise DegenerateBaseline(f"baseline must be finite and > 0, got {self.expected_death_ticks}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,9 @@ def compute_baseline(
     Exactly one calibration must be supplied: a ticks-per-chain-step
     constant (analytic: closed-form expected death time, scaled) or an
     attack-free scenario to simulate (Monte Carlo: mean uncensored death
-    tick). The start state must be transient; a baseline of zero chain
-    steps cannot anchor any comparison (DegenerateBaseline).
+    tick) at the same death threshold M as ``params``. The start state
+    must be transient; a baseline of zero chain steps cannot anchor any
+    comparison (DegenerateBaseline).
     """
     if (ticks_per_chain_step is None) == (scenario is None):
         raise ConfigInvalid("provide exactly one of ticks_per_chain_step or scenario")
@@ -88,14 +90,14 @@ def compute_baseline(
         raise DegenerateBaseline(f"start state {i0} of {m} is already absorbed; baseline is zero")
 
     if ticks_per_chain_step is not None:
-        if ticks_per_chain_step <= 0.0:
-            raise ConfigInvalid(f"ticks_per_chain_step must be positive, got {ticks_per_chain_step}")
         return Baseline(ticks_per_chain_step * steps, BaselineSource.ANALYTIC,
                         ticks_per_chain_step, m, i0)
 
     if scenario.attack is not None and scenario.attack.kind is not AttackKind.NO_ATTACK:
         raise ConfigInvalid("Monte Carlo baseline requires an attack-free scenario")
-    summary = run_many(dc_replace(scenario, attack=no_attack()))
+    if scenario.m_threshold != m:
+        raise ConfigInvalid(f"calibration scenario dies at M={scenario.m_threshold}, params at M={m}")
+    summary = run_many(scenario)
     if summary.mean_death_tick is None:
         raise Uncalibratable(
             f"all {summary.runs} baseline runs censored at {summary.max_ticks} ticks"

@@ -17,7 +17,8 @@ Two death modes exist and are reconciled at the scenario level:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -70,7 +71,7 @@ class EnergyModel:
     """Battery capacity and per-tick drain for each state.
 
     drain is indexed by NodeState. Active drain must dominate Inactive,
-    which must dominate Sleep; Dead drains nothing.
+    which must dominate Sleep; Dead drains nothing; all values are finite.
     """
 
     capacity: float
@@ -80,21 +81,14 @@ class EnergyModel:
         d = np.array(self.drain, dtype=float, copy=True)
         if d.shape != (4,):
             raise ConfigInvalid(f"drain must have one entry per state, got shape {d.shape}")
-        if self.capacity <= 0:
-            raise ConfigInvalid(f"battery capacity must be positive, got {self.capacity}")
+        if not 0.0 < self.capacity < math.inf:
+            raise ConfigInvalid(f"battery capacity must be positive and finite, got {self.capacity}")
         if d[NodeState.DEAD] != 0.0:
             raise ConfigInvalid("dead nodes must not drain battery")
-        if not (d[NodeState.ACTIVE] >= d[NodeState.INACTIVE] >= d[NodeState.SLEEP] >= 0.0):
-            raise ConfigInvalid("drain ordering must satisfy active >= inactive >= sleep >= 0")
+        if not (math.inf > d[NodeState.ACTIVE] >= d[NodeState.INACTIVE] >= d[NodeState.SLEEP] >= 0.0):
+            raise ConfigInvalid("drain must be finite, ordered active >= inactive >= sleep >= 0")
         d.setflags(write=False)
         object.__setattr__(self, "drain", d)
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    state: NodeState
-    battery: float
 
 
 def default_policy() -> NodePolicy:
@@ -128,7 +122,7 @@ def validate_policy(policy: NodePolicy) -> NodePolicy:
     p = policy.probs
     if p.shape != (4, 4):
         raise NotStochastic(f"policy must be 4x4, got shape {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
+    if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
         raise NotStochastic("policy entries must lie in [0, 1]")
     sums = p.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
@@ -156,35 +150,6 @@ def strip_death_transitions(policy: NodePolicy) -> NodePolicy:
             raise ConfigInvalid(f"{s.name} row has no live mass to renormalize")
         p[s] /= total
     return validate_policy(NodePolicy(p))
-
-
-def _draw(row_cum: np.ndarray, u: float) -> int:
-    # index of the first cumulative bin exceeding u, clipped for fp slack
-    return min(int(np.searchsorted(row_cum, u, side="right")), 3)
-
-
-def step_node(
-    node: Node,
-    policy: NodePolicy,
-    energy: EnergyModel,
-    rng: np.random.Generator,
-    mode: DeathMode = DeathMode.ENERGY,
-) -> Node:
-    """Advance one node by one tick and return the new node value.
-
-    Dead nodes are returned unchanged and consume no randomness. A live
-    node draws its next state from the policy row of its current state,
-    then pays the drain of the state it occupied this tick. In energy
-    mode a battery at or below zero overrides the draw with Dead.
-    """
-    if node.state is NodeState.DEAD:
-        return node
-    u = rng.random()
-    nxt = NodeState(_draw(np.cumsum(policy.probs[node.state]), u))
-    battery = node.battery - float(energy.drain[node.state])
-    if mode is DeathMode.ENERGY and battery <= 0.0:
-        nxt = NodeState.DEAD
-    return replace(node, state=nxt, battery=battery)
 
 
 def _as_chain(policy: NodePolicy) -> chain.TransitionMatrix:

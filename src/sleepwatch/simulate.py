@@ -64,9 +64,9 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed}")
         validate_policy(self.policy)
-        if self.m_override is not None and not 1 <= self.m_override <= self.n_deployed:
+        if self.m_override is not None and not 2 <= self.m_override <= self.n_deployed:
             raise ConfigInvalid(
-                f"m_override {self.m_override} outside [1, {self.n_deployed}]"
+                f"m_override {self.m_override} outside [2, {self.n_deployed}]"
             )
 
     @property

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_node_policy
+from scalar_oracle import attack_drain
 from sleepwatch.attack import (
     AttackKind,
     AttackModel,
     affected_set,
-    attack_drain,
     broadcast_replay,
     no_attack,
     rts_cts_flood,
@@ -27,6 +27,11 @@ class TestAttackModel:
     def test_window_must_be_ordered(self):
         with pytest.raises(ConfigInvalid):
             rts_cts_flood(start_tick=10, end_tick=5)
+
+    @pytest.mark.parametrize("extra_drain", [float("nan"), float("inf")])
+    def test_extra_drain_must_be_finite(self, extra_drain):
+        with pytest.raises(ConfigInvalid):
+            rts_cts_flood(extra_drain=extra_drain)
 
     def test_default_intensities_differ_by_mechanism(self):
         flood, replay = rts_cts_flood(), broadcast_replay()

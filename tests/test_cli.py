@@ -31,6 +31,21 @@ def fast_scenario(**extra) -> dict:
     return doc
 
 
+def readme_scenario(**extra) -> dict:
+    """The example config from the README."""
+    doc = {
+        "network": {"n_deployed": 20, "initial_dead": 1},
+        "energy": {"capacity": 300.0},
+        "attack": {"kind": "rts_cts_flood", "coverage": 1.0, "sleep_block": 0.9,
+                   "extra_drain": 2.0},
+        "detector": {"source": "monte_carlo", "baseline_runs": 100},
+        "run": {"max_ticks": 600, "seed": 42, "runs": 1, "death_mode": "energy"},
+    }
+    for section, values in extra.items():
+        doc[section] = {**doc[section], **values}
+    return doc
+
+
 class TestAnalyze:
     def test_report_content_and_schema(self, tmp_path, capsys):
         config = write_config(tmp_path, fast_scenario())
@@ -180,6 +195,29 @@ class TestSweep:
         assert means[0] >= means[1] >= means[2]
         assert means[2] < means[0]
 
+    def test_monte_carlo_threshold_sweep_golden(self, tmp_path, capsys):
+        doc = readme_scenario(run={"runs": 4}, detector={"baseline_runs": 12})
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config, "--param", "m", "--values", "4,8,16"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "4,131,49,0,4,0",
+            "8,140.16666666666666,51.25,0,4,0",
+            "16,158.83333333333334,54.5,0,4,0",
+        ]
+
+    @pytest.mark.parametrize("detector", [
+        {"source": "analytic", "ticks_per_chain_step": 3.0},
+        {"source": "monte_carlo", "baseline_runs": 5},
+    ], ids=["analytic", "monte_carlo"])
+    def test_threshold_sweep_from_absorbed_start_exits_one(self, tmp_path, capsys, detector):
+        doc = readme_scenario(network={"initial_dead": 0})
+        doc["detector"] = detector
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config, "--param", "m", "--values", "4,8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_unknown_parameter_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, fast_scenario())
         assert main(["sweep", "--config", config, "--param", "bogus", "--values", "1"]) == 1
@@ -195,7 +233,32 @@ class TestSweep:
         assert table == capsys.readouterr().out
 
 
+NON_FINITE_CONFIGS = {
+    "capacity-nan": '{"energy": {"capacity": NaN}}',
+    "capacity-infinity": '{"energy": {"capacity": Infinity}}',
+    "capacity-overflow": '{"energy": {"capacity": 1e999}}',
+    "drain-minus-infinity": '{"energy": {"drain": {"sleep": -Infinity}}}',
+    "extra-drain-nan": '{"attack": {"kind": "rts_cts_flood", "extra_drain": NaN}}',
+    "extra-drain-overflow": '{"attack": {"kind": "rts_cts_flood", "extra_drain": 1e999}}',
+    "policy-nan": ('{"policy": {"probs": [[NaN, 0.25, 0.05, 0.0], [0.35, 0.5, 0.13, 0.02],'
+                   ' [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]]},'
+                   ' "run": {"death_mode": "probabilistic"}}'),
+    "theta-nan": '{"detector": {"theta": NaN}}',
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    @pytest.mark.parametrize("text", NON_FINITE_CONFIGS.values(), ids=NON_FINITE_CONFIGS.keys())
+    def test_non_finite_input_exits_one(self, tmp_path, capsys, command, text):
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
 

@@ -78,6 +78,17 @@ class TestComputeBaseline:
             baseline.expected_death_ticks / expected_death_time(1, 4), rel=1e-12
         )
 
+    @pytest.mark.parametrize("ticks_per_step", [0.0, float("nan"), float("inf")])
+    def test_analytic_calibration_must_be_positive_and_finite(self, ticks_per_step):
+        params = NetworkChainParams(n_deployed=10, initial_dead=1)
+        with pytest.raises(ConfigInvalid):
+            compute_baseline(params, ticks_per_chain_step=ticks_per_step)
+
+    def test_calibration_scenario_must_share_threshold(self):
+        params = NetworkChainParams(n_deployed=5, initial_dead=1)
+        with pytest.raises(ConfigInvalid, match="M=3"):
+            compute_baseline(params, scenario=immortal_scenario(m_override=3))
+
     def test_immortal_normal_scenario_uncalibratable(self):
         params = NetworkChainParams(n_deployed=5, initial_dead=1)
         with pytest.raises(Uncalibratable):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_node_policy
+from scalar_oracle import Node, step_node
 from sleepwatch.errors import ConfigInvalid, ForbiddenTransition, NoAbsorptionPath, NotStochastic
 from sleepwatch.lifecycle import (
     DeathMode,
     EnergyModel,
-    Node,
     NodePolicy,
     NodeState,
     default_energy,
@@ -14,7 +14,6 @@ from sleepwatch.lifecycle import (
     expected_node_lifetime,
     n_step_death_probability,
     sample_lifetimes,
-    step_node,
     strip_death_transitions,
     validate_policy,
 )
@@ -62,6 +61,12 @@ class TestValidatePolicy:
         with pytest.raises(ForbiddenTransition):
             validate_policy(NodePolicy(probs))
 
+    def test_rejects_nan_entry(self):
+        probs = np.array(default_policy().probs, copy=True)
+        probs[S, S] = np.nan
+        with pytest.raises(NotStochastic):
+            validate_policy(NodePolicy(probs))
+
     def test_rejects_bad_row_sum(self):
         probs = np.array(default_policy().probs, copy=True)
         probs[A, A] += 0.05
@@ -84,6 +89,15 @@ class TestEnergyModel:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ConfigInvalid):
             EnergyModel(capacity=0.0, drain=np.array([0.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("capacity", [np.nan, np.inf])
+    def test_rejects_non_finite_capacity(self, capacity):
+        with pytest.raises(ConfigInvalid):
+            EnergyModel(capacity=capacity, drain=np.array([0.1, 5.0, 1.0, 0.0]))
+
+    def test_rejects_infinite_drain(self):
+        with pytest.raises(ConfigInvalid):
+            EnergyModel(capacity=10.0, drain=np.array([0.1, np.inf, 1.0, 0.0]))
 
 
 class TestStepNode:

@@ -1,7 +1,10 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 import sleepwatch as sw
+from scalar_oracle import scalar_run
 from sleepwatch.errors import ConfigInvalid
 from sleepwatch.lifecycle import NodePolicy, validate_policy
 from sleepwatch.network import expected_death_time
@@ -58,6 +61,11 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigInvalid):
             scenario(seed=-1)
+
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_rejects_threshold_override_outside_chain_range(self, m):
+        with pytest.raises(ConfigInvalid):
+            scenario(m_override=m)
 
     def test_rejects_run_index_out_of_bounds(self):
         with pytest.raises(ConfigInvalid):
@@ -117,6 +125,27 @@ class TestRunOne:
         assert trace.network_death_tick is not None
         # at full active drain the battery lasts 25 ticks, at full sleep 200
         assert 25 <= trace.network_death_tick <= 200
+
+
+class TestScalarOracle:
+    # dyadic drains let a battery reach exactly 0.0, which the death rule must count
+    ENERGY = dict(policy=sw.default_policy(), death_mode=sw.DeathMode.ENERGY,
+                  energy=sw.EnergyModel(60.0, np.array([0.125, 5.0, 1.0, 0.0])))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(ENERGY),
+        dict(ENERGY, attack=sw.rts_cts_flood(coverage=0.5, start_tick=5, end_tick=30)),
+        dict(ENERGY, attack=sw.broadcast_replay()),
+        dict(),
+    ], ids=["energy", "flood-window", "replay", "probabilistic"])
+    def test_run_one_matches_node_by_node_loop(self, overrides):
+        config = scenario(n_deployed=12, runs=4, **overrides)
+        for k in range(config.runs):
+            trace = run_one(config, k)
+            rows, death_tick = scalar_run(config, k)
+            assert [astuple(rec) for rec in trace.per_tick] == rows
+            assert trace.network_death_tick == death_tick
+            assert death_tick is not None
 
 
 class TestRunMany:

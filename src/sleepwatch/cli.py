@@ -35,7 +35,7 @@ from .network import (
     expected_death_time,
     expected_visits_closed,
 )
-from .serialize import dumps_canonical, write_json, write_trace_csv
+from .serialize import dumps_canonical, write_json_text, write_trace_csv
 from .simulate import RunSummary, ScenarioConfig, run_many
 
 _EXIT_FOR_DECISION = {
@@ -104,49 +104,40 @@ def _analyze_report(parsed: ParsedConfig) -> dict:
     analysis = chain.analyze(chain.canonicalize(build_matrix(params)))
     toward_m = analysis.absorbing_order.index(m)
 
-    psi_closed = [death_probability(i, m) for i in range(m + 1)]
-    psi_oracle = [0.0] + [float(p) for p in analysis.absorb_prob[:, toward_m]] + [1.0]
-    t_closed = [expected_death_time(i, m) for i in range(m + 1)]
-    t_oracle = [0.0] + [float(s) for s in analysis.expected_steps] + [0.0]
-    visits_closed = [
-        [expected_visits_closed(i, j, m) for j in range(1, m)] for i in range(1, m)
-    ]
-    visits_oracle = [[float(x) for x in row] for row in analysis.fundamental]
+    states = np.arange(m + 1)
+    transient = states[1:m]
+    closed_and_oracle = {
+        "death_probability": (death_probability(states, m),
+                              np.concatenate(([0.0], analysis.absorb_prob[:, toward_m], [1.0]))),
+        "expected_death_time": (expected_death_time(states, m),
+                                np.concatenate(([0.0], analysis.expected_steps, [0.0]))),
+        "expected_visits": (expected_visits_closed(transient[:, None], transient, m),
+                            analysis.fundamental),
+    }
 
     try:
         lifetime = expected_node_lifetime(parsed.scenario.policy, NodeState.SLEEP)
     except NoAbsorptionPath:
         lifetime = None
 
-    def _dev(a, b) -> float:
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if len(a) else 0.0
-
-    return {
+    report = {
         "n_deployed": params.n_deployed,
         "m_threshold": m,
         "m_rounding": THRESHOLD_ROUNDING,
         "initial_dead": params.initial_dead,
-        "states": list(range(m + 1)),
-        "death_probability": {
-            "closed_form": psi_closed,
-            "oracle": psi_oracle,
-            "max_abs_deviation": _dev(psi_closed, psi_oracle),
-        },
-        "expected_death_time": {
-            "closed_form": t_closed,
-            "oracle": t_oracle,
-            "max_abs_deviation": _dev(t_closed, t_oracle),
-        },
-        "expected_visits": {
-            "closed_form": visits_closed,
-            "oracle": visits_oracle,
-            "max_abs_deviation": _dev(visits_closed, visits_oracle),
-        },
+        "states": states.tolist(),
         "node": {
             "expected_lifetime_ticks": lifetime,
             "start_state": "sleep",
         },
     }
+    for key, (closed, oracle) in closed_and_oracle.items():
+        report[key] = {
+            "closed_form": closed.tolist(),
+            "oracle": oracle.tolist(),
+            "max_abs_deviation": float(np.max(np.abs(closed - oracle))),
+        }
+    return report
 
 
 def _summary_dict(summary: RunSummary, scenario: ScenarioConfig) -> dict:
@@ -190,11 +181,11 @@ def _build_baseline(parsed: ParsedConfig) -> Baseline:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = _load(args)
-    report = _analyze_report(parsed)
-    print(dumps_canonical(report))
+    text = dumps_canonical(_analyze_report(parsed))
+    print(text)
     out = _out_dir(args)
     if out is not None:
-        write_json(out / "analyze.json", report)
+        write_json_text(out / "analyze.json", text)
     return 0
 
 
@@ -206,9 +197,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SleepwatchError("simulate requires --out for its trace files")
     for trace in summary.traces:
         write_trace_csv(out / f"run_{trace.run_index:03d}.csv", trace)
-    doc = _summary_dict(summary, parsed.scenario)
-    write_json(out / "summary.json", doc)
-    print(dumps_canonical(doc))
+    text = dumps_canonical(_summary_dict(summary, parsed.scenario))
+    write_json_text(out / "summary.json", text)
+    print(text)
     return 0
 
 
@@ -217,11 +208,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     baseline = _build_baseline(parsed)
     summary = run_many(parsed.scenario)
     verdict = detect(summary, baseline, parsed.detector.theta)
-    doc = _verdict_dict(verdict, baseline)
-    print(dumps_canonical(doc))
+    text = dumps_canonical(_verdict_dict(verdict, baseline))
+    print(text)
     out = _out_dir(args)
     if out is not None:
-        write_json(out / "verdict.json", doc)
+        write_json_text(out / "verdict.json", text)
     return _EXIT_FOR_DECISION[verdict.decision]
 
 

@@ -94,7 +94,10 @@ def _get_int(part: dict, key: str, default: int, section: str) -> int:
 def _get_float(part: dict, key: str, default: float, section: str) -> float:
     if key not in part:
         return default
-    return float(_require(part[key], (int, float), f"{section}.{key}"))
+    try:
+        return float(_require(part[key], (int, float), f"{section}.{key}"))
+    except OverflowError:
+        raise ConfigInvalid(f"'{section}.{key}' is too large for a float") from None
 
 
 def _parse_policy(part: dict) -> NodePolicy:
@@ -114,8 +117,7 @@ def _parse_energy(part: dict) -> EnergyModel:
         if unknown:
             raise ConfigInvalid(f"unknown state(s) in energy.drain: {sorted(unknown)}")
         for idx, name in enumerate(STATE_NAMES):
-            if name in entries:
-                drain[idx] = _require(entries[name], (int, float), f"energy.drain.{name}")
+            drain[idx] = _get_float(entries, name, drain[idx], "energy.drain")
     return EnergyModel(capacity=capacity, drain=drain)
 
 

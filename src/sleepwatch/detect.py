@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .attack import AttackKind
-from .errors import ConfigInvalid, DegenerateBaseline, Uncalibratable, WindowTooShort
+from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort
 from .network import NetworkChainParams, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
@@ -184,13 +184,13 @@ def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> floa
     events = int(np.abs(np.diff(view)).sum())
     if events < min_events:
         raise WindowTooShort(f"{events} events in window, need at least {min_events}")
-    expected_moves = 0.0
-    for i in view[:-1]:
-        step = step_probs(int(i), m)
-        expected_moves += step.up + step.down
+    move, states = step_probs(m)[0], view[:-1]
+    if states.min() < 0 or states.max() > m:
+        raise OutOfRange(f"window states outside [0, {m}]")
+    expected_moves = np.cumsum(2.0 * move[states])[-1]  # summed in tick order
     if expected_moves <= 0.0:
         raise WindowTooShort("no moves expected in window; states pinned at a boundary")
-    return events / expected_moves
+    return float(events / expected_moves)
 
 
 def online_estimate(

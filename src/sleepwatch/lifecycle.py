@@ -175,36 +175,3 @@ def n_step_death_probability(policy: NodePolicy, n: int, start: NodeState = Node
         raise ValueError("tick count must be non-negative")
     stepped = np.linalg.matrix_power(policy.probs, n)
     return float(stepped[int(start), int(NodeState.DEAD)])
-
-
-def sample_lifetimes(
-    policy: NodePolicy,
-    count: int,
-    rng: np.random.Generator,
-    start: NodeState = NodeState.SLEEP,
-    max_ticks: int = 10_000_000,
-) -> np.ndarray:
-    """Simulate ``count`` independent node lifetimes (probabilistic death).
-
-    Vectorized across nodes; every live node consumes one uniform per
-    tick, in node order. Returns the tick index at which each node
-    entered Dead.
-    """
-    cum = np.cumsum(policy.probs, axis=1)
-    states = np.full(count, int(start), dtype=np.int64)
-    lifetimes = np.zeros(count, dtype=np.int64)
-    alive = states != int(NodeState.DEAD)
-    tick = 0
-    while alive.any():
-        tick += 1
-        if tick > max_ticks:
-            raise ConfigInvalid(f"nodes still alive after {max_ticks} ticks; Dead may be unreachable")
-        idx = np.flatnonzero(alive)
-        u = rng.random(idx.size)
-        rows = cum[states[idx]]
-        nxt = np.minimum((u[:, None] >= rows).sum(axis=1), int(NodeState.DEAD))
-        states[idx] = nxt
-        died = idx[nxt == int(NodeState.DEAD)]
-        lifetimes[died] = tick
-        alive[died] = False
-    return lifetimes

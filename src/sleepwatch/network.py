@@ -87,111 +87,95 @@ class NetworkChainParams:
         return cls(n_deployed=n, initial_dead=initial_dead)
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One-step move probabilities at a chain state: up (+1), down (-1), stay."""
-
-    up: float
-    down: float
-    stay: float
-
-
-def _check_state(i: int, m: int) -> None:
+def _check_threshold(m: int) -> None:
     if m < 2:
         raise OutOfRange(f"threshold must be at least 2, got {m}")
-    if not 0 <= i <= m:
-        raise OutOfRange(f"state {i} outside [0, {m}]")
 
 
-def step_probs(i: int, m: int) -> ChainStep:
-    """Transition probabilities out of dead-count state i for threshold m.
+def _states(i, m: int, low: int, high: int) -> np.ndarray:
+    """State argument as an int array, every entry checked to lie in [low, high]."""
+    _check_threshold(m)
+    states = np.asarray(i, dtype=np.int64)
+    bad = states[(states < low) | (states > high)]
+    if bad.size:
+        raise OutOfRange(f"state {bad[0]} outside [{low}, {high}]")
+    return states
 
-    up = down = ((m-i)/m) * (i/m), stay = ((m-i)/m)^2 + (i/m)^2; every
-    other destination has probability 0. Both boundaries are absorbing:
-    at i = 0 and i = m the move terms vanish and stay = 1.
+
+def _result(values: np.ndarray):
+    """A Python float for a scalar state argument, the array otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
+def step_probs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transition probabilities out of every dead-count state 0..m.
+
+    Returns ``(move, stay)``: ``move[i]`` = ((m-i)/m) * (i/m) is both the
+    up (+1) and the down (-1) probability, ``stay[i]`` = ((m-i)/m)^2 +
+    (i/m)^2; every other destination has probability 0. Both boundaries
+    are absorbing: at i = 0 and i = m the move terms vanish and stay = 1.
     """
-    _check_state(i, m)
-    healthy = (m - i) / m
-    dead = i / m
-    move = healthy * dead
-    return ChainStep(up=move, down=move, stay=healthy * healthy + dead * dead)
+    _check_threshold(m)
+    states = np.arange(m + 1)
+    healthy = (m - states) / m
+    dead = states / m
+    return healthy * dead, healthy * healthy + dead * dead
 
 
-def beta(i: int, m: int) -> float:
-    """Down/up probability ratio at state i, with the convention beta(0) = 1.
-
-    For this symmetric chain the ratio is identically 1; it is still
-    computed from the step probabilities so the closed forms downstream
-    rest on the definition, not on the simplification.
-    """
-    _check_state(i, m)
-    if i == m:
-        raise OutOfRange(f"beta undefined at the absorbing boundary i = m = {m}")
-    if i == 0:
-        return 1.0
-    step = step_probs(i, m)
-    return step.down / step.up
-
-
-def death_probability(i: int, m: int) -> float:
+def death_probability(i, m: int):
     """Probability of absorption at m (network death) starting from i dead.
 
-    Evaluates sum(beta(k) for k < i) / sum(beta(k) for k < m), which
-    collapses to i / m because every ratio is 1. Returns 0 at i = 0 and
-    1 at i = m.
+    Evaluates sum(beta(k) for k < i) / sum(beta(k) for k < m), where
+    beta(k) = down(k) / up(k) and beta(0) = 1. Every ratio is 1, so this
+    collapses to i / m: 0 at i = 0 and 1 at i = m. ``i`` is one state or
+    an array of states.
     """
-    _check_state(i, m)
-    betas = [beta(k, m) for k in range(m)]
-    return float(sum(betas[:i]) / sum(betas))
+    states = _states(i, m, 0, m)
+    move = step_probs(m)[0]
+    beta = np.concatenate(([1.0], move[1:m] / move[1:m]))
+    ratio_sums = np.concatenate(([0.0], np.cumsum(beta)))
+    return _result(ratio_sums[states] / ratio_sums[m])
 
 
-def expected_visits_closed(i: int, j: int, m: int) -> float:
+def expected_visits_closed(i, j, m: int):
     """Closed-form expected visits to state j before absorption, from i.
 
     Equals m*(m-i)/(m-j) for j <= i and m*i/j for j > i; matches the
     fundamental-matrix entry of the assembled chain. Both states must be
-    transient (1 <= i, j <= m-1).
+    transient (1 <= i, j <= m-1); arrays of states broadcast.
     """
-    if m < 2:
-        raise OutOfRange(f"threshold must be at least 2, got {m}")
-    for s in (i, j):
-        if not 1 <= s <= m - 1:
-            raise OutOfRange(f"state {s} outside the transient range [1, {m - 1}]")
-    if j <= i:
-        return m * (m - i) / (m - j)
-    return m * i / j
+    i, j = _states(i, m, 1, m - 1), _states(j, m, 1, m - 1)
+    return _result(np.where(j <= i, m * (m - i) / (m - j), m * i / j))
 
 
-def expected_death_time(i: int, m: int) -> float:
+def expected_death_time(i, m: int):
     """Expected chain steps to absorption starting from i dead nodes.
 
     Closed form: m*(m-i) * sum(1/(m-j) for j in 1..i)
                + m*i * sum(1/j for j in i+1..m-1).
-    Zero at both absorbing boundaries. Agrees with the expected-steps
-    vector of the fundamental matrix to relative 1e-9 over the tested
-    threshold range.
+    Zero at both absorbing boundaries. ``i`` is one state or an array of
+    states. Agrees with the expected-steps vector of the fundamental
+    matrix to relative 1e-9 over the tested threshold range.
     """
-    _check_state(i, m)
-    if i == 0 or i == m:
-        return 0.0
-    below = sum(1.0 / (m - j) for j in range(1, i + 1))
-    above = sum(1.0 / j for j in range(i + 1, m))
-    return m * (m - i) * below + m * i * above
+    states = _states(i, m, 0, m)
+    j = np.arange(1, m)
+    # running sums over zero-padded rows add the terms left to right, as the
+    # formula reads; np.sum adds pairwise and would change the last bits
+    below = np.cumsum(np.where(j <= states[..., None], 1.0 / (m - j), 0.0), axis=-1)[..., -1]
+    above = np.cumsum(np.where(j > states[..., None], 1.0 / j, 0.0), axis=-1)[..., -1]
+    return _result(m * (m - states) * below + m * states * above)
 
 
 def build_matrix(params: NetworkChainParams) -> TransitionMatrix:
     """Assemble the (M+1)-state tridiagonal chain for oracle cross-checks.
 
-    States 0 and M are absorbing; interior rows come from ``step_probs``.
+    States 0 and M are absorbing; the rows come from ``step_probs``.
     The result passes :func:`sleepwatch.chain.validate`.
     """
     m = params.m_threshold
-    probs = np.zeros((m + 1, m + 1))
-    for i in range(m + 1):
-        step = step_probs(i, m)
-        probs[i, i] = step.stay
-        if i > 0:
-            probs[i, i - 1] = step.down
-        if i < m:
-            probs[i, i + 1] = step.up
+    move, stay = step_probs(m)
+    probs = np.diag(stay)
+    below = np.arange(m)
+    probs[below + 1, below] = move[1:]
+    probs[below, below + 1] = move[:-1]
     return validate(TransitionMatrix(probs, frozenset({0, m})))

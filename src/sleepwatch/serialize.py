@@ -56,7 +56,12 @@ def dumps_canonical(value, indent: int = 0) -> str:
 
 
 def write_json(path: str | Path, value) -> None:
-    Path(path).write_text(dumps_canonical(value) + "\n")
+    write_json_text(path, dumps_canonical(value))
+
+
+def write_json_text(path: str | Path, text: str) -> None:
+    """Write the output of :func:`dumps_canonical` as a JSON file."""
+    Path(path).write_text(text + "\n")
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:

@@ -244,6 +244,7 @@ def simulate_chain(
         raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
     if runs < 1:
         raise ConfigInvalid(f"runs must be at least 1, got {runs}")
+    move = step_probs(m)[0]
     rng = substream(seed, 0, CHAIN_STREAM)
     state = np.full(runs, initial_dead, dtype=np.int64)
     steps = np.zeros(runs, dtype=np.int64)
@@ -255,9 +256,8 @@ def simulate_chain(
             raise ConfigInvalid(f"chain not absorbed after {max_steps} steps")
         idx = np.flatnonzero(alive)
         s = state[idx]
-        move = ((m - s) / m) * (s / m)
         u = rng.random(idx.size)
-        delta = np.where(u < move, 1, np.where(u < 2.0 * move, -1, 0))
+        delta = np.where(u < move[s], 1, np.where(u < 2.0 * move[s], -1, 0))
         state[idx] = s + delta
         steps[idx] += 1
         absorbed = (state[idx] == 0) | (state[idx] == m)
@@ -284,6 +284,7 @@ def simulate_chain_trajectory(
         raise ConfigInvalid(f"step_prob must lie in (0, 1], got {step_prob}")
     if not 0 <= initial_dead <= m or m < 2:
         raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
+    move = step_probs(m)[0]
     rng = substream(seed, run_index, CHAIN_STREAM)
     view = np.empty(max_ticks + 1, dtype=np.int64)
     view[0] = initial_dead
@@ -293,11 +294,10 @@ def simulate_chain_trajectory(
     end = max_ticks
     for tick in range(1, max_ticks + 1):
         if 0 < i < m and rng.random() < step_prob:
-            step = step_probs(i, m)
             u = rng.random()
-            if u < step.up:
+            if u < move[i]:
                 i += 1
-            elif u < step.up + step.down:
+            elif u < 2.0 * move[i]:
                 i -= 1
         view[tick] = i
         if i == 0 or i == m:

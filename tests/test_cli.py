@@ -244,6 +244,10 @@ NON_FINITE_CONFIGS = {
                    ' [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]]},'
                    ' "run": {"death_mode": "probabilistic"}}'),
     "theta-nan": '{"detector": {"theta": NaN}}',
+    # integer literals beyond the float range
+    "capacity-huge-int": '{"energy": {"capacity": 1%s}}' % ("0" * 400),
+    "drain-active-huge-int": '{"energy": {"drain": {"active": 1%s}}}' % ("0" * 400),
+    "extra-drain-huge-int": '{"attack": {"kind": "rts_cts_flood", "extra_drain": 1%s}}' % ("0" * 400),
 }
 
 

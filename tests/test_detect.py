@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import closed_form_oracle as oracle
 import sleepwatch as sw
 from sleepwatch.detect import (
     Baseline,
@@ -15,6 +16,7 @@ from sleepwatch.detect import (
 from sleepwatch.errors import (
     ConfigInvalid,
     DegenerateBaseline,
+    OutOfRange,
     Uncalibratable,
     WindowTooShort,
 )
@@ -184,11 +186,26 @@ class TestDetectDispatch:
 class TestStepRateEstimator:
     def test_known_window_arithmetic(self):
         view = np.array([5, 6, 6, 7])
-        expected_moves = sum(
-            step_probs(i, 20).up + step_probs(i, 20).down for i in (5, 6, 6)
-        )
+        move = step_probs(20)[0]
+        expected_moves = sum(move[i] + move[i] for i in (5, 6, 6))
         rate = estimate_step_rate(view, 20, min_events=2)
         assert rate == pytest.approx(2.0 / expected_moves, rel=1e-12)
+
+    def test_matches_tick_by_tick_sum(self):
+        rng = np.random.default_rng(8)
+        m = 80
+        for _ in range(50):
+            view = np.clip(40 + np.cumsum(rng.integers(-1, 2, size=200)), 1, m - 1)
+            expected_moves = 0.0
+            for i in view[:-1]:
+                expected_moves += oracle.move_prob(int(i), m) + oracle.move_prob(int(i), m)
+            events = int(np.abs(np.diff(view)).sum())
+            assert estimate_step_rate(view, m, min_events=0) == events / expected_moves
+
+    @pytest.mark.parametrize("view", [[-1, 0, 1], [5, 21, 20]])
+    def test_states_outside_chain(self, view):
+        with pytest.raises(OutOfRange):
+            estimate_step_rate(np.array(view), 20, min_events=0)
 
     def test_too_few_events(self):
         with pytest.raises(WindowTooShort):

@@ -13,11 +13,11 @@ from sleepwatch.lifecycle import (
     default_policy,
     expected_node_lifetime,
     n_step_death_probability,
-    sample_lifetimes,
     strip_death_transitions,
     validate_policy,
 )
 from sleepwatch.rng import substream
+from sleepwatch.simulate import ScenarioConfig, run_one
 
 S, A, I, D = NodeState.SLEEP, NodeState.ACTIVE, NodeState.INACTIVE, NodeState.DEAD
 
@@ -224,10 +224,28 @@ class TestEnergyConservation:
         assert node.battery == replay
 
 
+def sample_lifetimes(policy: NodePolicy, count: int, seed: int) -> np.ndarray:
+    """Death tick of every node in one probabilistic-death run of ``count`` nodes.
+
+    The run's threshold is ``count``, so it lasts until the last node dies;
+    each tick's rise in the dead count is that many nodes dying at it.
+    """
+    config = ScenarioConfig(n_deployed=count, max_ticks=10_000_000, seed=seed, policy=policy,
+                            energy=default_energy(), death_mode=DeathMode.PROBABILISTIC,
+                            m_override=count)
+    trace = run_one(config)
+    assert trace.network_death_tick is not None
+    ticks = np.array([rec.tick for rec in trace.per_tick])
+    dead = np.array([rec.dead for rec in trace.per_tick])
+    lifetimes = np.repeat(ticks[1:], np.diff(dead))
+    assert lifetimes.size == count
+    return lifetimes
+
+
 class TestEmpiricalAgreement:
     def test_sampled_lifetimes_match_analytic_mean(self):
         policy = default_policy()
-        lifetimes = sample_lifetimes(policy, 10_000, substream(77, 9))
+        lifetimes = sample_lifetimes(policy, 10_000, seed=77)
         analytic = expected_node_lifetime(policy)
         se = lifetimes.std(ddof=1) / np.sqrt(lifetimes.size)
         assert abs(lifetimes.mean() - analytic) <= 3.0 * se
@@ -244,6 +262,6 @@ class TestEmpiricalAgreement:
             if analytic > 2000:
                 continue
             checked += 1
-            lifetimes = sample_lifetimes(policy, 4000, substream(1000 + checked, 0))
+            lifetimes = sample_lifetimes(policy, 4000, seed=1000 + checked)
             se = lifetimes.std(ddof=1) / np.sqrt(lifetimes.size)
             assert abs(lifetimes.mean() - analytic) <= 4.0 * se

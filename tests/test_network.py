@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import closed_form_oracle as oracle
 from sleepwatch import chain
 from sleepwatch.errors import ConfigInvalid, OutOfRange, TooFewNodes
 from sleepwatch.network import (
     NetworkChainParams,
-    beta,
     build_matrix,
     death_probability,
     expected_death_time,
@@ -14,49 +14,89 @@ from sleepwatch.network import (
     threshold_from_deployed,
 )
 
+#: thresholds at which every state is compared bit for bit with the oracle
+PINNED_THRESHOLDS = [*range(2, 61), 97, 200, 800]
+
 
 class TestStepProbs:
     def test_interior_state_m3(self):
-        step = step_probs(1, 3)
-        assert step.up == pytest.approx(2 / 9, abs=1e-15)
-        assert step.down == pytest.approx(2 / 9, abs=1e-15)
-        assert step.stay == pytest.approx(5 / 9, abs=1e-15)
+        move, stay = step_probs(3)
+        assert move[1] == pytest.approx(2 / 9, abs=1e-15)
+        assert stay[1] == pytest.approx(5 / 9, abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 5, 17])
     def test_boundaries_are_absorbing(self, m):
+        move, stay = step_probs(m)
         for i in (0, m):
-            step = step_probs(i, m)
-            assert step.up == 0.0 and step.down == 0.0 and step.stay == 1.0
+            assert move[i] == 0.0 and stay[i] == 1.0
 
     def test_rows_sum_to_one(self):
         for m in range(2, 40):
-            for i in range(m + 1):
-                step = step_probs(i, m)
-                assert step.up + step.down + step.stay == pytest.approx(1.0, abs=1e-12)
-                assert step.up == step.down
+            move, stay = step_probs(m)
+            assert move.shape == stay.shape == (m + 1,)
+            np.testing.assert_allclose(2.0 * move + stay, 1.0, rtol=0.0, atol=1e-12)
+            # up and down are one array; the assembled chain shows them equal
+            probs = build_matrix(NetworkChainParams.with_threshold(m)).probs
+            for i in range(1, m):
+                assert probs[i, i + 1] == probs[i, i - 1]
 
     @pytest.mark.parametrize("i,m", [(-1, 5), (6, 5), (0, 1)])
     def test_out_of_range(self, i, m):
-        with pytest.raises(OutOfRange):
-            step_probs(i, m)
+        for closed_form in (death_probability, expected_death_time):
+            with pytest.raises(OutOfRange):
+                closed_form(i, m)
+            with pytest.raises(OutOfRange):
+                closed_form(np.array([0, i]), m)
+        if m < 2:
+            with pytest.raises(OutOfRange):
+                step_probs(m)
+
+    def test_bits_match_scalar_formula(self):
+        for m in PINNED_THRESHOLDS:
+            move, stay = step_probs(m)
+            assert move.tolist() == [oracle.move_prob(i, m) for i in range(m + 1)], m
+            assert stay.tolist() == [oracle.stay_prob(i, m) for i in range(m + 1)], m
 
 
-class TestBeta:
-    def test_convention_at_zero(self):
-        assert beta(0, 10) == 1.0
+class TestArrayArguments:
+    """Each closed form takes one state or an array of states."""
 
-    def test_interior_value(self):
-        assert beta(3, 10) == pytest.approx(1.0, abs=1e-15)
+    def test_death_probability_bits(self):
+        for m in PINNED_THRESHOLDS:
+            got = death_probability(np.arange(m + 1), m)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == oracle.death_probabilities(m), m
 
-    def test_matches_step_ratio(self):
-        for m in (2, 7, 31):
-            for i in range(1, m):
-                step = step_probs(i, m)
-                assert beta(i, m) == pytest.approx(step.down / step.up, abs=1e-15)
+    def test_expected_death_time_bits(self):
+        for m in PINNED_THRESHOLDS:
+            got = expected_death_time(np.arange(m + 1), m)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == [oracle.expected_death_time(i, m) for i in range(m + 1)], m
 
-    def test_undefined_at_threshold(self):
-        with pytest.raises(OutOfRange):
-            beta(10, 10)
+    def test_expected_visits_bits(self):
+        for m in PINNED_THRESHOLDS:
+            states = np.arange(1, m)
+            got = expected_visits_closed(states[:, None], states, m)
+            assert got.shape == (m - 1, m - 1)
+            assert got.tolist() == [
+                [oracle.expected_visits(i, j, m) for j in range(1, m)] for i in range(1, m)
+            ], m
+
+    @pytest.mark.parametrize("m", [2, 7, 97])
+    def test_scalar_argument_returns_float(self, m):
+        for i in range(m + 1):
+            for value in (death_probability(i, m), expected_death_time(i, m)):
+                assert type(value) is float
+        assert type(death_probability(np.int64(1), m)) is float
+        assert type(expected_visits_closed(1, m - 1, m)) is float
+
+    def test_scalar_and_array_agree(self):
+        m = 41
+        states = np.array([[0, 5], [20, 41]])
+        for closed_form in (death_probability, expected_death_time):
+            got = closed_form(states, m)
+            assert got.shape == states.shape
+            assert got.tolist() == [[closed_form(int(i), m) for i in row] for row in states]
 
 
 class TestDeathProbability:

@@ -29,7 +29,6 @@ from .errors import NoAbsorptionPath, SleepwatchError
 from .lifecycle import NodeState, expected_node_lifetime
 from .network import (
     THRESHOLD_ROUNDING,
-    NetworkChainParams,
     build_matrix,
     death_probability,
     expected_death_time,
@@ -87,7 +86,7 @@ def _load(args: argparse.Namespace) -> ParsedConfig:
     detector = parsed.detector
     if args.theta is not None:
         detector = replace(detector, theta=args.theta)
-    return ParsedConfig(scenario=scenario, params=parsed.params, detector=detector)
+    return ParsedConfig(scenario=scenario, detector=detector)
 
 
 def _out_dir(args: argparse.Namespace) -> Path | None:
@@ -101,7 +100,7 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 def _analyze_report(parsed: ParsedConfig) -> dict:
     params = parsed.params
     m = params.m_threshold
-    analysis = chain.analyze(chain.canonicalize(build_matrix(params)))
+    analysis = chain.analyze(chain.canonicalize(build_matrix(m)))
     toward_m = analysis.absorbing_order.index(m)
 
     states = np.arange(m + 1)
@@ -221,9 +220,9 @@ def _sweep_point(parsed: ParsedConfig, param: str, value: float) -> ParsedConfig
     scenario = parsed.scenario
     if param == "m":
         m = int(value)
-        scenario = replace(scenario, m_override=m)
-        params = NetworkChainParams.with_threshold(m, min(parsed.params.initial_dead, m - 1))
-        return replace(parsed, scenario=scenario, params=params)
+        network = replace(scenario.network, m_threshold=m,
+                          initial_dead=min(scenario.network.initial_dead, m - 1))
+        return replace(parsed, scenario=replace(scenario, network=network))
     if param in ("coverage", "sleep_block"):
         attack = scenario.attack if scenario.attack is not None else no_attack()
         attack = replace(attack, **{param: float(value)})
@@ -243,6 +242,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SleepwatchError(f"--values must be comma-separated numbers: {exc}") from exc
     if not values:
         raise SleepwatchError("--values is empty")
+    if args.param == "m" and not all(v.is_integer() for v in values):
+        raise SleepwatchError(f"--param m needs integer values, got {args.values}")
 
     rows = ["value,baseline,mean_death_tick,normal,under_attack,inconclusive"]
     for value in values:
@@ -253,8 +254,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
         for trace in summary.traces:
             counts[detect(trace, baseline, theta).decision] += 1
-        observed = [t for t in summary.death_ticks if t is not None]
-        mean = f"{np.mean(observed):.17g}" if observed else ""
+        mean = summary.mean_death_tick
+        mean = f"{mean:.17g}" if mean is not None else ""
         value_text = str(int(value)) if args.param == "m" else f"{value:.17g}"
         rows.append(
             f"{value_text},{baseline.expected_death_ticks:.17g},{mean},"

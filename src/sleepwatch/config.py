@@ -66,8 +66,12 @@ class DetectorSettings:
 @dataclass(frozen=True)
 class ParsedConfig:
     scenario: ScenarioConfig
-    params: NetworkChainParams
     detector: DetectorSettings
+
+    @property
+    def params(self) -> NetworkChainParams:
+        """N, M and the start state, as stored in the scenario."""
+        return self.scenario.network
 
 
 def _section(doc: dict, name: str, allowed: tuple[str, ...]) -> dict:
@@ -86,24 +90,47 @@ def _require(value, types, path: str):
     return value
 
 
-def _get_int(part: dict, key: str, default: int, section: str) -> int:
-    if key not in part:
-        return default
-    return int(_require(part[key], int, f"{section}.{key}"))
+def _get_int(part: dict, key: str, default: int | None, section: str,
+             nullable: bool = False) -> int | None:
+    value = part.get(key, default)
+    if value is None and nullable:
+        return None
+    return int(_require(value, int, f"{section}.{key}"))
+
+
+def _get_enum(part: dict, key: str, enum, default, what: str):
+    name = part.get(key, default.value)
+    try:
+        return enum(name)
+    except ValueError:
+        raise ConfigInvalid(
+            f"unknown {what} {name!r}; expected one of {[e.value for e in enum]}"
+        ) from None
+
+
+def _float(value, path: str) -> float:
+    try:
+        return float(_require(value, (int, float), path))
+    except OverflowError:
+        raise ConfigInvalid(f"'{path}' is too large for a float") from None
+
 
 def _get_float(part: dict, key: str, default: float, section: str) -> float:
     if key not in part:
         return default
-    try:
-        return float(_require(part[key], (int, float), f"{section}.{key}"))
-    except OverflowError:
-        raise ConfigInvalid(f"'{section}.{key}' is too large for a float") from None
+    return _float(part[key], f"{section}.{key}")
 
 
 def _parse_policy(part: dict) -> NodePolicy:
     if "probs" not in part:
         return default_policy()
-    rows = _require(part["probs"], list, "policy.probs")
+    rows = [
+        [_float(value, f"policy.probs[{r}][{c}]") for c, value in
+         enumerate(_require(row, list, f"policy.probs[{r}]"))]
+        for r, row in enumerate(_require(part["probs"], list, "policy.probs"))
+    ]
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigInvalid("'policy.probs' rows differ in length")
     return validate_policy(NodePolicy(np.array(rows, dtype=float)))
 
 
@@ -129,25 +156,15 @@ _ATTACK_DEFAULTS = {
 
 
 def _parse_attack(part: dict) -> AttackModel:
-    kind_name = part.get("kind", "none")
-    try:
-        kind = AttackKind(kind_name)
-    except ValueError:
-        raise ConfigInvalid(
-            f"unknown attack kind {kind_name!r}; expected one of "
-            f"{[k.value for k in AttackKind]}"
-        ) from None
+    kind = _get_enum(part, "kind", AttackKind, AttackKind.NO_ATTACK, "attack kind")
     base = _ATTACK_DEFAULTS[kind]()
-    end_tick = part.get("end_tick", base.end_tick)
-    if end_tick is not None:
-        end_tick = int(_require(end_tick, int, "attack.end_tick"))
     return AttackModel(
         kind=kind,
         coverage=_get_float(part, "coverage", base.coverage, "attack"),
         sleep_block=_get_float(part, "sleep_block", base.sleep_block, "attack"),
         extra_drain=_get_float(part, "extra_drain", base.extra_drain, "attack"),
         start_tick=_get_int(part, "start_tick", base.start_tick, "attack"),
-        end_tick=end_tick,
+        end_tick=_get_int(part, "end_tick", base.end_tick, "attack", nullable=True),
     )
 
 
@@ -159,7 +176,7 @@ def parse_config(doc: dict) -> ParsedConfig:
     if unknown:
         raise ConfigInvalid(f"unknown top-level section(s): {sorted(unknown)}")
 
-    network = _section(doc, "network", ("n_deployed", "initial_dead"))
+    network_part = _section(doc, "network", ("n_deployed", "initial_dead"))
     policy_part = _section(doc, "policy", ("probs",))
     energy_part = _section(doc, "energy", ("capacity", "drain"))
     attack_part = _section(doc, "attack", ("kind", "coverage", "sleep_block",
@@ -168,23 +185,14 @@ def parse_config(doc: dict) -> ParsedConfig:
                                                "baseline_runs", "baseline_seed"))
     run = _section(doc, "run", ("max_ticks", "seed", "runs", "death_mode"))
 
-    n_deployed = _get_int(network, "n_deployed", 20, "network")
-    params = NetworkChainParams(
-        n_deployed=n_deployed,
-        initial_dead=_get_int(network, "initial_dead", 1, "network"),
+    network = NetworkChainParams(
+        n_deployed=_get_int(network_part, "n_deployed", 20, "network"),
+        initial_dead=_get_int(network_part, "initial_dead", 1, "network"),
     )
 
-    death_mode_name = run.get("death_mode", DeathMode.ENERGY.value)
-    try:
-        death_mode = DeathMode(death_mode_name)
-    except ValueError:
-        raise ConfigInvalid(
-            f"unknown death_mode {death_mode_name!r}; expected one of "
-            f"{[m.value for m in DeathMode]}"
-        ) from None
-
+    death_mode = _get_enum(run, "death_mode", DeathMode, DeathMode.ENERGY, "death_mode")
     scenario = ScenarioConfig(
-        n_deployed=n_deployed,
+        network=network,
         max_ticks=_get_int(run, "max_ticks", 1000, "run"),
         seed=_get_int(run, "seed", 0, "run"),
         policy=_parse_policy(policy_part),
@@ -194,25 +202,15 @@ def parse_config(doc: dict) -> ParsedConfig:
         runs=_get_int(run, "runs", 1, "run"),
     )
 
-    source_name = detector_part.get("source", BaselineSource.ANALYTIC.value)
-    try:
-        source = BaselineSource(source_name)
-    except ValueError:
-        raise ConfigInvalid(
-            f"unknown baseline source {source_name!r}; expected one of "
-            f"{[s.value for s in BaselineSource]}"
-        ) from None
-    baseline_seed = detector_part.get("baseline_seed")
-    if baseline_seed is not None:
-        baseline_seed = int(_require(baseline_seed, int, "detector.baseline_seed"))
     detector = DetectorSettings(
-        source=source,
+        source=_get_enum(detector_part, "source", BaselineSource, BaselineSource.ANALYTIC,
+                         "baseline source"),
         theta=_get_float(detector_part, "theta", DEFAULT_THRESHOLD_FACTOR, "detector"),
         ticks_per_chain_step=_get_float(detector_part, "ticks_per_chain_step", 1.0, "detector"),
         baseline_runs=_get_int(detector_part, "baseline_runs", 100, "detector"),
-        baseline_seed=baseline_seed,
+        baseline_seed=_get_int(detector_part, "baseline_seed", None, "detector", nullable=True),
     )
-    return ParsedConfig(scenario=scenario, params=params, detector=detector)
+    return ParsedConfig(scenario=scenario, detector=detector)
 
 
 def _reject_constant(token: str):

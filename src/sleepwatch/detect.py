@@ -78,7 +78,7 @@ def compute_baseline(
     Exactly one calibration must be supplied: a ticks-per-chain-step
     constant (analytic: closed-form expected death time, scaled) or an
     attack-free scenario to simulate (Monte Carlo: mean uncensored death
-    tick) at the same death threshold M as ``params``. The start state
+    tick) whose ``network`` is ``params``. The start state
     must be transient; a baseline of zero chain steps cannot anchor any
     comparison (DegenerateBaseline).
     """
@@ -95,8 +95,8 @@ def compute_baseline(
 
     if scenario.attack is not None and scenario.attack.kind is not AttackKind.NO_ATTACK:
         raise ConfigInvalid("Monte Carlo baseline requires an attack-free scenario")
-    if scenario.m_threshold != m:
-        raise ConfigInvalid(f"calibration scenario dies at M={scenario.m_threshold}, params at M={m}")
+    if scenario.network != params:
+        raise ConfigInvalid(f"calibration scenario describes {scenario.network}, params {params}")
     summary = run_many(scenario)
     if summary.mean_death_tick is None:
         raise Uncalibratable(

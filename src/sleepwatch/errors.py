@@ -51,3 +51,7 @@ class Uncalibratable(SleepwatchError):
 
 class WindowTooShort(SleepwatchError):
     """Too few observed events in an estimation window to fit a rate."""
+
+
+class InvariantViolated(SleepwatchError):
+    """A simulation broke one of its own invariants: a dead node revived or a node was lost."""

@@ -1,10 +1,11 @@
 """Network-level death chain over the dead-node count.
 
 The network is modeled as a birth-death chain on i = 0..M, where i counts
-dead nodes and M = round(4N/5) is the death threshold for N deployed
-nodes. Both boundaries are absorbing; absorption at M is network death.
-One chain step is one death/recovery event opportunity (the mapping to
-simulator ticks is a calibration constant owned by the detector).
+dead nodes and M is the death threshold for N deployed nodes: round(4N/5)
+unless set explicitly (see :class:`NetworkChainParams`). Both boundaries
+are absorbing; absorption at M is network death. One chain step is one
+death/recovery event opportunity (the mapping to simulator ticks is a
+calibration constant owned by the detector).
 
 Transition probabilities are symmetric:
 
@@ -56,8 +57,10 @@ def threshold_from_deployed(n: int) -> int:
 class NetworkChainParams:
     """Deployed count N, death threshold M, and starting dead count i.
 
-    M is always derived from N with half-up rounding; passing an explicit
-    ``m_threshold`` that disagrees with the derived value is rejected.
+    This is the one description of a deployment's chain: the simulator,
+    the detector and the CLI all read N, M and i from here. M defaults to
+    round(4N/5) with half-up rounding; an explicit ``m_threshold`` must
+    lie in [2, N]. The start state must lie in [0, M].
     """
 
     n_deployed: int
@@ -65,26 +68,17 @@ class NetworkChainParams:
     m_threshold: int | None = None
 
     def __post_init__(self) -> None:
-        derived = threshold_from_deployed(self.n_deployed)
+        derived = threshold_from_deployed(self.n_deployed)  # rejects N < 2
         if self.m_threshold is None:
             object.__setattr__(self, "m_threshold", derived)
-        elif self.m_threshold != derived:
+        elif not 2 <= self.m_threshold <= self.n_deployed:
             raise ConfigInvalid(
-                f"m_threshold {self.m_threshold} inconsistent with "
-                f"round(4*{self.n_deployed}/5) = {derived}"
+                f"m_threshold {self.m_threshold} outside [2, {self.n_deployed}]"
             )
         if not 0 <= self.initial_dead <= self.m_threshold:
             raise OutOfRange(
                 f"initial_dead {self.initial_dead} outside [0, {self.m_threshold}]"
             )
-
-    @classmethod
-    def with_threshold(cls, m: int, initial_dead: int = 1) -> "NetworkChainParams":
-        """Params for a desired threshold M, back-solving a compatible N."""
-        if m < 2:
-            raise OutOfRange(f"threshold must be at least 2, got {m}")
-        n = (2 * 5 * m + 4) // (2 * 4)  # round(5m/4) half-up
-        return cls(n_deployed=n, initial_dead=initial_dead)
 
 
 def _check_threshold(m: int) -> None:
@@ -166,13 +160,12 @@ def expected_death_time(i, m: int):
     return _result(m * (m - states) * below + m * states * above)
 
 
-def build_matrix(params: NetworkChainParams) -> TransitionMatrix:
-    """Assemble the (M+1)-state tridiagonal chain for oracle cross-checks.
+def build_matrix(m: int) -> TransitionMatrix:
+    """Assemble the (m+1)-state tridiagonal chain for oracle cross-checks.
 
-    States 0 and M are absorbing; the rows come from ``step_probs``.
+    States 0 and m are absorbing; the rows come from ``step_probs``.
     The result passes :func:`sleepwatch.chain.validate`.
     """
-    m = params.m_threshold
     move, stay = step_probs(m)
     probs = np.diag(stay)
     below = np.arange(m)

@@ -9,7 +9,8 @@ across platforms and a no-op attack cannot shift any draw.
 
 Tick ordering is fixed: transform policy, draw next states, pay drain,
 apply battery deaths, record. Dead-count monotonicity and node-count
-conservation are asserted inside the loop.
+conservation are checked inside the loop (InvariantViolated), also under
+``python -O``.
 
 ``simulate_chain`` runs the (M+1)-state dead-count chain itself instead
 of individual nodes. The node-level death process is not that chain (dead
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackKind, AttackModel, affected_set, no_attack, transform_policy
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, InvariantViolated
 from .lifecycle import (
     DeathMode,
     EnergyModel,
@@ -33,7 +34,7 @@ from .lifecycle import (
     strip_death_transitions,
     validate_policy,
 )
-from .network import step_probs, threshold_from_deployed
+from .network import NetworkChainParams, step_probs
 from .rng import AFFECTED_STREAM, CHAIN_STREAM, STEP_STREAM, substream
 
 DEAD = int(NodeState.DEAD)
@@ -42,9 +43,14 @@ SLEEP = int(NodeState.SLEEP)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one simulation experiment."""
+    """Full description of one simulation experiment.
 
-    n_deployed: int
+    N and M come from ``network`` and are stored nowhere else. Every run
+    starts with all N nodes asleep; ``network.initial_dead`` is the chain
+    start state of the detector's baseline and is not simulated.
+    """
+
+    network: NetworkChainParams
     max_ticks: int
     seed: int
     policy: NodePolicy
@@ -52,11 +58,8 @@ class ScenarioConfig:
     attack: AttackModel | None = None
     death_mode: DeathMode = DeathMode.ENERGY
     runs: int = 1
-    m_override: int | None = None  # death threshold override, for sweeps only
 
     def __post_init__(self) -> None:
-        if self.n_deployed < 2:
-            raise ConfigInvalid(f"n_deployed must be at least 2, got {self.n_deployed}")
         if self.max_ticks < 1:
             raise ConfigInvalid(f"max_ticks must be at least 1, got {self.max_ticks}")
         if self.runs < 1:
@@ -64,16 +67,6 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed}")
         validate_policy(self.policy)
-        if self.m_override is not None and not 2 <= self.m_override <= self.n_deployed:
-            raise ConfigInvalid(
-                f"m_override {self.m_override} outside [2, {self.n_deployed}]"
-            )
-
-    @property
-    def m_threshold(self) -> int:
-        if self.m_override is not None:
-            return self.m_override
-        return threshold_from_deployed(self.n_deployed)
 
 
 @dataclass(frozen=True)
@@ -128,15 +121,14 @@ def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
     """Simulate one run; fully determined by (config.seed, run_index)."""
     if not 0 <= run_index < config.runs:
         raise ConfigInvalid(f"run_index {run_index} outside [0, {config.runs})")
-    n = config.n_deployed
-    m = config.m_threshold
+    n, m = config.network.n_deployed, config.network.m_threshold
     attack = config.attack if config.attack is not None else no_attack()
 
     base = config.policy
     if config.death_mode is DeathMode.ENERGY:
         base = strip_death_transitions(base)
-    base_cum = np.cumsum(base.probs, axis=1)
-    attacked_cum = np.cumsum(transform_policy(base, attack).probs, axis=1)
+    # rows 0..3: cumulative base policy, rows 4..7: the attacked policy
+    cum = np.cumsum(np.vstack((base.probs, transform_policy(base, attack).probs)), axis=1)
 
     affected = np.zeros(n, dtype=bool)
     if attack.kind is not AttackKind.NO_ATTACK:
@@ -158,9 +150,8 @@ def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
         if live.size:
             current = states[live]
             under_attack = affected[live] & attack.in_window(tick)
-            rows = np.where(under_attack[:, None], attacked_cum[current], base_cum[current])
             u = rng.random(live.size)
-            nxt = np.minimum((u[:, None] >= rows).sum(axis=1), DEAD)
+            nxt = np.minimum((u[:, None] >= cum[current + 4 * under_attack]).sum(axis=1), DEAD)
             cost = drain[current] + attack.extra_drain * (under_attack & (current != SLEEP))
             batteries[live] -= cost
             states[live] = nxt
@@ -169,8 +160,10 @@ def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
 
         counts = np.bincount(states, minlength=4)
         dead = int(counts[DEAD])
-        assert dead >= prev_dead, "dead count must never decrease"
-        assert int(counts.sum()) == n, "node count must be conserved"
+        if dead < prev_dead:
+            raise InvariantViolated(f"dead count fell from {prev_dead} to {dead} at tick {tick}")
+        if int(counts.sum()) != n:
+            raise InvariantViolated(f"{int(counts.sum())} nodes counted at tick {tick}, {n} deployed")
         prev_dead = dead
         records.append(
             TickRecord(
@@ -199,8 +192,8 @@ def run_many(config: ScenarioConfig) -> RunSummary:
     return RunSummary(
         runs=config.runs,
         max_ticks=config.max_ticks,
-        m_threshold=config.m_threshold,
-        n_deployed=config.n_deployed,
+        m_threshold=config.network.m_threshold,
+        n_deployed=config.network.n_deployed,
         seed=config.seed,
         death_ticks=death_ticks,
         censored_count=len(death_ticks) - len(observed),

@@ -93,7 +93,7 @@ def scalar_run(config: ScenarioConfig, run_index: int = 0) -> tuple[list[tuple],
     attacked = transform_policy(base, attack)
     affected: frozenset[int] = frozenset()
     if attack.kind is not AttackKind.NO_ATTACK:
-        affected = affected_set(attack, config.n_deployed,
+        affected = affected_set(attack, config.network.n_deployed,
                                 substream(config.seed, run_index, AFFECTED_STREAM))
 
     def row(nodes: list[Node], tick: int) -> tuple:
@@ -103,7 +103,7 @@ def scalar_run(config: ScenarioConfig, run_index: int = 0) -> tuple[list[tuple],
                 states.count(NodeState.ACTIVE), states.count(NodeState.INACTIVE), battery)
 
     rng = substream(config.seed, run_index, STEP_STREAM)
-    nodes = [Node(k, NodeState.SLEEP, config.energy.capacity) for k in range(config.n_deployed)]
+    nodes = [Node(k, NodeState.SLEEP, config.energy.capacity) for k in range(config.network.n_deployed)]
     rows = [row(nodes, 0)]
     for tick in range(1, config.max_ticks + 1):
         stepped = []
@@ -115,6 +115,6 @@ def scalar_run(config: ScenarioConfig, run_index: int = 0) -> tuple[list[tuple],
             stepped.append(step_node(node, policy, energy, rng, config.death_mode))
         nodes = stepped
         rows.append(row(nodes, tick))
-        if rows[-1][1] >= config.m_threshold:
+        if rows[-1][1] >= config.network.m_threshold:
             return rows, tick
     return rows, None

@@ -33,7 +33,7 @@ def test_criterion_1_death_probability_closed_form():
     worst_linear = 0.0
     worst_oracle = 0.0
     for m in range(2, 101):
-        analysis = chain.absorption(build_matrix(NetworkChainParams.with_threshold(m)))
+        analysis = chain.absorption(build_matrix(m))
         col = analysis.absorbing_order.index(m)
         for i in range(m + 1):
             psi = death_probability(i, m)
@@ -55,7 +55,7 @@ def test_criterion_2_expected_death_time_closed_form():
     assert expected_death_time(2, 4) == pytest.approx(28 / 3, rel=1e-12)
     worst = 0.0
     for m in range(2, 201):
-        analysis = chain.absorption(build_matrix(NetworkChainParams.with_threshold(m)))
+        analysis = chain.absorption(build_matrix(m))
         closed = np.array([expected_death_time(i, m) for i in range(1, m)])
         worst = max(worst, float(np.max(np.abs(closed - analysis.expected_steps) / analysis.expected_steps)))
     assert worst <= 1e-9
@@ -67,7 +67,7 @@ def test_criterion_3_visit_count_closed_form():
     assert expected_visits_closed(1, 2, 3) == pytest.approx(1.5, rel=1e-12)
     worst = 0.0
     for m in range(2, 51):
-        analysis = chain.absorption(build_matrix(NetworkChainParams.with_threshold(m)))
+        analysis = chain.absorption(build_matrix(m))
         closed = np.array(
             [[expected_visits_closed(i, j, m) for j in range(1, m)] for i in range(1, m)]
         )
@@ -116,7 +116,7 @@ def test_criterion_6_detector_operating_points():
     params = NetworkChainParams(n_deployed=20, initial_dead=1)
 
     calibration = sw.ScenarioConfig(
-        n_deployed=20, max_ticks=600, seed=900_001, policy=policy, energy=energy,
+        network=params, max_ticks=600, seed=900_001, policy=policy, energy=energy,
         attack=sw.no_attack(), death_mode=sw.DeathMode.ENERGY, runs=100,
     )
     baseline = compute_baseline(params, scenario=calibration)
@@ -126,7 +126,7 @@ def test_criterion_6_detector_operating_points():
     pairs = 200
     for k in range(pairs):
         common = dict(
-            n_deployed=20, max_ticks=600, seed=50_000 + k, policy=policy,
+            network=params, max_ticks=600, seed=50_000 + k, policy=policy,
             energy=energy, death_mode=sw.DeathMode.ENERGY, runs=1,
         )
         attacked = run_one(sw.ScenarioConfig(attack=rts_cts_flood(
@@ -189,7 +189,7 @@ def test_criterion_7_structural_invariants():
         (4, sw.DeathMode.PROBABILISTIC, rts_cts_flood(coverage=0.5)),
     ):
         config = sw.ScenarioConfig(
-            n_deployed=15, max_ticks=400, seed=seed, policy=sw.default_policy(),
+            network=NetworkChainParams(15), max_ticks=400, seed=seed, policy=sw.default_policy(),
             energy=sw.EnergyModel(200.0, np.array([0.1, 5.0, 1.0, 0.0])),
             attack=attack, death_mode=mode, runs=2,
         )

@@ -127,7 +127,7 @@ class TestMonotoneHarm:
         deltas = []
         for k in range(100):
             common = dict(
-                n_deployed=10, max_ticks=400, seed=7_000 + k,
+                network=sw.NetworkChainParams(10), max_ticks=400, seed=7_000 + k,
                 policy=default_policy(), energy=energy,
                 death_mode=sw.DeathMode.ENERGY, runs=1,
             )
@@ -143,7 +143,7 @@ class TestMonotoneHarm:
         from sleepwatch.simulate import run_one
 
         common = dict(
-            n_deployed=8, max_ticks=300, seed=99, policy=default_policy(),
+            network=sw.NetworkChainParams(8), max_ticks=300, seed=99, policy=default_policy(),
             energy=sw.default_energy(), death_mode=sw.DeathMode.ENERGY, runs=1,
         )
         with_model = run_one(sw.ScenarioConfig(attack=no_attack(), **common), 0)

@@ -11,7 +11,7 @@ from sleepwatch.errors import (
     NotTransient,
     SingularSystem,
 )
-from sleepwatch.network import NetworkChainParams, build_matrix
+from sleepwatch.network import build_matrix
 
 
 def two_state() -> TransitionMatrix:
@@ -19,7 +19,7 @@ def two_state() -> TransitionMatrix:
 
 
 def m3_chain() -> TransitionMatrix:
-    return build_matrix(NetworkChainParams.with_threshold(3))
+    return build_matrix(3)
 
 
 class TestValidate:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import sleepwatch
@@ -218,6 +219,16 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("values", ["nan", "inf", "4.5", "4,-inf"])
+    def test_threshold_sweep_rejects_non_integral_values(self, tmp_path, capsys, values):
+        doc = fast_scenario(detector={"source": "analytic", "ticks_per_chain_step": 3.0})
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config, "--param", "m", "--values", values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_unknown_parameter_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, fast_scenario())
         assert main(["sweep", "--config", config, "--param", "bogus", "--values", "1"]) == 1
@@ -250,6 +261,13 @@ NON_FINITE_CONFIGS = {
     "extra-drain-huge-int": '{"attack": {"kind": "rts_cts_flood", "extra_drain": 1%s}}' % ("0" * 400),
 }
 
+MALFORMED_POLICY_CONFIGS = {
+    "ragged": '{"policy": {"probs": [[1, 0, 0, 0], [0, 1]]}}',
+    "string": '{"policy": {"probs": [["a", 0, 0, 0]]}}',
+    "boolean": ('{"policy": {"probs": [[0.7, 0.25, 0.05, 0.0], [0.35, 0.5, 0.13, 0.02],'
+                ' [0.0, 0.38, 0.6, 0.02], [false, false, false, true]]}}'),
+}
+
 
 class TestErrors:
     @pytest.mark.parametrize("command", ["simulate", "detect"])
@@ -263,6 +281,18 @@ class TestErrors:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "detect"])
+    @pytest.mark.parametrize("text", MALFORMED_POLICY_CONFIGS.values(),
+                             ids=MALFORMED_POLICY_CONFIGS.keys())
+    def test_malformed_policy_exits_one(self, tmp_path, capsys, command, text):
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'policy.probs")
+        assert captured.err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -270,3 +300,100 @@ class TestErrors:
         # argparse usage failures must not collide with the verdict exit codes
         assert main(["analyze"]) == 1
         assert main(["frobnicate", "--config", "x"]) == 1
+
+
+#: every key the config format accepts, by section; the keys of
+#: ``energy.drain`` are the node state names
+CONFIG_KEYS = {
+    "network": ("n_deployed", "initial_dead"),
+    "policy": ("probs",),
+    "energy": ("capacity", "drain"),
+    "attack": ("kind", "coverage", "sleep_block", "extra_drain", "start_tick", "end_tick"),
+    "detector": ("source", "theta", "ticks_per_chain_step", "baseline_runs", "baseline_seed"),
+    "run": ("max_ticks", "seed", "runs", "death_mode"),
+}
+FLOAT_KEYS = {"capacity", "coverage", "sleep_block", "extra_drain", "theta",
+              "ticks_per_chain_step", "sleep", "active", "inactive", "dead", "probs"}
+HUGE_INT = int("9" * 400)
+
+
+def _fuzz_value(rng, key: str):
+    """One malformed or boundary value for ``key``.
+
+    Integers stay small, so no mutation makes n_deployed, max_ticks, runs
+    or baseline_runs large; the 400-digit integer goes to float keys only.
+    """
+    choices = [
+        "x", [], {}, [1, 2], {"a": 1},                 # wrong types
+        [[1, 0, 0, 0], [0, 1]], [[[0.5]], 1],          # ragged and nested lists
+        True, False, None,
+        -1, 0, -int(rng.integers(2, 10**6)),           # negative or zero counts
+        1, 2, 3, 0.5, -0.5, 1.5,
+    ]
+    if key in FLOAT_KEYS:
+        choices += [HUGE_INT, -HUGE_INT, 0.0, 1e-9, 0.25, 1.0, 1e300]
+    return choices[int(rng.integers(len(choices)))]
+
+
+def _mutate(rng, doc: dict):
+    """Apply one seeded mutation to ``doc``; may return a replacement document."""
+    if not isinstance(doc, dict):
+        return doc
+    kind = int(rng.integers(6))
+    if kind == 0:  # unknown key at the root or in a section
+        target = doc if rng.random() < 0.3 else doc.setdefault(
+            str(rng.choice(list(CONFIG_KEYS))), {})
+        if isinstance(target, dict):
+            target[f"bogus_{int(rng.integers(100))}"] = 1
+        return doc
+    if kind == 1:  # a whole section of the wrong type
+        doc[str(rng.choice(list(CONFIG_KEYS)))] = _fuzz_value(rng, "section")
+        return doc
+    if kind == 2 and rng.random() < 0.1:  # the root itself
+        return _fuzz_value(rng, "root")
+    section = str(rng.choice(list(CONFIG_KEYS)))
+    key = str(rng.choice(CONFIG_KEYS[section]))
+    part = doc.setdefault(section, {})
+    if not isinstance(part, dict):
+        return doc
+    if key == "drain" and rng.random() < 0.7:
+        drain = part.setdefault("drain", {})
+        if isinstance(drain, dict):
+            state = str(rng.choice(["sleep", "active", "inactive", "dead"]))
+            drain[state] = _fuzz_value(rng, state)
+        return doc
+    if key == "probs" and rng.random() < 0.7:
+        probs = [[0.7, 0.25, 0.05, 0.0], [0.35, 0.5, 0.13, 0.02],
+                 [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]]
+        probs[int(rng.integers(4))][int(rng.integers(4))] = _fuzz_value(rng, "probs")
+        part["probs"] = probs
+        return doc
+    part[key] = _fuzz_value(rng, key)
+    return doc
+
+
+class TestConfigFuzz:
+    """Malformed documents derived from the README config never escape as tracebacks.
+
+    The baseline shrinks to 4 runs so that the documents a mutation leaves
+    valid still run in milliseconds.
+    """
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_fuzzed_config_exits_cleanly(self, tmp_path, capsys, case):
+        rng = np.random.default_rng([20121, case])
+        doc = readme_scenario(detector={"baseline_runs": 4})
+        for _ in range(int(rng.integers(1, 3))):
+            doc = _mutate(rng, doc)
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(doc))
+        for command in ("analyze", "simulate", "detect"):
+            try:
+                code = main([command, "--config", str(config), "--out", str(tmp_path / command)])
+            except Exception as exc:  # any escape is the failure this test looks for
+                pytest.fail(f"{command} raised {exc!r} on {json.dumps(doc)[:300]}")
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (command, doc)
+            if code == 1:
+                assert captured.err.startswith("error:"), (command, doc, captured.err)
+                assert captured.err.count("\n") == 1, (command, doc, captured.err)

@@ -14,7 +14,7 @@ class TestDefaults:
     def test_empty_document_uses_module_defaults(self):
         parsed = parse_config({})
         scenario = parsed.scenario
-        assert scenario.n_deployed == 20
+        assert scenario.network.n_deployed == 20
         assert scenario.max_ticks == 1000
         assert scenario.seed == 0
         assert scenario.runs == 1
@@ -77,6 +77,29 @@ class TestStrictness:
         with pytest.raises(ConfigInvalid, match="run.seed"):
             parse_config({"run": {"seed": True}})
 
+    def test_null_only_where_documented(self):
+        parsed = parse_config({"attack": {"kind": "rts_cts_flood", "end_tick": None},
+                               "detector": {"baseline_seed": None}})
+        assert parsed.scenario.attack.end_tick is None
+        assert parsed.detector.baseline_seed is None
+        for section, key in (("network", "n_deployed"), ("run", "max_ticks"),
+                             ("attack", "start_tick"), ("detector", "theta")):
+            with pytest.raises(ConfigInvalid, match=f"{section}.{key}"):
+                parse_config({section: {key: None}})
+
+    @pytest.mark.parametrize("probs,match", [
+        ([[1, 0, 0, 0], [0, 1]], "rows differ in length"),
+        ([["a", 0, 0, 0]], r"policy\.probs\[0\]\[0\]"),
+        ([[0.7, 0.25, 0.05, 0.0], [0.35, 0.5, 0.13, 0.02],
+          [0.0, 0.38, 0.6, 0.02], [False, False, False, True]], r"policy\.probs\[3\]\[0\]"),
+        ([[1, 0, 0, 0], 1], r"policy\.probs\[1\]"),
+        ([[[1], 0, 0, 0]], r"policy\.probs\[0\]\[0\]"),
+        ([[10 ** 400, 0, 0, 0]], "too large for a float"),
+    ], ids=["ragged", "string", "boolean", "scalar-row", "nested", "huge-int"])
+    def test_malformed_policy_rows(self, probs, match):
+        with pytest.raises(ConfigInvalid, match=match):
+            parse_config({"policy": {"probs": probs}})
+
     def test_policy_must_validate(self):
         bad = [[0.7, 0.2, 0.0, 0.1], [0.35, 0.5, 0.13, 0.02],
                [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]]
@@ -94,7 +117,7 @@ class TestLoadConfig:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         parsed = load_config(path)
-        assert parsed.scenario.n_deployed == 10
+        assert parsed.scenario.network.n_deployed == 10
         assert parsed.scenario.death_mode is DeathMode.PROBABILISTIC
         assert parsed.params.initial_dead == 2
         assert parsed.detector.baseline_runs == 7

@@ -31,7 +31,7 @@ def analytic_baseline(m: int, i0: int, ticks_per_step: float) -> Baseline:
 
 def immortal_scenario(**overrides) -> sw.ScenarioConfig:
     base = dict(
-        n_deployed=5,
+        network=NetworkChainParams(5),
         max_ticks=40,
         seed=1,
         policy=sw.default_policy(),
@@ -47,7 +47,7 @@ def immortal_scenario(**overrides) -> sw.ScenarioConfig:
 class TestComputeBaseline:
     def test_analytic_scales_expected_death_time(self):
         baseline = compute_baseline(
-            NetworkChainParams.with_threshold(2, initial_dead=1), ticks_per_chain_step=10.0
+            NetworkChainParams(2, initial_dead=1, m_threshold=2), ticks_per_chain_step=10.0
         )
         assert baseline.expected_death_ticks == pytest.approx(20.0, rel=1e-12)
         assert baseline.source is BaselineSource.ANALYTIC
@@ -67,7 +67,7 @@ class TestComputeBaseline:
 
     def test_monte_carlo_mean_death_tick(self):
         scenario = sw.ScenarioConfig(
-            n_deployed=5, max_ticks=500, seed=12,
+            network=NetworkChainParams(5), max_ticks=500, seed=12,
             policy=sw.default_policy(),
             energy=sw.EnergyModel(50.0, np.array([0.1, 5.0, 1.0, 0.0])),
             attack=sw.no_attack(), death_mode=sw.DeathMode.ENERGY, runs=10,
@@ -88,8 +88,15 @@ class TestComputeBaseline:
 
     def test_calibration_scenario_must_share_threshold(self):
         params = NetworkChainParams(n_deployed=5, initial_dead=1)
-        with pytest.raises(ConfigInvalid, match="M=3"):
-            compute_baseline(params, scenario=immortal_scenario(m_override=3))
+        network = NetworkChainParams(5, m_threshold=3)
+        with pytest.raises(ConfigInvalid, match="m_threshold=3"):
+            compute_baseline(params, scenario=immortal_scenario(network=network))
+
+    def test_calibration_scenario_must_share_start_state(self):
+        params = NetworkChainParams(n_deployed=5, initial_dead=1)
+        network = NetworkChainParams(5, initial_dead=2)
+        with pytest.raises(ConfigInvalid, match="initial_dead=2"):
+            compute_baseline(params, scenario=immortal_scenario(network=network))
 
     def test_immortal_normal_scenario_uncalibratable(self):
         params = NetworkChainParams(n_deployed=5, initial_dead=1)
@@ -159,7 +166,7 @@ class TestDecide:
 class TestDetectDispatch:
     def test_trace_verdict(self):
         config = sw.ScenarioConfig(
-            n_deployed=5, max_ticks=500, seed=12,
+            network=NetworkChainParams(5), max_ticks=500, seed=12,
             policy=sw.default_policy(),
             energy=sw.EnergyModel(50.0, np.array([0.1, 5.0, 1.0, 0.0])),
             attack=sw.rts_cts_flood(), death_mode=sw.DeathMode.ENERGY, runs=1,
@@ -223,7 +230,7 @@ class TestStepRateEstimator:
 class TestOnlineEstimate:
     M = 20
     I0 = 10
-    PARAMS = NetworkChainParams.with_threshold(M, initial_dead=I0)
+    PARAMS = NetworkChainParams(M, initial_dead=I0, m_threshold=M)
     NORMAL_RATE = 0.5
     WINDOW, STRIDE, MIN_EVENTS = 120, 40, 6
     THETA = 0.8

@@ -16,6 +16,7 @@ from sleepwatch.lifecycle import (
     strip_death_transitions,
     validate_policy,
 )
+from sleepwatch.network import NetworkChainParams
 from sleepwatch.rng import substream
 from sleepwatch.simulate import ScenarioConfig, run_one
 
@@ -230,9 +231,9 @@ def sample_lifetimes(policy: NodePolicy, count: int, seed: int) -> np.ndarray:
     The run's threshold is ``count``, so it lasts until the last node dies;
     each tick's rise in the dead count is that many nodes dying at it.
     """
-    config = ScenarioConfig(n_deployed=count, max_ticks=10_000_000, seed=seed, policy=policy,
-                            energy=default_energy(), death_mode=DeathMode.PROBABILISTIC,
-                            m_override=count)
+    config = ScenarioConfig(network=NetworkChainParams(count, m_threshold=count),
+                            max_ticks=10_000_000, seed=seed, policy=policy,
+                            energy=default_energy(), death_mode=DeathMode.PROBABILISTIC)
     trace = run_one(config)
     assert trace.network_death_tick is not None
     ticks = np.array([rec.tick for rec in trace.per_tick])

@@ -36,7 +36,7 @@ class TestStepProbs:
             assert move.shape == stay.shape == (m + 1,)
             np.testing.assert_allclose(2.0 * move + stay, 1.0, rtol=0.0, atol=1e-12)
             # up and down are one array; the assembled chain shows them equal
-            probs = build_matrix(NetworkChainParams.with_threshold(m)).probs
+            probs = build_matrix(m).probs
             for i in range(1, m):
                 assert probs[i, i + 1] == probs[i, i - 1]
 
@@ -124,7 +124,7 @@ class TestExpectedVisitsClosed:
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_own_state_visits_equal_threshold(self, m):
-        analysis = chain.absorption(build_matrix(NetworkChainParams.with_threshold(m)))
+        analysis = chain.absorption(build_matrix(m))
         for i in range(1, m):
             assert expected_visits_closed(i, i, m) == pytest.approx(float(m), rel=1e-12)
             assert expected_visits_closed(i, i, m) == pytest.approx(
@@ -163,17 +163,17 @@ class TestExpectedDeathTime:
 
 class TestBuildMatrix:
     def test_m2_middle_row(self):
-        tm = build_matrix(NetworkChainParams.with_threshold(2))
+        tm = build_matrix(2)
         np.testing.assert_allclose(tm.probs[1], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_m3_interior_rows(self):
-        tm = build_matrix(NetworkChainParams.with_threshold(3))
+        tm = build_matrix(3)
         np.testing.assert_allclose(tm.probs[1], [2 / 9, 5 / 9, 2 / 9, 0.0], atol=1e-15)
         np.testing.assert_allclose(tm.probs[2], [0.0, 2 / 9, 5 / 9, 2 / 9], atol=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3, 10, 41])
     def test_off_tridiagonal_exactly_zero(self, m):
-        tm = build_matrix(NetworkChainParams.with_threshold(m))
+        tm = build_matrix(m)
         for i in range(m + 1):
             for j in range(m + 1):
                 if abs(i - j) > 1:
@@ -181,12 +181,12 @@ class TestBuildMatrix:
         assert np.max(np.abs(tm.probs.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_absorbing_states_declared(self):
-        tm = build_matrix(NetworkChainParams.with_threshold(7))
+        tm = build_matrix(7)
         assert tm.absorbing == frozenset({0, 7})
 
     def test_absorption_toward_threshold_matches_death_probability(self):
         for m in (3, 8, 15):
-            analysis = chain.absorption(build_matrix(NetworkChainParams.with_threshold(m)))
+            analysis = chain.absorption(build_matrix(m))
             col = analysis.absorbing_order.index(m)
             for row, i in enumerate(analysis.transient_order):
                 assert analysis.absorb_prob[row, col] == pytest.approx(
@@ -207,15 +207,22 @@ class TestThreshold:
         params = NetworkChainParams(n_deployed=10, initial_dead=3)
         assert params.m_threshold == 8
 
-    def test_params_reject_inconsistent_threshold(self):
-        with pytest.raises(ConfigInvalid):
-            NetworkChainParams(n_deployed=10, initial_dead=1, m_threshold=7)
+    @pytest.mark.parametrize("m", [2, 7, 10])
+    def test_params_keep_explicit_threshold_in_range(self, m):
+        params = NetworkChainParams(n_deployed=10, initial_dead=1, m_threshold=m)
+        assert params.m_threshold == m
+
+    @pytest.mark.parametrize("m", [-1, 0, 1, 11])
+    def test_params_reject_threshold_outside_range(self, m):
+        with pytest.raises(ConfigInvalid, match=r"outside \[2, 10\]"):
+            NetworkChainParams(n_deployed=10, initial_dead=1, m_threshold=m)
+
+    def test_params_with_explicit_threshold_still_need_two_nodes(self):
+        with pytest.raises(TooFewNodes):
+            NetworkChainParams(n_deployed=1, initial_dead=1, m_threshold=2)
 
     def test_params_reject_bad_initial_dead(self):
         with pytest.raises(OutOfRange):
             NetworkChainParams(n_deployed=10, initial_dead=9)
-
-    def test_with_threshold_round_trips(self):
-        for m in range(2, 301):
-            params = NetworkChainParams.with_threshold(m)
-            assert params.m_threshold == m
+        with pytest.raises(OutOfRange):
+            NetworkChainParams(n_deployed=10, initial_dead=5, m_threshold=4)

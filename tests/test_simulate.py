@@ -1,13 +1,18 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sleepwatch as sw
 from scalar_oracle import scalar_run
-from sleepwatch.errors import ConfigInvalid
+from sleepwatch.errors import ConfigInvalid, TooFewNodes
 from sleepwatch.lifecycle import NodePolicy, validate_policy
-from sleepwatch.network import expected_death_time
+from sleepwatch.network import NetworkChainParams, expected_death_time
 from sleepwatch.simulate import (
     ScenarioConfig,
     dead_count_chain_view,
@@ -34,9 +39,9 @@ def fast_death_policy() -> NodePolicy:
     )
 
 
-def scenario(**overrides) -> ScenarioConfig:
+def scenario(n_deployed: int = 5, m_threshold: int | None = None, **overrides) -> ScenarioConfig:
     base = dict(
-        n_deployed=5,
+        network=NetworkChainParams(n_deployed, m_threshold=m_threshold),
         max_ticks=400,
         seed=4242,
         policy=fast_death_policy(),
@@ -55,7 +60,7 @@ class TestConfigValidation:
             scenario(max_ticks=0)
 
     def test_rejects_single_node(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(TooFewNodes):
             scenario(n_deployed=1)
 
     def test_rejects_negative_seed(self):
@@ -65,7 +70,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("m", [1, 6])
     def test_rejects_threshold_override_outside_chain_range(self, m):
         with pytest.raises(ConfigInvalid):
-            scenario(m_override=m)
+            scenario(m_threshold=m)
 
     def test_rejects_run_index_out_of_bounds(self):
         with pytest.raises(ConfigInvalid):
@@ -148,6 +153,51 @@ class TestScalarOracle:
             assert death_tick is not None
 
 
+
+# Runs `simulate` with run_one's per-tick state count corrupted by {corrupt}.
+CORRUPTED_COUNT_SCRIPT = """
+import sys
+import numpy as np
+from sleepwatch import simulate
+from sleepwatch.cli import main
+
+class CorruptedNumpy:
+    calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, states, minlength=0):
+        counts = np.bincount(states, minlength=minlength)
+        CorruptedNumpy.calls += 1
+        {corrupt}
+        return counts
+
+simulate.np = CorruptedNumpy()
+sys.exit(main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+class TestInvariantChecks:
+    """The per-tick invariants still hold under ``python -O``, which drops asserts."""
+
+    @pytest.mark.parametrize("corrupt,message", [
+        # a phantom death at tick 1 that is gone at tick 2
+        ("if CorruptedNumpy.calls == 1: counts[0] -= 1; counts[3] += 1", "dead count fell"),
+        ("counts[0] += 1", "nodes counted"),
+    ], ids=["dead-count-falls", "node-appears"])
+    def test_violation_exits_one_under_optimize(self, tmp_path, corrupt, message):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"network": {"n_deployed": 10}, "run": {"max_ticks": 20}}))
+        script = CORRUPTED_COUNT_SCRIPT.format(corrupt=corrupt)
+        env = {**os.environ, "PYTHONPATH": str(Path(sw.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", script, str(config), str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error:") and message in done.stderr, done.stderr
+        assert done.stderr.count("\n") == 1
+
+
 class TestRunMany:
     def test_single_run_mean_is_that_run(self):
         summary = run_many(scenario())
@@ -183,7 +233,7 @@ class TestChainView:
         assert view[0] == 0
 
     def test_clamps_to_threshold(self):
-        config = scenario(n_deployed=12, m_override=3, seed=8)
+        config = scenario(n_deployed=12, m_threshold=3, seed=8)
         trace = run_one(config, 0)
         view = dead_count_chain_view(trace)
         assert view.max() == 3

@@ -13,7 +13,7 @@ The toolkit has three layers:
 """
 
 from .attack import AttackKind, AttackModel, broadcast_replay, no_attack, rts_cts_flood
-from .chain import AbsorptionAnalysis, CanonicalDecomposition, TransitionMatrix
+from .chain import AbsorptionAnalysis, TransitionMatrix
 from .detect import Baseline, BaselineSource, Decision, Verdict, compute_baseline, detect, online_estimate
 from .errors import SleepwatchError
 from .lifecycle import (
@@ -35,7 +35,6 @@ __all__ = [
     "AttackModel",
     "Baseline",
     "BaselineSource",
-    "CanonicalDecomposition",
     "DeathMode",
     "Decision",
     "EnergyModel",

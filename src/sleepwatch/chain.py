@@ -1,8 +1,8 @@
 """Generic absorbing Markov chain engine.
 
-Validates discrete-time chains, extracts the canonical [Q R; 0 I] form,
-and computes the standard absorption quantities from the fundamental
-matrix N = (I - Q)^-1:
+Validates discrete-time chains, splits P into the transient block Q and
+the transient-to-absorbing block R, and computes the standard absorption
+quantities from the fundamental matrix N = (I - Q)^-1:
 
 - N[i, j] is the expected number of visits to transient state j before
   absorption, starting from transient state i;
@@ -27,7 +27,6 @@ from .errors import (
     BadAbsorbingRow,
     NoAbsorptionPath,
     NotStochastic,
-    NotTransient,
     SingularSystem,
 )
 
@@ -65,25 +64,6 @@ class TransitionMatrix:
 
 
 @dataclass(frozen=True)
-class CanonicalDecomposition:
-    """Transient/absorbing split of a validated chain.
-
-    Reassembling ``[q r; 0 I]`` under ``transient_order`` and
-    ``absorbing_order`` reproduces the original matrix exactly. Both
-    orderings are ascending original state index, for reproducibility.
-    """
-
-    transient_order: tuple[int, ...]
-    absorbing_order: tuple[int, ...]
-    q: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _readonly(self.q))
-        object.__setattr__(self, "r", _readonly(self.r))
-
-
-@dataclass(frozen=True)
 class AbsorptionAnalysis:
     """Fundamental-matrix quantities of an absorbing chain.
 
@@ -115,7 +95,7 @@ def validate(matrix: TransitionMatrix) -> TransitionMatrix:
 
     Raises:
         NotStochastic: a row sum deviates by more than ``ROW_SUM_TOL``,
-            or an entry lies outside [0, 1].
+            or an entry is not finite or lies outside [0, 1].
         BadAbsorbingRow: an absorbing state's row is not the identity row.
         NoAbsorptionPath: some transient state cannot reach absorption,
             so the fundamental matrix would diverge.
@@ -124,12 +104,12 @@ def validate(matrix: TransitionMatrix) -> TransitionMatrix:
     n = matrix.n_states
     if p.ndim != 2 or p.shape[0] != p.shape[1] or n < 1:
         raise NotStochastic(f"transition matrix must be square and non-empty, got shape {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
+    if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
         raise NotStochastic("transition probabilities must lie in [0, 1]")
     row_sums = p.sum(axis=1)
     bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
-        raise NotStochastic(f"row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1 within {ROW_SUM_TOL}")
+        raise NotStochastic(f"row {bad[0]} sums to {float(row_sums[bad[0]])}, expected 1 within {ROW_SUM_TOL}")
     for a in sorted(matrix.absorbing):
         if a < 0 or a >= n:
             raise BadAbsorbingRow(f"absorbing state {a} out of range for {n} states")
@@ -155,23 +135,13 @@ def validate(matrix: TransitionMatrix) -> TransitionMatrix:
     return matrix
 
 
-def canonicalize(matrix: TransitionMatrix) -> CanonicalDecomposition:
-    """Extract Q (transient to transient) and R (transient to absorbing).
-
-    State ordering is ascending original index in both blocks, so repeated
-    calls produce identical matrices.
-    """
-    transient = matrix.transient
-    absorbing = sorted(matrix.absorbing)
-    q = matrix.probs[np.ix_(transient, transient)] if transient else np.zeros((0, 0))
-    r = matrix.probs[np.ix_(transient, absorbing)] if transient else np.zeros((0, len(absorbing)))
-    return CanonicalDecomposition(tuple(transient), tuple(absorbing), q, r)
-
-
-def analyze(decomp: CanonicalDecomposition) -> AbsorptionAnalysis:
+def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
     """Compute the fundamental matrix and the absorption quantities.
 
-    Solves (I - Q) N = I directly; ``absorb_prob = N @ R`` and
+    Takes a validated matrix (see :func:`validate`) and splits it into
+    Q (transient to transient) and R (transient to absorbing), both in
+    ascending original state order, so repeated calls produce identical
+    results. Solves (I - Q) N = I directly; ``absorb_prob = N @ R`` and
     ``expected_steps = N @ 1``.
 
     Raises:
@@ -179,28 +149,19 @@ def analyze(decomp: CanonicalDecomposition) -> AbsorptionAnalysis:
             chain that defeats the reachability check within the row-sum
             tolerance (e.g. an escape probability that underflows).
     """
-    t = len(decomp.transient_order)
+    transient = tuple(matrix.transient)
+    absorbing = tuple(sorted(matrix.absorbing))
+    t = len(transient)
     if t == 0:
-        empty = np.zeros((0, 0))
-        return AbsorptionAnalysis(
-            decomp.transient_order,
-            decomp.absorbing_order,
-            empty,
-            np.zeros((0, len(decomp.absorbing_order))),
-            np.zeros(0),
-        )
-    system = np.eye(t) - decomp.q
+        return AbsorptionAnalysis(transient, absorbing, np.zeros((0, 0)),
+                                  np.zeros((0, len(absorbing))), np.zeros(0))
+    q = matrix.probs[np.ix_(transient, transient)]
+    r = matrix.probs[np.ix_(transient, absorbing)]
     try:
-        fundamental = np.linalg.solve(system, np.eye(t))
+        fundamental = np.linalg.solve(np.eye(t) - q, np.eye(t))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"I - Q is singular for transient states {decomp.transient_order}") from exc
-    return AbsorptionAnalysis(
-        decomp.transient_order,
-        decomp.absorbing_order,
-        fundamental,
-        fundamental @ decomp.r,
-        fundamental.sum(axis=1),
-    )
+        raise SingularSystem(f"I - Q is singular for transient states {transient}") from exc
+    return AbsorptionAnalysis(transient, absorbing, fundamental, fundamental @ r, fundamental.sum(axis=1))
 
 
 def n_step_matrix(matrix: TransitionMatrix, n: int) -> np.ndarray:
@@ -212,20 +173,3 @@ def n_step_matrix(matrix: TransitionMatrix, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("step count must be non-negative")
     return np.linalg.matrix_power(matrix.probs, n)
-
-
-def expected_visits(analysis: AbsorptionAnalysis, from_state: int, to_state: int) -> float:
-    """Expected visits to ``to_state`` before absorption, starting at ``from_state``.
-
-    Both states must be transient; indices are original chain states.
-    """
-    order = analysis.transient_order
-    for s in (from_state, to_state):
-        if s not in order:
-            raise NotTransient(f"state {s} is not transient (transient states: {order})")
-    return float(analysis.fundamental[order.index(from_state), order.index(to_state)])
-
-
-def absorption(matrix: TransitionMatrix) -> AbsorptionAnalysis:
-    """Validate, canonicalize and analyze in one call."""
-    return analyze(canonicalize(validate(matrix)))

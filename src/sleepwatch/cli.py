@@ -100,7 +100,7 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 def _analyze_report(parsed: ParsedConfig) -> dict:
     params = parsed.params
     m = params.m_threshold
-    analysis = chain.analyze(chain.canonicalize(build_matrix(m)))
+    analysis = chain.analyze(build_matrix(m))
     toward_m = analysis.absorbing_order.index(m)
 
     states = np.arange(m + 1)
@@ -141,14 +141,14 @@ def _analyze_report(parsed: ParsedConfig) -> dict:
 
 def _summary_dict(summary: RunSummary, scenario: ScenarioConfig) -> dict:
     return {
-        "n_deployed": summary.n_deployed,
-        "m_threshold": summary.m_threshold,
+        "n_deployed": scenario.network.n_deployed,
+        "m_threshold": scenario.network.m_threshold,
         "m_rounding": THRESHOLD_ROUNDING,
         "runs": summary.runs,
-        "seed": summary.seed,
+        "seed": scenario.seed,
         "max_ticks": summary.max_ticks,
         "death_mode": scenario.death_mode.value,
-        "attack_kind": (scenario.attack.kind.value if scenario.attack else "none"),
+        "attack_kind": scenario.attack.kind.value,
         "death_ticks": list(summary.death_ticks),
         "censored_count": summary.censored_count,
         "mean_death_tick": summary.mean_death_tick,
@@ -224,8 +224,7 @@ def _sweep_point(parsed: ParsedConfig, param: str, value: float) -> ParsedConfig
                           initial_dead=min(scenario.network.initial_dead, m - 1))
         return replace(parsed, scenario=replace(scenario, network=network))
     if param in ("coverage", "sleep_block"):
-        attack = scenario.attack if scenario.attack is not None else no_attack()
-        attack = replace(attack, **{param: float(value)})
+        attack = replace(scenario.attack, **{param: float(value)})
         return replace(parsed, scenario=replace(scenario, attack=attack))
     return parsed
 

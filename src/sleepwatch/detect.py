@@ -49,8 +49,6 @@ class Baseline:
     expected_death_ticks: float
     source: BaselineSource
     ticks_per_chain_step: float
-    m_threshold: int
-    initial_dead: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ticks_per_chain_step < math.inf:
@@ -90,10 +88,9 @@ def compute_baseline(
         raise DegenerateBaseline(f"start state {i0} of {m} is already absorbed; baseline is zero")
 
     if ticks_per_chain_step is not None:
-        return Baseline(ticks_per_chain_step * steps, BaselineSource.ANALYTIC,
-                        ticks_per_chain_step, m, i0)
+        return Baseline(ticks_per_chain_step * steps, BaselineSource.ANALYTIC, ticks_per_chain_step)
 
-    if scenario.attack is not None and scenario.attack.kind is not AttackKind.NO_ATTACK:
+    if scenario.attack.kind is not AttackKind.NO_ATTACK:
         raise ConfigInvalid("Monte Carlo baseline requires an attack-free scenario")
     if scenario.network != params:
         raise ConfigInvalid(f"calibration scenario describes {scenario.network}, params {params}")
@@ -102,8 +99,7 @@ def compute_baseline(
         raise Uncalibratable(
             f"all {summary.runs} baseline runs censored at {summary.max_ticks} ticks"
         )
-    return Baseline(summary.mean_death_tick, BaselineSource.MONTE_CARLO,
-                    summary.mean_death_tick / steps, m, i0)
+    return Baseline(summary.mean_death_tick, BaselineSource.MONTE_CARLO, summary.mean_death_tick / steps)
 
 
 def _check_theta(theta: float) -> None:

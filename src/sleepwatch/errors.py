@@ -21,10 +21,6 @@ class SingularSystem(SleepwatchError):
     """I - Q is numerically singular despite the matrix passing validation tolerances."""
 
 
-class NotTransient(SleepwatchError):
-    """A state index passed to a transient-only query is absorbing or out of range."""
-
-
 class OutOfRange(SleepwatchError):
     """A chain state index or threshold argument violates its documented bounds."""
 

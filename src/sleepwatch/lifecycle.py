@@ -26,8 +26,6 @@ import numpy as np
 from . import chain
 from .errors import ConfigInvalid, ForbiddenTransition, NotStochastic
 
-ROW_SUM_TOL = 1e-9
-
 
 class NodeState(IntEnum):
     SLEEP = 0
@@ -122,19 +120,19 @@ def validate_policy(policy: NodePolicy) -> NodePolicy:
     p = policy.probs
     if p.shape != (4, 4):
         raise NotStochastic(f"policy must be 4x4, got shape {p.shape}")
-    if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
+    if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + chain.ROW_SUM_TOL):
         raise NotStochastic("policy entries must lie in [0, 1]")
     sums = p.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > chain.ROW_SUM_TOL)
     if bad.size:
         s = NodeState(int(bad[0]))
-        raise NotStochastic(f"{s.name} row sums to {sums[bad[0]]!r}")
+        raise NotStochastic(f"{s.name} row sums to {float(sums[bad[0]])}")
     violations = (p != 0.0) & ~ALLOWED
     if violations.any():
         src, dst = np.argwhere(violations)[0]
         raise ForbiddenTransition(
             f"{NodeState(int(src)).name} -> {NodeState(int(dst)).name} must be 0, "
-            f"got {p[src, dst]!r}"
+            f"got {float(p[src, dst])}"
         )
     return policy
 
@@ -165,13 +163,6 @@ def expected_node_lifetime(policy: NodePolicy, start: NodeState = NodeState.SLEE
     """
     if start is NodeState.DEAD:
         return 0.0
-    analysis = chain.absorption(_as_chain(policy))
+    analysis = chain.analyze(chain.validate(_as_chain(policy)))
     return float(analysis.expected_steps[analysis.transient_order.index(int(start))])
 
-
-def n_step_death_probability(policy: NodePolicy, n: int, start: NodeState = NodeState.SLEEP) -> float:
-    """P(dead after n ticks | started in ``start``) for a validated policy."""
-    if n < 0:
-        raise ValueError("tick count must be non-negative")
-    stepped = np.linalg.matrix_power(policy.probs, n)
-    return float(stepped[int(start), int(NodeState.DEAD)])

@@ -47,7 +47,8 @@ class ScenarioConfig:
 
     N and M come from ``network`` and are stored nowhere else. Every run
     starts with all N nodes asleep; ``network.initial_dead`` is the chain
-    start state of the detector's baseline and is not simulated.
+    start state of the detector's baseline and is not simulated. No
+    attacker is ``no_attack()``, the default.
     """
 
     network: NetworkChainParams
@@ -55,7 +56,7 @@ class ScenarioConfig:
     seed: int
     policy: NodePolicy
     energy: EnergyModel
-    attack: AttackModel | None = None
+    attack: AttackModel = field(default_factory=no_attack)
     death_mode: DeathMode = DeathMode.ENERGY
     runs: int = 1
 
@@ -66,6 +67,8 @@ class ScenarioConfig:
             raise ConfigInvalid(f"runs must be at least 1, got {self.runs}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.attack, AttackModel):
+            raise ConfigInvalid(f"attack must be an AttackModel, got {self.attack!r}")
         validate_policy(self.policy)
 
 
@@ -87,7 +90,6 @@ class SimulationTrace:
     network_death_tick: int | None
     m_threshold: int
     n_deployed: int
-    seed: int
     run_index: int
 
     @property
@@ -107,9 +109,6 @@ class RunSummary:
 
     runs: int
     max_ticks: int
-    m_threshold: int
-    n_deployed: int
-    seed: int
     death_ticks: tuple[int | None, ...]
     censored_count: int
     mean_death_tick: float | None
@@ -122,7 +121,7 @@ def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
     if not 0 <= run_index < config.runs:
         raise ConfigInvalid(f"run_index {run_index} outside [0, {config.runs})")
     n, m = config.network.n_deployed, config.network.m_threshold
-    attack = config.attack if config.attack is not None else no_attack()
+    attack = config.attack
 
     base = config.policy
     if config.death_mode is DeathMode.ENERGY:
@@ -179,7 +178,7 @@ def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
             death_tick = tick
             break
 
-    return SimulationTrace(tuple(records), death_tick, m, n, config.seed, run_index)
+    return SimulationTrace(tuple(records), death_tick, m, n, run_index)
 
 
 def run_many(config: ScenarioConfig) -> RunSummary:
@@ -192,9 +191,6 @@ def run_many(config: ScenarioConfig) -> RunSummary:
     return RunSummary(
         runs=config.runs,
         max_ticks=config.max_ticks,
-        m_threshold=config.network.m_threshold,
-        n_deployed=config.network.n_deployed,
-        seed=config.seed,
         death_ticks=death_ticks,
         censored_count=len(death_ticks) - len(observed),
         mean_death_tick=mean,
@@ -215,8 +211,6 @@ class ChainSimResult:
 
     steps: np.ndarray          # chain steps until absorption, per run
     absorbed_at: np.ndarray    # 0 or m, per run
-    m_threshold: int
-    initial_dead: int
 
 
 def simulate_chain(
@@ -255,7 +249,7 @@ def simulate_chain(
         steps[idx] += 1
         absorbed = (state[idx] == 0) | (state[idx] == m)
         alive[idx[absorbed]] = False
-    return ChainSimResult(steps=steps, absorbed_at=state, m_threshold=m, initial_dead=initial_dead)
+    return ChainSimResult(steps=steps, absorbed_at=state)
 
 
 def simulate_chain_trajectory(

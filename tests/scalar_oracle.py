@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from sleepwatch.attack import AttackKind, AttackModel, affected_set, no_attack, transform_policy
+from sleepwatch.attack import AttackKind, AttackModel, affected_set, transform_policy
 from sleepwatch.lifecycle import (
     DeathMode,
     EnergyModel,
@@ -86,7 +86,7 @@ def scalar_run(config: ScenarioConfig, run_index: int = 0) -> tuple[list[tuple],
     Draws from the same ``(seed, run_index, ...)`` substreams as ``run_one``:
     one uniform per live node per tick, in node id order.
     """
-    attack = config.attack if config.attack is not None else no_attack()
+    attack = config.attack
     base = config.policy
     if config.death_mode is DeathMode.ENERGY:
         base = strip_death_transitions(base)

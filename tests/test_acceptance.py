@@ -33,7 +33,7 @@ def test_criterion_1_death_probability_closed_form():
     worst_linear = 0.0
     worst_oracle = 0.0
     for m in range(2, 101):
-        analysis = chain.absorption(build_matrix(m))
+        analysis = chain.analyze(chain.validate(build_matrix(m)))
         col = analysis.absorbing_order.index(m)
         for i in range(m + 1):
             psi = death_probability(i, m)
@@ -55,7 +55,7 @@ def test_criterion_2_expected_death_time_closed_form():
     assert expected_death_time(2, 4) == pytest.approx(28 / 3, rel=1e-12)
     worst = 0.0
     for m in range(2, 201):
-        analysis = chain.absorption(build_matrix(m))
+        analysis = chain.analyze(chain.validate(build_matrix(m)))
         closed = np.array([expected_death_time(i, m) for i in range(1, m)])
         worst = max(worst, float(np.max(np.abs(closed - analysis.expected_steps) / analysis.expected_steps)))
     assert worst <= 1e-9
@@ -67,7 +67,7 @@ def test_criterion_3_visit_count_closed_form():
     assert expected_visits_closed(1, 2, 3) == pytest.approx(1.5, rel=1e-12)
     worst = 0.0
     for m in range(2, 51):
-        analysis = chain.absorption(build_matrix(m))
+        analysis = chain.analyze(chain.validate(build_matrix(m)))
         closed = np.array(
             [[expected_visits_closed(i, j, m) for j in range(1, m)] for i in range(1, m)]
         )
@@ -214,7 +214,7 @@ def test_criterion_8_chain_property_tests():
         lhs = chain.n_step_matrix(tm, a + b)
         rhs = chain.n_step_matrix(tm, a) @ chain.n_step_matrix(tm, b)
         ck_worst = max(ck_worst, float(np.max(np.abs(lhs - rhs))))
-        analysis = chain.analyze(chain.canonicalize(tm))
+        analysis = chain.analyze(tm)
         if analysis.absorb_prob.shape[0]:
             row_worst = max(
                 row_worst, float(np.max(np.abs(analysis.absorb_prob.sum(axis=1) - 1.0)))

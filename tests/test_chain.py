@@ -8,7 +8,6 @@ from sleepwatch.errors import (
     BadAbsorbingRow,
     NoAbsorptionPath,
     NotStochastic,
-    NotTransient,
     SingularSystem,
 )
 from sleepwatch.network import build_matrix
@@ -22,6 +21,12 @@ def m3_chain() -> TransitionMatrix:
     return build_matrix(3)
 
 
+def blocks(tm: TransitionMatrix, analysis: chain.AbsorptionAnalysis) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R of ``tm`` under the state orders ``analysis`` reports."""
+    t, a = analysis.transient_order, analysis.absorbing_order
+    return tm.probs[np.ix_(t, t)], tm.probs[np.ix_(t, a)]
+
+
 class TestValidate:
     def test_accepts_simple_absorbing_chain(self):
         tm = two_state()
@@ -29,6 +34,12 @@ class TestValidate:
 
     def test_rejects_bad_row_sum(self):
         tm = TransitionMatrix(np.array([[1.0, 0.0], [0.6, 0.5]]), frozenset({0}))
+        with pytest.raises(NotStochastic, match=r"^row 1 sums to 1\.1, expected 1 within 1e-09$"):
+            chain.validate(tm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        tm = TransitionMatrix(np.array([[1.0, 0.0, 0.0], [0.5, bad, 0.5], [0.0, 0.0, 1.0]]), frozenset({0, 2}))
         with pytest.raises(NotStochastic):
             chain.validate(tm)
 
@@ -61,48 +72,49 @@ class TestValidate:
 
 
 class TestCanonicalize:
+    """The [Q R; 0 I] split that analyze makes: ascending transient and absorbing orders."""
+
     def test_single_transient(self):
-        decomp = chain.canonicalize(chain.validate(two_state()))
-        assert decomp.transient_order == (1,)
-        assert decomp.absorbing_order == (0,)
-        np.testing.assert_array_equal(decomp.q, [[0.5]])
-        np.testing.assert_array_equal(decomp.r, [[0.5]])
+        tm = chain.validate(two_state())
+        analysis = chain.analyze(tm)
+        assert analysis.transient_order == (1,)
+        assert analysis.absorbing_order == (0,)
+        q, r = blocks(tm, analysis)
+        np.testing.assert_array_equal(q, [[0.5]])
+        np.testing.assert_array_equal(r, [[0.5]])
 
     def test_network_chain_m3(self):
-        decomp = chain.canonicalize(m3_chain())
-        np.testing.assert_allclose(decomp.q, [[5 / 9, 2 / 9], [2 / 9, 5 / 9]], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(decomp.r, [[2 / 9, 0.0], [0.0, 2 / 9]], rtol=0, atol=1e-15)
+        q, r = blocks(m3_chain(), chain.analyze(m3_chain()))
+        np.testing.assert_allclose(q, [[5 / 9, 2 / 9], [2 / 9, 5 / 9]], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(r, [[2 / 9, 0.0], [0.0, 2 / 9]], rtol=0, atol=1e-15)
 
     def test_all_absorbing_gives_empty_blocks(self):
-        tm = chain.validate(TransitionMatrix(np.eye(2), frozenset({0, 1})))
-        decomp = chain.canonicalize(tm)
-        assert decomp.q.shape == (0, 0)
-        assert decomp.r.shape == (0, 2)
+        analysis = chain.analyze(chain.validate(TransitionMatrix(np.eye(2), frozenset({0, 1}))))
+        assert analysis.transient_order == ()
+        assert analysis.absorbing_order == (0, 1)
+        assert analysis.fundamental.shape == (0, 0)
+        assert analysis.absorb_prob.shape == (0, 2)
+        assert analysis.expected_steps.shape == (0,)
 
-    def test_reassembly_reproduces_original_exactly(self):
+    def test_orders_partition_states_ascending(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
             tm = random_absorbing_chain(rng)
-            decomp = chain.canonicalize(tm)
-            n = tm.n_states
-            rebuilt = np.zeros((n, n))
-            t, a = decomp.transient_order, decomp.absorbing_order
-            rebuilt[np.ix_(t, t)] = decomp.q
-            rebuilt[np.ix_(t, a)] = decomp.r
-            for s in a:
-                rebuilt[s, s] = 1.0
-            np.testing.assert_array_equal(rebuilt, tm.probs)
+            analysis = chain.analyze(tm)
+            assert analysis.transient_order == tuple(tm.transient)
+            assert analysis.absorbing_order == tuple(sorted(tm.absorbing))
+            assert sorted(analysis.transient_order + analysis.absorbing_order) == list(range(tm.n_states))
 
 
 class TestAnalyze:
     def test_geometric_escape(self):
-        analysis = chain.absorption(two_state())
+        analysis = chain.analyze(chain.validate(two_state()))
         np.testing.assert_allclose(analysis.fundamental, [[2.0]], rtol=1e-12)
         np.testing.assert_allclose(analysis.expected_steps, [2.0], rtol=1e-12)
 
     def test_network_chain_m3_closed_values(self):
         # (I - Q)^-1 for Q = [[5/9,2/9],[2/9,5/9]] inverted by hand
-        analysis = chain.absorption(m3_chain())
+        analysis = chain.analyze(chain.validate(m3_chain()))
         np.testing.assert_allclose(analysis.fundamental, [[3.0, 1.5], [1.5, 3.0]], rtol=1e-12)
         np.testing.assert_allclose(analysis.expected_steps, [4.5, 4.5], rtol=1e-12)
         np.testing.assert_allclose(
@@ -112,21 +124,21 @@ class TestAnalyze:
     def test_absorb_prob_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            analysis = chain.absorption(random_absorbing_chain(rng))
+            analysis = chain.analyze(chain.validate(random_absorbing_chain(rng)))
             if analysis.absorb_prob.shape[0]:
                 np.testing.assert_allclose(analysis.absorb_prob.sum(axis=1), 1.0, atol=1e-8)
 
     def test_expected_steps_at_least_one(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            analysis = chain.absorption(random_absorbing_chain(rng))
+            analysis = chain.analyze(chain.validate(random_absorbing_chain(rng)))
             assert np.all(analysis.expected_steps >= 1.0 - 1e-12)
             assert np.all(analysis.fundamental >= -1e-12)
 
     def test_repeated_analysis_bit_identical(self):
         tm = m3_chain()
-        first = chain.analyze(chain.canonicalize(tm))
-        second = chain.analyze(chain.canonicalize(tm))
+        first = chain.analyze(tm)
+        second = chain.analyze(tm)
         assert first.fundamental.tobytes() == second.fundamental.tobytes()
         assert first.absorb_prob.tobytes() == second.absorb_prob.tobytes()
         assert first.expected_steps.tobytes() == second.expected_steps.tobytes()
@@ -137,7 +149,7 @@ class TestAnalyze:
         probs = np.array([[1.0, 0.0], [1e-30, 1.0]])
         tm = chain.validate(TransitionMatrix(probs, frozenset({0})))
         with pytest.raises(SingularSystem):
-            chain.analyze(chain.canonicalize(tm))
+            chain.analyze(tm)
 
 
 class TestNStep:
@@ -187,17 +199,12 @@ class TestNStep:
 
 class TestExpectedVisits:
     def test_network_chain_m3_entries(self):
-        analysis = chain.absorption(m3_chain())
-        assert chain.expected_visits(analysis, 1, 1) == pytest.approx(3.0, rel=1e-12)
-        assert chain.expected_visits(analysis, 1, 2) == pytest.approx(1.5, rel=1e-12)
+        analysis = chain.analyze(chain.validate(m3_chain()))
+        # transient states 1 and 2 sit at fundamental rows/columns 0 and 1
+        assert analysis.fundamental[0, 0] == pytest.approx(3.0, rel=1e-12)
+        assert analysis.fundamental[0, 1] == pytest.approx(1.5, rel=1e-12)
 
     def test_geometric_self_visits(self):
-        analysis = chain.absorption(two_state())
-        assert chain.expected_visits(analysis, 1, 1) == pytest.approx(2.0, rel=1e-12)
+        analysis = chain.analyze(chain.validate(two_state()))
+        assert analysis.fundamental[0, 0] == pytest.approx(2.0, rel=1e-12)
 
-    def test_rejects_absorbing_state(self):
-        analysis = chain.absorption(m3_chain())
-        with pytest.raises(NotTransient):
-            chain.expected_visits(analysis, 0, 1)
-        with pytest.raises(NotTransient):
-            chain.expected_visits(analysis, 1, 3)

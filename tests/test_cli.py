@@ -293,6 +293,20 @@ class TestErrors:
         assert captured.err.startswith("error: 'policy.probs")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "detect"])
+    @pytest.mark.parametrize("sleep_row,message", [
+        ("[0.5, 0.15, 0.0, 0.0]", "error: SLEEP row sums to 0.65\n"),
+        ("[0.65, 0.25, 0.05, 0.05]", "error: SLEEP -> DEAD must be 0, got 0.05\n"),
+    ], ids=["row-sum", "forbidden-entry"])
+    def test_bad_policy_message_prints_plain_numbers(self, tmp_path, capsys, command, sleep_row, message):
+        config = tmp_path / "scenario.json"
+        config.write_text('{"policy": {"probs": [%s, [0.35, 0.5, 0.13, 0.02],'
+                          ' [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]]}}' % sleep_row)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
 

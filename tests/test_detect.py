@@ -26,7 +26,7 @@ from sleepwatch.simulate import run_one, simulate_chain_trajectory
 
 def analytic_baseline(m: int, i0: int, ticks_per_step: float) -> Baseline:
     steps = expected_death_time(i0, m)
-    return Baseline(ticks_per_step * steps, BaselineSource.ANALYTIC, ticks_per_step, m, i0)
+    return Baseline(ticks_per_step * steps, BaselineSource.ANALYTIC, ticks_per_step)
 
 
 def immortal_scenario(**overrides) -> sw.ScenarioConfig:
@@ -110,7 +110,7 @@ class TestComputeBaseline:
 
 
 class TestDecide:
-    BASELINE = Baseline(1000.0, BaselineSource.ANALYTIC, 10.0, 8, 1)
+    BASELINE = Baseline(1000.0, BaselineSource.ANALYTIC, 10.0)
 
     def test_early_death_is_attack(self):
         verdict = decide(400.0, 400.0, self.BASELINE, theta=0.8)
@@ -151,7 +151,7 @@ class TestDecide:
 
     def test_scale_consistency(self):
         for scale in (0.25, 3.0, 1000.0):
-            scaled = Baseline(1000.0 * scale, BaselineSource.ANALYTIC, 10.0 * scale, 8, 1)
+            scaled = Baseline(1000.0 * scale, BaselineSource.ANALYTIC, 10.0 * scale)
             for observed in (100.0, 799.0, 800.0, 1200.0):
                 original = decide(observed, observed, self.BASELINE, 0.8)
                 rescaled = decide(observed * scale, observed * scale, scaled, 0.8)
@@ -172,7 +172,7 @@ class TestDetectDispatch:
             attack=sw.rts_cts_flood(), death_mode=sw.DeathMode.ENERGY, runs=1,
         )
         trace = run_one(config, 0)
-        baseline = Baseline(100.0, BaselineSource.ANALYTIC, 1.0, 4, 1)
+        baseline = Baseline(100.0, BaselineSource.ANALYTIC, 1.0)
         verdict = detect(trace, baseline, 0.8)
         assert verdict.decision in (Decision.UNDER_ATTACK, Decision.NORMAL)
         assert verdict.observed_death_ticks == trace.network_death_tick
@@ -181,13 +181,13 @@ class TestDetectDispatch:
         from sleepwatch.simulate import run_many
 
         summary = run_many(immortal_scenario(max_ticks=20))
-        baseline = Baseline(10.0, BaselineSource.ANALYTIC, 1.0, 4, 1)
+        baseline = Baseline(10.0, BaselineSource.ANALYTIC, 1.0)
         # censored everywhere, but elapsed 20 >= baseline 10
         assert detect(summary, baseline, 0.8).decision is Decision.NORMAL
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
-            detect([0, 1, 2], Baseline(10.0, BaselineSource.ANALYTIC, 1.0, 4, 1), 0.8)
+            detect([0, 1, 2], Baseline(10.0, BaselineSource.ANALYTIC, 1.0), 0.8)
 
 
 class TestStepRateEstimator:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_node_policy
 from scalar_oracle import Node, step_node
+from sleepwatch import chain
 from sleepwatch.errors import ConfigInvalid, ForbiddenTransition, NoAbsorptionPath, NotStochastic
 from sleepwatch.lifecycle import (
     DeathMode,
@@ -12,7 +13,6 @@ from sleepwatch.lifecycle import (
     default_energy,
     default_policy,
     expected_node_lifetime,
-    n_step_death_probability,
     strip_death_transitions,
     validate_policy,
 )
@@ -162,6 +162,12 @@ class TestExpectedLifetime:
         )
         with pytest.raises(NoAbsorptionPath):
             expected_node_lifetime(policy)
+
+
+def n_step_death_probability(policy: NodePolicy, n: int, start: NodeState = S) -> float:
+    """P(dead after n ticks | started in ``start``), read off P^n of the policy chain."""
+    stepped = chain.n_step_matrix(chain.TransitionMatrix(policy.probs, frozenset({D})), n)
+    return float(stepped[start, D])
 
 
 class TestNStepDeath:

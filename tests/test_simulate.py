@@ -67,6 +67,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             scenario(seed=-1)
 
+    def test_rejects_missing_attack_model(self):
+        # "no attacker" is no_attack(), the default; None is not a second spelling of it
+        base = scenario()
+        default = ScenarioConfig(network=base.network, max_ticks=base.max_ticks, seed=base.seed,
+                                 policy=base.policy, energy=base.energy)
+        assert default.attack == sw.no_attack()
+        with pytest.raises(ConfigInvalid, match="attack must be an AttackModel"):
+            scenario(attack=None)
+
     @pytest.mark.parametrize("m", [1, 6])
     def test_rejects_threshold_override_outside_chain_range(self, m):
         with pytest.raises(ConfigInvalid):
@@ -240,7 +249,7 @@ class TestChainView:
         assert trace.per_tick[-1].dead >= 3
 
     def test_empty_trace_gives_empty_view(self):
-        empty = sw.SimulationTrace((), None, 4, 5, 0, 0)
+        empty = sw.SimulationTrace((), None, 4, 5, 0)
         assert dead_count_chain_view(empty).size == 0
 
 

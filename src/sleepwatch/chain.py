@@ -163,13 +163,3 @@ def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
         raise SingularSystem(f"I - Q is singular for transient states {transient}") from exc
     return AbsorptionAnalysis(transient, absorbing, fundamental, fundamental @ r, fundamental.sum(axis=1))
 
-
-def n_step_matrix(matrix: TransitionMatrix, n: int) -> np.ndarray:
-    """Return the n-step transition matrix P^n (identity for n = 0).
-
-    Entry [s, d] is P(X_n = d | X_0 = s). Uses exponentiation by
-    squaring, which keeps the large-n decay checks cheap.
-    """
-    if n < 0:
-        raise ValueError("step count must be non-negative")
-    return np.linalg.matrix_power(matrix.probs, n)

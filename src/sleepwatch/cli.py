@@ -29,6 +29,7 @@ from .errors import NoAbsorptionPath, SleepwatchError
 from .lifecycle import NodeState, expected_node_lifetime
 from .network import (
     THRESHOLD_ROUNDING,
+    NetworkChainParams,
     build_matrix,
     death_probability,
     expected_death_time,
@@ -245,10 +246,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SleepwatchError(f"--param m needs integer values, got {args.values}")
 
     rows = ["value,baseline,mean_death_tick,normal,under_attack,inconclusive"]
+    # calibration strips the attack, so a point's baseline depends only on its chain params
+    baselines: dict[NetworkChainParams, Baseline] = {}
     for value in values:
         theta = float(value) if args.param == "theta" else parsed.detector.theta
         point = _sweep_point(parsed, args.param, value)
-        baseline = _build_baseline(point)
+        if point.params not in baselines:
+            baselines[point.params] = _build_baseline(point)
+        baseline = baselines[point.params]
         summary = run_many(point.scenario)
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
         for trace in summary.traces:

@@ -62,6 +62,13 @@ class DetectorSettings:
     baseline_runs: int = 100
     baseline_seed: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.baseline_runs < 1:
+            raise ConfigInvalid(f"detector.baseline_runs must be at least 1, got {self.baseline_runs}")
+        seed = self.baseline_seed
+        if seed is not None and seed < 0:
+            raise ConfigInvalid(f"detector.baseline_seed must be a non-negative integer, got {seed}")
+
 
 @dataclass(frozen=True)
 class ParsedConfig:

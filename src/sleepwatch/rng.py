@@ -8,7 +8,7 @@ simulator is::
 
     (seed, run_index, AFFECTED_STREAM)   attacker target selection
     (seed, run_index, STEP_STREAM)       per-tick node stepping
-    (seed, run_index, CHAIN_STREAM)      direct chain simulation
+    (seed, run_index, CHAIN_STREAM)      dead-count chain trajectory
 
 Keeping target selection on its own stream guarantees that enabling a
 no-op attack cannot perturb the node-stepping draws.

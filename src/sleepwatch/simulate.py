@@ -12,10 +12,10 @@ apply battery deaths, record. Dead-count monotonicity and node-count
 conservation are checked inside the loop (InvariantViolated), also under
 ``python -O``.
 
-``simulate_chain`` runs the (M+1)-state dead-count chain itself instead
-of individual nodes. The node-level death process is not that chain (dead
-nodes never revive), so the chain mode exists to check the closed-form
-death times against empirical absorption times in isolation.
+``simulate_chain_trajectory`` runs the (M+1)-state dead-count chain
+itself instead of individual nodes. The node-level death process is not
+that chain (dead nodes never revive), so the chain mode exists to check
+the closed-form death times and the online detector in isolation.
 """
 
 from __future__ import annotations
@@ -199,59 +199,6 @@ def run_many(config: ScenarioConfig) -> RunSummary:
     )
 
 
-def dead_count_chain_view(trace: SimulationTrace) -> np.ndarray:
-    """Per-tick dead counts clamped to [0, M], for the detector's estimators."""
-    dead = np.array([rec.dead for rec in trace.per_tick], dtype=np.int64)
-    return np.minimum(dead, trace.m_threshold)
-
-
-@dataclass(frozen=True)
-class ChainSimResult:
-    """Absorption outcomes of direct dead-count-chain simulation."""
-
-    steps: np.ndarray          # chain steps until absorption, per run
-    absorbed_at: np.ndarray    # 0 or m, per run
-
-
-def simulate_chain(
-    m: int,
-    initial_dead: int,
-    runs: int,
-    seed: int,
-    max_steps: int = 5_000_000,
-) -> ChainSimResult:
-    """Simulate the dead-count chain directly until absorption.
-
-    All runs advance in lockstep from one shared substream; each live run
-    consumes one uniform per step. Raises ConfigInvalid if any run is
-    still unabsorbed after ``max_steps`` steps (absorption is almost
-    sure, so hitting the cap indicates a misconfigured chain).
-    """
-    if not 0 <= initial_dead <= m or m < 2:
-        raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
-    if runs < 1:
-        raise ConfigInvalid(f"runs must be at least 1, got {runs}")
-    move = step_probs(m)[0]
-    rng = substream(seed, 0, CHAIN_STREAM)
-    state = np.full(runs, initial_dead, dtype=np.int64)
-    steps = np.zeros(runs, dtype=np.int64)
-    alive = (state != 0) & (state != m)
-    taken = 0
-    while alive.any():
-        taken += 1
-        if taken > max_steps:
-            raise ConfigInvalid(f"chain not absorbed after {max_steps} steps")
-        idx = np.flatnonzero(alive)
-        s = state[idx]
-        u = rng.random(idx.size)
-        delta = np.where(u < move[s], 1, np.where(u < 2.0 * move[s], -1, 0))
-        state[idx] = s + delta
-        steps[idx] += 1
-        absorbed = (state[idx] == 0) | (state[idx] == m)
-        alive[idx[absorbed]] = False
-    return ChainSimResult(steps=steps, absorbed_at=state)
-
-
 def simulate_chain_trajectory(
     m: int,
     initial_dead: int,
@@ -271,23 +218,20 @@ def simulate_chain_trajectory(
         raise ConfigInvalid(f"step_prob must lie in (0, 1], got {step_prob}")
     if not 0 <= initial_dead <= m or m < 2:
         raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
+    if max_ticks < 0:
+        raise ConfigInvalid(f"max_ticks must be non-negative, got {max_ticks}")
     move = step_probs(m)[0]
     rng = substream(seed, run_index, CHAIN_STREAM)
     view = np.empty(max_ticks + 1, dtype=np.int64)
-    view[0] = initial_dead
-    i = initial_dead
-    if i == 0 or i == m:
-        return view[:1]
-    end = max_ticks
-    for tick in range(1, max_ticks + 1):
-        if 0 < i < m and rng.random() < step_prob:
+    view[0] = i = initial_dead
+    tick = 0
+    while 0 < i < m and tick < max_ticks:
+        tick += 1
+        if rng.random() < step_prob:
             u = rng.random()
             if u < move[i]:
                 i += 1
             elif u < 2.0 * move[i]:
                 i -= 1
         view[tick] = i
-        if i == 0 or i == m:
-            end = tick
-            break
-    return view[: end + 1]
+    return view[: tick + 1]

@@ -3,11 +3,17 @@
 One state at a time, with the builtin ``sum`` adding terms left to right,
 exactly as the closed forms were first written. The array versions in
 :mod:`sleepwatch.network` must reproduce these values bit for bit, so
-``test_network`` compares them with ``==``. Nothing here is used by the
+``test_network`` compares them with ``==``. ``chain_absorptions`` reads
+empirical absorption times off the library's chain stepper, for the
+Monte Carlo checks of the death time. Nothing here is used by the
 library.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from sleepwatch.simulate import simulate_chain_trajectory
 
 
 def move_prob(i: int, m: int) -> float:
@@ -41,3 +47,21 @@ def expected_death_time(i: int, m: int) -> float:
     below = sum(1.0 / (m - j) for j in range(1, i + 1))
     above = sum(1.0 / j for j in range(i + 1, m))
     return m * (m - i) * below + m * i * above
+
+
+def chain_absorptions(m: int, initial_dead: int, runs: int, seed: int,
+                      max_ticks: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """Steps to absorption and absorbing state of ``runs`` unthinned chain runs.
+
+    Run k is ``simulate_chain_trajectory(..., run_index=k)`` at step
+    probability 1, so each tick is one chain step. Every run must end at
+    0 or m: a run cut off by ``max_ticks`` fails here instead of counting
+    as an absorption.
+    """
+    steps = np.empty(runs, dtype=np.int64)
+    absorbed_at = np.empty(runs, dtype=np.int64)
+    for k in range(runs):
+        view = simulate_chain_trajectory(m, initial_dead, 1.0, seed, max_ticks, run_index=k)
+        steps[k], absorbed_at[k] = view.size - 1, view[-1]
+    assert np.all((absorbed_at == 0) | (absorbed_at == m)), "chain run not absorbed within max_ticks"
+    return steps, absorbed_at

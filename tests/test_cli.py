@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sleepwatch
+from sleepwatch import cli
 from sleepwatch.cli import main
 from sleepwatch.serialize import TRACE_HEADER
 
@@ -234,6 +235,25 @@ class TestSweep:
         assert main(["sweep", "--config", config, "--param", "bogus", "--values", "1"]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param, values, builds", [
+        ("coverage", "0,0.5,1.0", 1),
+        ("sleep_block", "0.2,0.9", 1),
+        ("theta", "0.5,0.7,0.9", 1),
+        ("m", "4,8,4", 2),
+    ])
+    def test_builds_each_distinct_baseline_once(self, tmp_path, capsys, monkeypatch,
+                                                param, values, builds):
+        built = []
+        build = cli._build_baseline
+        monkeypatch.setattr(cli, "_build_baseline", lambda point: built.append(point) or build(point))
+        doc = readme_scenario(run={"runs": 2}, detector={"baseline_runs": 5})
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config, "--param", param, "--values", values]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == len(values.split(","))
+        assert len(built) == builds
+        assert len({row.split(",")[1] for row in rows}) == builds
+
     def test_writes_csv_artifact(self, tmp_path, capsys):
         doc = fast_scenario(detector={"source": "analytic", "ticks_per_chain_step": 3.0})
         config = write_config(tmp_path, doc)
@@ -303,6 +323,18 @@ class TestErrors:
         config.write_text('{"policy": {"probs": [%s, [0.35, 0.5, 0.13, 0.02],'
                           ' [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]]}}' % sleep_row)
         assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "detect"])
+    @pytest.mark.parametrize("detector,message", [
+        ({"baseline_runs": 0}, "error: detector.baseline_runs must be at least 1, got 0\n"),
+        ({"baseline_seed": -4}, "error: detector.baseline_seed must be a non-negative integer, got -4\n"),
+    ], ids=["baseline-runs", "baseline-seed"])
+    def test_bad_monte_carlo_setting_names_its_key(self, tmp_path, capsys, command, detector, message):
+        config = write_config(tmp_path, readme_scenario(detector=detector))
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message

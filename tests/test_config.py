@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,20 @@ class TestStrictness:
     def test_unknown_baseline_source(self):
         with pytest.raises(ConfigInvalid, match="psychic"):
             parse_config({"detector": {"source": "psychic"}})
+
+    @pytest.mark.parametrize("detector, message", [
+        ({"source": "monte_carlo", "baseline_runs": 0},
+         "detector.baseline_runs must be at least 1, got 0"),
+        ({"source": "monte_carlo", "baseline_runs": -3},
+         "detector.baseline_runs must be at least 1, got -3"),
+        ({"source": "monte_carlo", "baseline_seed": -4},
+         "detector.baseline_seed must be a non-negative integer, got -4"),
+        ({"source": "analytic", "baseline_runs": 0},
+         "detector.baseline_runs must be at least 1, got 0"),
+    ], ids=["runs-zero", "runs-negative", "seed-negative", "analytic-runs-zero"])
+    def test_bad_monte_carlo_settings_name_their_key(self, detector, message):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            parse_config({"detector": detector})
 
     def test_wrong_value_type(self):
         with pytest.raises(ConfigInvalid, match="run.max_ticks"):

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_node_policy
 from scalar_oracle import Node, step_node
-from sleepwatch import chain
 from sleepwatch.errors import ConfigInvalid, ForbiddenTransition, NoAbsorptionPath, NotStochastic
 from sleepwatch.lifecycle import (
     DeathMode,
@@ -166,7 +165,7 @@ class TestExpectedLifetime:
 
 def n_step_death_probability(policy: NodePolicy, n: int, start: NodeState = S) -> float:
     """P(dead after n ticks | started in ``start``), read off P^n of the policy chain."""
-    stepped = chain.n_step_matrix(chain.TransitionMatrix(policy.probs, frozenset({D})), n)
+    stepped = np.linalg.matrix_power(policy.probs, n)
     return float(stepped[start, D])
 
 

@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 
 import sleepwatch as sw
+from closed_form_oracle import chain_absorptions
 from scalar_oracle import scalar_run
 from sleepwatch.errors import ConfigInvalid, TooFewNodes
 from sleepwatch.lifecycle import NodePolicy, validate_policy
 from sleepwatch.network import NetworkChainParams, expected_death_time
 from sleepwatch.simulate import (
     ScenarioConfig,
-    dead_count_chain_view,
     run_many,
     run_one,
-    simulate_chain,
     simulate_chain_trajectory,
 )
 
@@ -234,45 +233,26 @@ class TestRunMany:
         assert first.mean_death_tick == second.mean_death_tick
 
 
-class TestChainView:
-    def test_passthrough_when_below_threshold(self):
-        trace = run_one(scenario(), 0)
-        view = dead_count_chain_view(trace)
-        assert view.tolist() == [min(rec.dead, 4) for rec in trace.per_tick]
-        assert view[0] == 0
-
-    def test_clamps_to_threshold(self):
-        config = scenario(n_deployed=12, m_threshold=3, seed=8)
-        trace = run_one(config, 0)
-        view = dead_count_chain_view(trace)
-        assert view.max() == 3
-        assert trace.per_tick[-1].dead >= 3
-
-    def test_empty_trace_gives_empty_view(self):
-        empty = sw.SimulationTrace((), None, 4, 5, 0)
-        assert dead_count_chain_view(empty).size == 0
-
-
 class TestChainSimulation:
     def test_matches_closed_form_death_time(self):
-        result = simulate_chain(20, 1, runs=2000, seed=77)
+        steps, _ = chain_absorptions(20, 1, runs=2000, seed=77)
         expected = expected_death_time(1, 20)
-        se = result.steps.std(ddof=1) / np.sqrt(result.steps.size)
-        assert abs(result.steps.mean() - expected) <= 3.0 * se
+        se = steps.std(ddof=1) / np.sqrt(steps.size)
+        assert abs(steps.mean() - expected) <= 3.0 * se
 
     def test_absorbing_start_takes_no_steps(self):
-        result = simulate_chain(10, 0, runs=50, seed=3)
-        assert np.all(result.steps == 0)
-        assert np.all(result.absorbed_at == 0)
+        steps, absorbed_at = chain_absorptions(10, 0, runs=50, seed=3)
+        assert np.all(steps == 0)
+        assert np.all(absorbed_at == 0)
 
     def test_absorption_split_matches_death_probability(self):
-        result = simulate_chain(10, 5, runs=4000, seed=11)
-        frac = (result.absorbed_at == 10).mean()
+        _, absorbed_at = chain_absorptions(10, 5, runs=4000, seed=11)
+        frac = (absorbed_at == 10).mean()
         assert frac == pytest.approx(0.5, abs=0.05)
 
     def test_rejects_bad_state(self):
         with pytest.raises(ConfigInvalid):
-            simulate_chain(10, 11, runs=10, seed=0)
+            simulate_chain_trajectory(10, 11, 1.0, seed=0, max_ticks=10)
 
 
 class TestChainTrajectory:
@@ -298,3 +278,12 @@ class TestChainTrajectory:
     def test_rejects_bad_step_prob(self):
         with pytest.raises(ConfigInvalid):
             simulate_chain_trajectory(6, 3, step_prob=0.0, seed=1, max_ticks=10)
+
+    @pytest.mark.parametrize("max_ticks", [-1, -2])
+    def test_rejects_negative_max_ticks(self, max_ticks):
+        with pytest.raises(ConfigInvalid, match="max_ticks must be non-negative"):
+            simulate_chain_trajectory(6, 3, step_prob=1.0, seed=1, max_ticks=max_ticks)
+
+    def test_zero_ticks_is_start_state_only(self):
+        view = simulate_chain_trajectory(6, 3, step_prob=1.0, seed=1, max_ticks=0)
+        assert view.tolist() == [3]

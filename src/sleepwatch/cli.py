@@ -24,7 +24,7 @@ import numpy as np
 from . import chain
 from .attack import no_attack
 from .config import BASELINE_SEED_OFFSET, ParsedConfig, load_config
-from .detect import Baseline, BaselineSource, Decision, Verdict, compute_baseline, detect
+from .detect import Baseline, BaselineSource, Decision, Verdict, compute_baseline, decide, detect
 from .errors import NoAbsorptionPath, SleepwatchError
 from .lifecycle import NodeState, expected_node_lifetime
 from .network import (
@@ -191,7 +191,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _load(args)
-    summary = run_many(parsed.scenario)
+    summary = run_many(parsed.scenario, keep_traces=True)
     out = _out_dir(args)
     if out is None:
         raise SleepwatchError("simulate requires --out for its trace files")
@@ -256,8 +256,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         baseline = baselines[point.params]
         summary = run_many(point.scenario)
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
-        for trace in summary.traces:
-            counts[detect(trace, baseline, theta).decision] += 1
+        for tick in summary.death_ticks:
+            elapsed = tick if tick is not None else summary.max_ticks
+            counts[decide(tick, elapsed, baseline, theta).decision] += 1
         mean = summary.mean_death_tick
         mean = f"{mean:.17g}" if mean is not None else ""
         value_text = str(int(value)) if args.param == "m" else f"{value:.17g}"

@@ -29,6 +29,7 @@ Policy rows are ordered sleep, active, inactive, dead, matching
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,6 +64,13 @@ class DetectorSettings:
     baseline_seed: int | None = None
 
     def __post_init__(self) -> None:
+        # checked under either source, so a key the source ignores is still sane
+        if not 0.0 < self.theta <= 1.0:
+            raise ConfigInvalid(f"detector.theta must lie in (0, 1], got {self.theta}")
+        if not 0.0 < self.ticks_per_chain_step < math.inf:
+            raise ConfigInvalid(
+                f"detector.ticks_per_chain_step must be finite and > 0, got {self.ticks_per_chain_step}"
+            )
         if self.baseline_runs < 1:
             raise ConfigInvalid(f"detector.baseline_runs must be at least 1, got {self.baseline_runs}")
         seed = self.baseline_seed

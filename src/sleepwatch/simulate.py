@@ -1,16 +1,22 @@
 """Discrete-time simulation of a deployment under policy, energy and attack.
 
-``run_one`` steps N nodes tick by tick and records the dead-count
-trajectory until the dead count reaches the death threshold M or the
-tick budget runs out. Every run is a pure function of (config, run_index):
-the attacker's target set and the node stepping each draw from their own
-PCG64 substreams (see :mod:`sleepwatch.rng`), so traces are byte-stable
-across platforms and a no-op attack cannot shift any draw.
+One kernel steps a group of runs in lockstep, tick by tick, until each
+run's dead count reaches the death threshold M or the tick budget runs
+out. ``run_many`` steps its runs in groups of ``LOCKSTEP_SLOTS // N``
+(at least one) and keeps only their death ticks; ``run_one`` is the
+kernel on a single run, recording its per-tick counts. Every run is a
+pure function of (config, run_index): the attacker's target set and the
+node stepping each draw from their own PCG64 substreams (see
+:mod:`sleepwatch.rng`), so traces are byte-stable across platforms and a
+no-op attack cannot shift any draw. In a group, each running run draws
+one uniform per live node per tick from its own substream; PCG64
+``random()`` is split-invariant, so a run sees the same uniforms in any
+group, and a run that reaches M draws no more.
 
 Tick ordering is fixed: transform policy, draw next states, pay drain,
-apply battery deaths, record. Dead-count monotonicity and node-count
-conservation are checked inside the loop (InvariantViolated), also under
-``python -O``.
+apply battery deaths, count, check, stop at M. Dead-count monotonicity
+and node-count conservation are checked for every run inside the loop
+(InvariantViolated), also under ``python -O``.
 
 ``simulate_chain_trajectory`` runs the (M+1)-state dead-count chain
 itself instead of individual nodes. The node-level death process is not
@@ -39,6 +45,10 @@ from .rng import AFFECTED_STREAM, CHAIN_STREAM, STEP_STREAM, substream
 
 DEAD = int(NodeState.DEAD)
 SLEEP = int(NodeState.SLEEP)
+
+#: Node slots stepped together by :func:`run_many`: a lockstep group holds
+#: ``max(1, LOCKSTEP_SLOTS // N)`` runs, which bounds its temporaries.
+LOCKSTEP_SLOTS = 8192
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,8 @@ class RunSummary:
     Censored runs (no network death within max_ticks) are excluded from
     the mean and standard deviation; ``mean_death_tick`` is None when
     every run was censored, ``std_death_tick`` needs at least two
-    uncensored runs.
+    uncensored runs. ``traces`` is empty unless ``run_many`` was asked
+    to keep them.
     """
 
     runs: int
@@ -116,75 +127,123 @@ class RunSummary:
     traces: tuple[SimulationTrace, ...] = field(repr=False, default=())
 
 
-def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
-    """Simulate one run; fully determined by (config.seed, run_index)."""
-    if not 0 <= run_index < config.runs:
-        raise ConfigInvalid(f"run_index {run_index} outside [0, {config.runs})")
+def _step_runs(
+    config: ScenarioConfig, run_indices: range, record: bool = False
+) -> tuple[list[int | None], list[TickRecord]]:
+    """Step the runs ``run_indices`` in lockstep; their death ticks and records.
+
+    The group's nodes live in flat ``runs * N`` arrays, run by run, so
+    the live nodes are in run order and each running run's draws from
+    its own STEP_STREAM are concatenated in that order. A run that
+    reaches M stops: its nodes are marked dead and draw no more. With
+    ``record`` the per-tick records of the first run are kept.
+    """
     n, m = config.network.n_deployed, config.network.m_threshold
+    size = len(run_indices)
     attack = config.attack
 
     base = config.policy
     if config.death_mode is DeathMode.ENERGY:
         base = strip_death_transitions(base)
-    # rows 0..3: cumulative base policy, rows 4..7: the attacked policy
+    # Rows 0..3: cumulative base policy, rows 4..7: the attacked policy. A
+    # node's next state is the number of its row's first three cumulative
+    # edges at or below its uniform; the rows never decrease, so a uniform
+    # past the last edge (float slack in a row sum) also lands on DEAD.
     cum = np.cumsum(np.vstack((base.probs, transform_policy(base, attack).probs)), axis=1)
+    edges = cum[:, :DEAD].T.copy()
 
-    affected = np.zeros(n, dtype=bool)
+    affected = np.zeros(size * n, dtype=bool)
     if attack.kind is not AttackKind.NO_ATTACK:
-        ids = affected_set(attack, n, substream(config.seed, run_index, AFFECTED_STREAM))
-        if ids:
-            affected[np.fromiter(ids, dtype=np.int64)] = True
+        for slot, k in enumerate(run_indices):
+            ids = affected_set(attack, n, substream(config.seed, k, AFFECTED_STREAM))
+            if ids:
+                affected[slot * n + np.fromiter(ids, dtype=np.int64)] = True
 
-    rng = substream(config.seed, run_index, STEP_STREAM)
+    draws = [substream(config.seed, k, STEP_STREAM).random for k in run_indices]
     drain = config.energy.drain
-    states = np.full(n, SLEEP, dtype=np.int64)
-    batteries = np.full(n, config.energy.capacity, dtype=float)
+    energy_death = config.death_mode is DeathMode.ENERGY
+    states = np.full(size * n, SLEEP, dtype=np.int64)
+    batteries = np.full(size * n, config.energy.capacity, dtype=float)
+    bins = np.repeat(4 * np.arange(size), n)  # a node's bincount bin is 4 * slot + state
+    run_starts = np.arange(size + 1) * n
 
-    records = [TickRecord(0, 0, n, 0, 0, float(batteries.sum()))]
-    death_tick: int | None = None
-    prev_dead = 0
+    records = [TickRecord(0, 0, n, 0, 0, float(batteries.sum()))] if record else []
+    death_at = np.zeros(size, dtype=np.int64)  # 0 until the run reaches M
+    prev_dead = np.zeros(size, dtype=np.int64)
 
     for tick in range(1, config.max_ticks + 1):
         live = np.flatnonzero(states != DEAD)
         if live.size:
             current = states[live]
             under_attack = affected[live] & attack.in_window(tick)
-            u = rng.random(live.size)
-            nxt = np.minimum((u[:, None] >= cum[current + 4 * under_attack]).sum(axis=1), DEAD)
+            live_per_run = np.diff(np.searchsorted(live, run_starts)).tolist()
+            u = np.concatenate([draw(c) for draw, c in zip(draws, live_per_run) if c])
+            row = current + 4 * under_attack
+            nxt = sum(u >= edge[row] for edge in edges)
             cost = drain[current] + attack.extra_drain * (under_attack & (current != SLEEP))
-            batteries[live] -= cost
+            left = batteries[live] - cost
+            batteries[live] = left
+            if energy_death:
+                nxt[left <= 0.0] = DEAD
             states[live] = nxt
-            if config.death_mode is DeathMode.ENERGY:
-                states[live[batteries[live] <= 0.0]] = DEAD
 
-        counts = np.bincount(states, minlength=4)
-        dead = int(counts[DEAD])
-        if dead < prev_dead:
-            raise InvariantViolated(f"dead count fell from {prev_dead} to {dead} at tick {tick}")
-        if int(counts.sum()) != n:
-            raise InvariantViolated(f"{int(counts.sum())} nodes counted at tick {tick}, {n} deployed")
-        prev_dead = dead
-        records.append(
-            TickRecord(
-                tick,
-                dead,
-                int(counts[SLEEP]),
-                int(counts[NodeState.ACTIVE]),
-                int(counts[NodeState.INACTIVE]),
-                float(batteries.sum()),
+        counts = np.bincount(states + bins, minlength=4 * size).reshape(size, 4)
+        dead = counts[:, DEAD]
+        fell = np.flatnonzero(dead < prev_dead)
+        if fell.size:
+            s = fell[0]
+            raise InvariantViolated(
+                f"dead count fell from {prev_dead[s]} to {dead[s]} at tick {tick} in run {run_indices[s]}"
             )
-        )
-        if dead >= m:
-            death_tick = tick
-            break
+        totals = counts.sum(axis=1)
+        wrong = np.flatnonzero(totals != n)
+        if wrong.size:
+            s = wrong[0]
+            raise InvariantViolated(
+                f"{totals[s]} nodes counted at tick {tick} in run {run_indices[s]}, {n} deployed"
+            )
+        prev_dead = dead
+        if record:
+            c = counts[0]
+            records.append(TickRecord(tick, int(c[DEAD]), int(c[SLEEP]), int(c[NodeState.ACTIVE]),
+                                      int(c[NodeState.INACTIVE]), float(batteries.sum())))
+        stopped = (dead >= m) & (death_at == 0)
+        if stopped.any():
+            death_at[stopped] = tick
+            if death_at.all():
+                break
+            states.reshape(size, n)[stopped] = DEAD
 
+    return [t or None for t in death_at.tolist()], records
+
+
+def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
+    """Simulate one run; fully determined by (config.seed, run_index)."""
+    if not 0 <= run_index < config.runs:
+        raise ConfigInvalid(f"run_index {run_index} outside [0, {config.runs})")
+    (death_tick,), records = _step_runs(config, range(run_index, run_index + 1), record=True)
+    n, m = config.network.n_deployed, config.network.m_threshold
     return SimulationTrace(tuple(records), death_tick, m, n, run_index)
 
 
-def run_many(config: ScenarioConfig) -> RunSummary:
-    """Run all configured replications and summarize their death ticks."""
-    traces = tuple(run_one(config, k) for k in range(config.runs))
-    death_ticks = tuple(t.network_death_tick for t in traces)
+def run_many(config: ScenarioConfig, keep_traces: bool = False) -> RunSummary:
+    """Run all configured replications and summarize their death ticks.
+
+    The runs are stepped in lockstep groups of ``LOCKSTEP_SLOTS // N``
+    (at least one); only ``keep_traces`` steps them one by one through
+    :func:`run_one` and keeps their traces.
+    """
+    traces: tuple[SimulationTrace, ...] = ()
+    if keep_traces:
+        traces = tuple(run_one(config, k) for k in range(config.runs))
+        death_ticks = tuple(t.network_death_tick for t in traces)
+    else:
+        size = max(1, LOCKSTEP_SLOTS // config.network.n_deployed)
+        death_ticks = tuple(
+            tick
+            for start in range(0, config.runs, size)
+            for tick in _step_runs(config, range(start, min(start + size, config.runs)))[0]
+        )
     observed = [t for t in death_ticks if t is not None]
     mean = float(np.mean(observed)) if observed else None
     std = float(np.std(observed, ddof=1)) if len(observed) >= 2 else None
@@ -212,7 +271,8 @@ def simulate_chain_trajectory(
     Each tick performs one chain step with probability ``step_prob`` and
     otherwise dwells, so ``step_prob`` is the chain-steps-per-tick rate
     the online detector is expected to recover. The trajectory starts at
-    tick 0 and stops at absorption or after ``max_ticks`` ticks.
+    tick 0 and stops at absorption or after ``max_ticks`` ticks; it is a
+    copy, so a short run does not keep the ``max_ticks + 1`` buffer alive.
     """
     if not 0.0 < step_prob <= 1.0:
         raise ConfigInvalid(f"step_prob must lie in (0, 1], got {step_prob}")
@@ -234,4 +294,4 @@ def simulate_chain_trajectory(
             elif u < 2.0 * move[i]:
                 i -= 1
         view[tick] = i
-    return view[: tick + 1]
+    return view[: tick + 1].copy()

@@ -67,16 +67,21 @@ def check_contract(harness, trace: dict) -> dict:
 
 
 def test_detect_with_monte_carlo_baseline(tmp_path, harness):
-    counters = check_contract(harness, traced(tmp_path, "detect"))
-    assert counters["simulate.run_one_calls"] == 3 + 2
-    assert counters["simulate.trace_records"] > 0
-    assert counters["simulate.node_steps"] > 0
+    trace = traced(tmp_path, "detect")
+    counters = check_contract(harness, trace)
+    # the baseline and the scenario are each one run_many in lockstep, which keeps no traces
+    assert trace["functions"]["simulate.run_many"]["calls"] == 2
+    assert counters["simulate.run_one_calls"] == 0
+    assert counters["simulate.trace_records"] == 0
     assert counters["detect.detect_calls"] == 1
 
 
 def test_simulate_with_trace_files(tmp_path, harness):
     counters = check_contract(harness, traced(tmp_path, "simulate", "--out", str(tmp_path / "out")))
     assert counters["simulate.run_one_calls"] == 2
+    assert counters["simulate.ticks"] > 0
+    assert counters["simulate.node_steps"] > 0
+    assert counters["simulate.trace_records"] > 0
     assert counters["serialize.csv_bytes"] == sum(
         p.stat().st_size for p in (tmp_path / "out").glob("run_*.csv"))
 

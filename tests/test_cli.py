@@ -339,6 +339,29 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == message
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "detect"])
+    @pytest.mark.parametrize("source", ["analytic", "monte_carlo"])
+    @pytest.mark.parametrize("detector,message", [
+        ({"theta": 1.5}, "error: detector.theta must lie in (0, 1], got 1.5\n"),
+        ({"ticks_per_chain_step": -2.0},
+         "error: detector.ticks_per_chain_step must be finite and > 0, got -2.0\n"),
+    ], ids=["theta", "ticks-per-chain-step"])
+    def test_bad_detector_setting_names_its_key(self, tmp_path, capsys, command, source,
+                                                detector, message):
+        config = write_config(tmp_path, readme_scenario(detector={"source": source, **detector}))
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    @pytest.mark.parametrize("command", ["analyze", "detect"])
+    def test_bad_theta_override_names_its_key(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, readme_scenario())
+        assert main([command, "--config", config, "--theta", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: detector.theta must lie in (0, 1], got 1.5\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
 

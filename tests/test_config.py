@@ -86,6 +86,26 @@ class TestStrictness:
         with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
             parse_config({"detector": detector})
 
+    @pytest.mark.parametrize("source", ["analytic", "monte_carlo"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("theta", 1.5, "detector.theta must lie in (0, 1], got 1.5"),
+        ("theta", 0.0, "detector.theta must lie in (0, 1], got 0.0"),
+        ("theta", -0.5, "detector.theta must lie in (0, 1], got -0.5"),
+        ("ticks_per_chain_step", -2.0, "detector.ticks_per_chain_step must be finite and > 0, got -2.0"),
+        ("ticks_per_chain_step", 0, "detector.ticks_per_chain_step must be finite and > 0, got 0.0"),
+        ("ticks_per_chain_step", 1e300 * 1e300,
+         "detector.ticks_per_chain_step must be finite and > 0, got inf"),
+    ], ids=["theta-above-one", "theta-zero", "theta-negative", "tpcs-negative", "tpcs-zero",
+            "tpcs-inf"])
+    def test_bad_detector_settings_name_their_key(self, source, key, value, message):
+        # a key the baseline source does not use is still refused
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            parse_config({"detector": {"source": source, key: value}})
+
+    @pytest.mark.parametrize("theta", [1.0, 1e-9])
+    def test_theta_bounds_are_inclusive_above(self, theta):
+        assert parse_config({"detector": {"theta": theta}}).detector.theta == theta
+
     def test_wrong_value_type(self):
         with pytest.raises(ConfigInvalid, match="run.max_ticks"):
             parse_config({"run": {"max_ticks": "many"}})

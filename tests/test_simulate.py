@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sleepwatch as sw
+from sleepwatch import simulate
 from closed_form_oracle import chain_absorptions
 from scalar_oracle import scalar_run
 from sleepwatch.errors import ConfigInvalid, TooFewNodes
@@ -233,6 +234,78 @@ class TestRunMany:
         assert first.mean_death_tick == second.mean_death_tick
 
 
+def summary_fields(summary) -> tuple:
+    return (summary.death_ticks, summary.mean_death_tick, summary.std_death_tick,
+            summary.censored_count)
+
+
+class TestLockstep:
+    """``run_many`` steps runs in lockstep groups; each run must come out as run_one steps it."""
+
+    CASES = {
+        "energy": dict(TestScalarOracle.ENERGY),
+        "flood-window": dict(TestScalarOracle.ENERGY,
+                             attack=sw.rts_cts_flood(coverage=0.5, start_tick=5, end_tick=30)),
+        "replay": dict(TestScalarOracle.ENERGY, attack=sw.broadcast_replay()),
+        "probabilistic": dict(),
+        # runs of 12 nodes die at ticks 33..42 here, so the window opens mid-run
+        "flood-opens-mid-run": dict(TestScalarOracle.ENERGY,
+                                    attack=sw.rts_cts_flood(coverage=0.5, start_tick=20)),
+        # ... and with this budget some runs are censored and some are not
+        "censored": dict(TestScalarOracle.ENERGY, max_ticks=38),
+    }
+
+    @pytest.mark.parametrize("n_deployed", [3, 12, 20, 129])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_per_run_path_and_scalar_oracle(self, case, n_deployed):
+        config = scenario(n_deployed=n_deployed, runs=5, **self.CASES[case])
+        lockstep = run_many(config)
+        per_run = run_many(config, keep_traces=True)
+        assert lockstep.traces == () and len(per_run.traces) == 5
+        assert summary_fields(lockstep) == summary_fields(per_run)
+        assert lockstep.death_ticks == tuple(scalar_run(config, k)[1] for k in range(5))
+        if case == "censored" and n_deployed == 12:
+            assert None in lockstep.death_ticks and lockstep.censored_count < 5
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_uneven_groups_give_the_same_runs(self, monkeypatch, case):
+        config = scenario(n_deployed=12, runs=7, **self.CASES[case])
+        whole = run_many(config)
+        groups = []
+        step_runs = simulate._step_runs
+
+        def spy(config, run_indices, record=False):
+            groups.append(list(run_indices))
+            return step_runs(config, run_indices, record)
+
+        monkeypatch.setattr(simulate, "LOCKSTEP_SLOTS", 32)  # 32 // 12: two runs a group
+        monkeypatch.setattr(simulate, "_step_runs", spy)
+        split = run_many(config)
+        assert groups == [[0, 1], [2, 3], [4, 5], [6]]
+        assert summary_fields(split) == summary_fields(whole)
+        assert split.death_ticks == tuple(run_one(config, k).network_death_tick for k in range(7))
+
+    @pytest.mark.parametrize("corrupt,message", [
+        ("if CorruptedNumpy.calls == 1: counts[0] -= 1; counts[3] += 1",
+         "dead count fell from 1 to 0 at tick 2 in run 0"),
+        ("counts[0] += 1", "11 nodes counted at tick 1 in run 0, 10 deployed"),
+    ], ids=["dead-count-falls", "node-appears"])
+    def test_invariant_violation_exits_one_under_optimize(self, tmp_path, corrupt, message):
+        # detect's Monte Carlo baseline steps its 5 runs as one lockstep group
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"network": {"n_deployed": 10}, "run": {"max_ticks": 20},
+                                      "detector": {"source": "monte_carlo", "baseline_runs": 5}}))
+        script = CORRUPTED_COUNT_SCRIPT.format(corrupt=corrupt)
+        detect_script = script.replace('main(["simulate"', 'main(["detect"')
+        assert detect_script != script
+        env = {**os.environ, "PYTHONPATH": str(Path(sw.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", detect_script, str(config),
+                               str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == f"error: {message}\n"
+
+
 class TestChainSimulation:
     def test_matches_closed_form_death_time(self):
         steps, _ = chain_absorptions(20, 1, runs=2000, seed=77)
@@ -283,6 +356,11 @@ class TestChainTrajectory:
     def test_rejects_negative_max_ticks(self, max_ticks):
         with pytest.raises(ConfigInvalid, match="max_ticks must be non-negative"):
             simulate_chain_trajectory(6, 3, step_prob=1.0, seed=1, max_ticks=max_ticks)
+
+    def test_short_run_does_not_hold_the_tick_budget(self):
+        view = simulate_chain_trajectory(6, 3, step_prob=1.0, seed=21, max_ticks=1_000_000)
+        assert view.size < 1_000
+        assert view.base is None or view.base.nbytes == view.nbytes
 
     def test_zero_ticks_is_start_state_only(self):
         view = simulate_chain_trajectory(6, 3, step_prob=1.0, seed=1, max_ticks=0)

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigInvalid
-from .lifecycle import NodePolicy, NodeState, validate_policy
+from .lifecycle import NodePolicy, NodeState
 
 
 class AttackKind(Enum):
@@ -114,7 +114,8 @@ def transform_policy(policy: NodePolicy, model: AttackModel) -> NodePolicy:
     Each row's Sleep-destination mass (including the Sleep dwell) is
     scaled by (1 - sleep_block); the removed mass is added to that row's
     Active destination. Rows stay stochastic and structural zeros stay
-    zero; the result is revalidated, so a violation is a program error.
+    zero; the result is a :class:`NodePolicy`, which checks both when it
+    is built, so a violation is a program error.
     """
     if model.sleep_block == 0.0:
         return policy
@@ -122,5 +123,5 @@ def transform_policy(policy: NodePolicy, model: AttackModel) -> NodePolicy:
     moved = p[:, NodeState.SLEEP] * model.sleep_block
     p[:, NodeState.SLEEP] -= moved
     p[:, NodeState.ACTIVE] += moved
-    return validate_policy(NodePolicy(p))
+    return NodePolicy(p)
 

@@ -1,7 +1,9 @@
 """Generic absorbing Markov chain engine.
 
-Validates discrete-time chains, splits P into the transient block Q and
-the transient-to-absorbing block R, and computes the standard absorption
+A :class:`TransitionMatrix` checks itself when it is built (see
+:func:`validate`), so every matrix is a valid absorbing chain.
+:func:`analyze` splits P into the transient block Q and the
+transient-to-absorbing block R, and computes the standard absorption
 quantities from the fundamental matrix N = (I - Q)^-1:
 
 - N[i, j] is the expected number of visits to transient state j before
@@ -45,6 +47,7 @@ class TransitionMatrix:
 
     ``probs[i, j]`` is the one-step probability of moving from state i to
     state j. States listed in ``absorbing`` must carry identity rows.
+    Construction runs :func:`validate`, so an invalid matrix never exists.
     """
 
     probs: np.ndarray
@@ -53,6 +56,7 @@ class TransitionMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", _readonly(self.probs))
         object.__setattr__(self, "absorbing", frozenset(int(a) for a in self.absorbing))
+        validate(self)
 
     @property
     def n_states(self) -> int:
@@ -101,9 +105,9 @@ def validate(matrix: TransitionMatrix) -> TransitionMatrix:
             so the fundamental matrix would diverge.
     """
     p = matrix.probs
-    n = matrix.n_states
-    if p.ndim != 2 or p.shape[0] != p.shape[1] or n < 1:
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
         raise NotStochastic(f"transition matrix must be square and non-empty, got shape {p.shape}")
+    n = matrix.n_states
     if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
         raise NotStochastic("transition probabilities must lie in [0, 1]")
     row_sums = p.sum(axis=1)
@@ -138,7 +142,7 @@ def validate(matrix: TransitionMatrix) -> TransitionMatrix:
 def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
     """Compute the fundamental matrix and the absorption quantities.
 
-    Takes a validated matrix (see :func:`validate`) and splits it into
+    Every :class:`TransitionMatrix` is valid by construction. Splits it into
     Q (transient to transient) and R (transient to absorbing), both in
     ascending original state order, so repeated calls produce identical
     results. Solves (I - Q) N = I directly; ``absorb_prob = N @ R`` and

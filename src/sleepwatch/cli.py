@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: analyze, simulate, detect, sweep. All take --config (scenario
-JSON, see :mod:`sleepwatch.config`) and optionally --out for artifact
-files; --seed, --runs and --theta override the file values.
+JSON, see :mod:`sleepwatch.config`) and --out for artifact files, which
+only simulate requires; --seed, --runs and --theta override the file
+values. Bad arguments are refused before anything is simulated.
 
 Exit codes are a stable contract:
 
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="scenario JSON file")
-        cmd.add_argument("--out", help="directory for output artifacts")
+        cmd.add_argument("--out", required=name == "simulate", help="directory for output artifacts")
         cmd.add_argument("--seed", type=int, help="override run.seed")
         cmd.add_argument("--runs", type=int, help="override run.runs")
         cmd.add_argument("--theta", type=float, help="override detector.theta")
@@ -193,8 +194,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _load(args)
     summary = run_many(parsed.scenario, keep_traces=True)
     out = _out_dir(args)
-    if out is None:
-        raise SleepwatchError("simulate requires --out for its trace files")
     for trace in summary.traces:
         write_trace_csv(out / f"run_{trace.run_index:03d}.csv", trace)
     text = dumps_canonical(_summary_dict(summary, parsed.scenario))
@@ -224,10 +223,10 @@ def _sweep_point(parsed: ParsedConfig, param: str, value: float) -> ParsedConfig
         network = replace(scenario.network, m_threshold=m,
                           initial_dead=min(scenario.network.initial_dead, m - 1))
         return replace(parsed, scenario=replace(scenario, network=network))
-    if param in ("coverage", "sleep_block"):
-        attack = replace(scenario.attack, **{param: float(value)})
-        return replace(parsed, scenario=replace(scenario, attack=attack))
-    return parsed
+    if param == "theta":
+        return replace(parsed, detector=replace(parsed.detector, theta=value))
+    attack = replace(scenario.attack, **{param: value})
+    return replace(parsed, scenario=replace(scenario, attack=attack))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -245,12 +244,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.param == "m" and not all(v.is_integer() for v in values):
         raise SleepwatchError(f"--param m needs integer values, got {args.values}")
 
+    # every point is built, and so checked, before the first baseline or run
+    points = [_sweep_point(parsed, args.param, value) for value in values]
     rows = ["value,baseline,mean_death_tick,normal,under_attack,inconclusive"]
     # calibration strips the attack, so a point's baseline depends only on its chain params
     baselines: dict[NetworkChainParams, Baseline] = {}
-    for value in values:
-        theta = float(value) if args.param == "theta" else parsed.detector.theta
-        point = _sweep_point(parsed, args.param, value)
+    for value, point in zip(values, points):
         if point.params not in baselines:
             baselines[point.params] = _build_baseline(point)
         baseline = baselines[point.params]
@@ -258,7 +257,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
         for tick in summary.death_ticks:
             elapsed = tick if tick is not None else summary.max_ticks
-            counts[decide(tick, elapsed, baseline, theta).decision] += 1
+            counts[decide(tick, elapsed, baseline, point.detector.theta).decision] += 1
         mean = summary.mean_death_tick
         mean = f"{mean:.17g}" if mean is not None else ""
         value_text = str(int(value)) if args.param == "m" else f"{value:.17g}"

@@ -45,7 +45,6 @@ from .lifecycle import (
     STATE_NAMES,
     default_energy,
     default_policy,
-    validate_policy,
 )
 from .network import NetworkChainParams
 from .simulate import ScenarioConfig
@@ -146,7 +145,7 @@ def _parse_policy(part: dict) -> NodePolicy:
     ]
     if len({len(row) for row in rows}) > 1:
         raise ConfigInvalid("'policy.probs' rows differ in length")
-    return validate_policy(NodePolicy(np.array(rows, dtype=float)))
+    return NodePolicy(rows)
 
 
 def _parse_energy(part: dict) -> EnergyModel:

@@ -54,12 +54,33 @@ STATE_NAMES = ("sleep", "active", "inactive", "dead")
 
 @dataclass(frozen=True)
 class NodePolicy:
-    """4x4 row-stochastic matrix over NodeState, row = current state."""
+    """4x4 row-stochastic matrix over NodeState, row = current state.
+
+    Construction refuses a policy that is not row-stochastic
+    (NotStochastic) or that puts mass on a structurally forbidden move
+    (ForbiddenTransition), including a non-identity Dead row.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         p = np.array(self.probs, dtype=float, copy=True)
+        if p.shape != (4, 4):
+            raise NotStochastic(f"policy must be 4x4, got shape {p.shape}")
+        if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + chain.ROW_SUM_TOL):
+            raise NotStochastic("policy entries must lie in [0, 1]")
+        sums = p.sum(axis=1)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > chain.ROW_SUM_TOL)
+        if bad.size:
+            s = NodeState(int(bad[0]))
+            raise NotStochastic(f"{s.name} row sums to {float(sums[bad[0]])}")
+        violations = (p != 0.0) & ~ALLOWED
+        if violations.any():
+            src, dst = np.argwhere(violations)[0]
+            raise ForbiddenTransition(
+                f"{NodeState(int(src)).name} -> {NodeState(int(dst)).name} must be 0, "
+                f"got {float(p[src, dst])}"
+            )
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -91,50 +112,19 @@ class EnergyModel:
 
 def default_policy() -> NodePolicy:
     """Heavy sleep duty cycle with small death leakage from Active/Inactive."""
-    return validate_policy(
-        NodePolicy(
-            np.array(
-                [
-                    [0.70, 0.25, 0.05, 0.00],
-                    [0.35, 0.50, 0.13, 0.02],
-                    [0.00, 0.38, 0.60, 0.02],
-                    [0.00, 0.00, 0.00, 1.00],
-                ]
-            )
-        )
+    return NodePolicy(
+        [
+            [0.70, 0.25, 0.05, 0.00],
+            [0.35, 0.50, 0.13, 0.02],
+            [0.00, 0.38, 0.60, 0.02],
+            [0.00, 0.00, 0.00, 1.00],
+        ]
     )
 
 
 def default_energy() -> EnergyModel:
     """Capacity 1000 units; drain 0.1 / 5.0 / 1.0 per tick for sleep / active / inactive."""
     return EnergyModel(capacity=1000.0, drain=np.array([0.1, 5.0, 1.0, 0.0]))
-
-
-def validate_policy(policy: NodePolicy) -> NodePolicy:
-    """Accept a policy iff it is row-stochastic with zero forbidden mass.
-
-    Raises NotStochastic for row-sum violations and ForbiddenTransition
-    when any structurally forbidden entry is nonzero (including a
-    non-identity Dead row).
-    """
-    p = policy.probs
-    if p.shape != (4, 4):
-        raise NotStochastic(f"policy must be 4x4, got shape {p.shape}")
-    if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + chain.ROW_SUM_TOL):
-        raise NotStochastic("policy entries must lie in [0, 1]")
-    sums = p.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > chain.ROW_SUM_TOL)
-    if bad.size:
-        s = NodeState(int(bad[0]))
-        raise NotStochastic(f"{s.name} row sums to {float(sums[bad[0]])}")
-    violations = (p != 0.0) & ~ALLOWED
-    if violations.any():
-        src, dst = np.argwhere(violations)[0]
-        raise ForbiddenTransition(
-            f"{NodeState(int(src)).name} -> {NodeState(int(dst)).name} must be 0, "
-            f"got {float(p[src, dst])}"
-        )
-    return policy
 
 
 def strip_death_transitions(policy: NodePolicy) -> NodePolicy:
@@ -147,11 +137,7 @@ def strip_death_transitions(policy: NodePolicy) -> NodePolicy:
         if total <= 0.0:
             raise ConfigInvalid(f"{s.name} row has no live mass to renormalize")
         p[s] /= total
-    return validate_policy(NodePolicy(p))
-
-
-def _as_chain(policy: NodePolicy) -> chain.TransitionMatrix:
-    return chain.TransitionMatrix(policy.probs, frozenset({int(NodeState.DEAD)}))
+    return NodePolicy(p)
 
 
 def expected_node_lifetime(policy: NodePolicy, start: NodeState = NodeState.SLEEP) -> float:
@@ -163,6 +149,6 @@ def expected_node_lifetime(policy: NodePolicy, start: NodeState = NodeState.SLEE
     """
     if start is NodeState.DEAD:
         return 0.0
-    analysis = chain.analyze(chain.validate(_as_chain(policy)))
+    analysis = chain.analyze(chain.TransitionMatrix(policy.probs, frozenset({int(NodeState.DEAD)})))
     return float(analysis.expected_steps[analysis.transient_order.index(int(start))])
 

@@ -12,13 +12,12 @@ Transition probabilities are symmetric:
     up(i) = down(i) = ((M - i) / M) * (i / M)
     stay(i) = ((M - i) / M)^2 + (i / M)^2
 
-which makes every down/up ratio equal to 1 and collapses the absorption
-probability into i / M. The closed forms below (``death_probability``,
-``expected_visits_closed``, ``expected_death_time``) are all checked
-against the fundamental-matrix oracle in :mod:`sleepwatch.chain`;
-``death_probability`` deliberately evaluates the general ratio-sum
-formula rather than the i / M shortcut, so the collapse is a tested
-consequence instead of an assumption.
+which makes every down/up ratio equal to 1, so the general birth-death
+absorption probability (a ratio of sums of those ratios) is i / M. The
+closed forms below (``death_probability``, ``expected_visits_closed``,
+``expected_death_time``) are all checked against the fundamental-matrix
+oracle in :mod:`sleepwatch.chain`, and ``death_probability`` also
+against the general ratio-sum formula in the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransitionMatrix, validate
+from .chain import TransitionMatrix
 from .errors import ConfigInvalid, OutOfRange, TooFewNodes
 
 #: Dead-node fraction at which the network is declared dead.
@@ -41,16 +40,12 @@ def threshold_from_deployed(n: int) -> int:
     """Death threshold M = round(4n/5), rounded half-up.
 
     Uses exact integer arithmetic: (8n + 5) // 10. Raises TooFewNodes for
-    n < 2 or whenever the threshold would land below 2 (a chain with
-    M < 2 has no transient state to analyze).
+    n < 2; every n >= 2 gives M >= 2, so the chain has a transient state.
     """
     if n < 2:
         raise TooFewNodes(f"need at least 2 deployed nodes, got {n}")
     num, den = DEATH_FRACTION
-    m = (2 * num * n + den) // (2 * den)
-    if m < 2:
-        raise TooFewNodes(f"threshold {m} below 2 for {n} deployed nodes")
-    return m
+    return (2 * num * n + den) // (2 * den)
 
 
 @dataclass(frozen=True)
@@ -119,16 +114,10 @@ def step_probs(m: int) -> tuple[np.ndarray, np.ndarray]:
 def death_probability(i, m: int):
     """Probability of absorption at m (network death) starting from i dead.
 
-    Evaluates sum(beta(k) for k < i) / sum(beta(k) for k < m), where
-    beta(k) = down(k) / up(k) and beta(0) = 1. Every ratio is 1, so this
-    collapses to i / m: 0 at i = 0 and 1 at i = m. ``i`` is one state or
-    an array of states.
+    Every down/up ratio of the chain is 1, so this is i / m: 0 at i = 0
+    and 1 at i = m. ``i`` is one state or an array of states.
     """
-    states = _states(i, m, 0, m)
-    move = step_probs(m)[0]
-    beta = np.concatenate(([1.0], move[1:m] / move[1:m]))
-    ratio_sums = np.concatenate(([0.0], np.cumsum(beta)))
-    return _result(ratio_sums[states] / ratio_sums[m])
+    return _result(_states(i, m, 0, m) / m)
 
 
 def expected_visits_closed(i, j, m: int):
@@ -164,11 +153,10 @@ def build_matrix(m: int) -> TransitionMatrix:
     """Assemble the (m+1)-state tridiagonal chain for oracle cross-checks.
 
     States 0 and m are absorbing; the rows come from ``step_probs``.
-    The result passes :func:`sleepwatch.chain.validate`.
     """
     move, stay = step_probs(m)
     probs = np.diag(stay)
     below = np.arange(m)
     probs[below + 1, below] = move[1:]
     probs[below, below + 1] = move[:-1]
-    return validate(TransitionMatrix(probs, frozenset({0, m})))
+    return TransitionMatrix(probs, frozenset({0, m}))

@@ -38,7 +38,6 @@ from .lifecycle import (
     NodePolicy,
     NodeState,
     strip_death_transitions,
-    validate_policy,
 )
 from .network import NetworkChainParams, step_probs
 from .rng import AFFECTED_STREAM, CHAIN_STREAM, STEP_STREAM, substream
@@ -79,7 +78,8 @@ class ScenarioConfig:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed}")
         if not isinstance(self.attack, AttackModel):
             raise ConfigInvalid(f"attack must be an AttackModel, got {self.attack!r}")
-        validate_policy(self.policy)
+        if not isinstance(self.policy, NodePolicy):
+            raise ConfigInvalid(f"policy must be a NodePolicy, got {self.policy!r}")
 
 
 @dataclass(frozen=True)

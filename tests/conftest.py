@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from sleepwatch.chain import TransitionMatrix, validate
+from sleepwatch.chain import TransitionMatrix
 from sleepwatch.errors import NoAbsorptionPath
-from sleepwatch.lifecycle import ALLOWED, NodePolicy, validate_policy
+from sleepwatch.lifecycle import ALLOWED, NodePolicy
 
 
 def random_absorbing_chain(
@@ -46,7 +46,7 @@ def random_absorbing_chain(
                 row[abs_idx] += min_absorbing_mass / len(abs_idx)
             probs[i] = row
         try:
-            return validate(TransitionMatrix(probs, frozenset(absorbing)))
+            return TransitionMatrix(probs, frozenset(absorbing))
         except NoAbsorptionPath:
             continue
 
@@ -62,4 +62,4 @@ def random_node_policy(rng: np.random.Generator) -> NodePolicy:
             keep = allowed
         weights = rng.random(keep.size) + 0.05
         probs[s, keep] = weights / weights.sum()
-    return validate_policy(NodePolicy(probs))
+    return NodePolicy(probs)

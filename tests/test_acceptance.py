@@ -15,7 +15,7 @@ from sleepwatch.attack import AttackModel, AttackKind, rts_cts_flood
 from sleepwatch.cli import main
 from sleepwatch.detect import Decision, compute_baseline, detect
 from sleepwatch.errors import ForbiddenTransition
-from sleepwatch.lifecycle import NodePolicy, NodeState, validate_policy
+from sleepwatch.lifecycle import NodePolicy, NodeState
 from sleepwatch.network import (
     NetworkChainParams,
     build_matrix,
@@ -34,7 +34,7 @@ def test_criterion_1_death_probability_closed_form():
     worst_linear = 0.0
     worst_oracle = 0.0
     for m in range(2, 101):
-        analysis = chain.analyze(chain.validate(build_matrix(m)))
+        analysis = chain.analyze(build_matrix(m))
         col = analysis.absorbing_order.index(m)
         for i in range(m + 1):
             psi = death_probability(i, m)
@@ -56,7 +56,7 @@ def test_criterion_2_expected_death_time_closed_form():
     assert expected_death_time(2, 4) == pytest.approx(28 / 3, rel=1e-12)
     worst = 0.0
     for m in range(2, 201):
-        analysis = chain.analyze(chain.validate(build_matrix(m)))
+        analysis = chain.analyze(build_matrix(m))
         closed = np.array([expected_death_time(i, m) for i in range(1, m)])
         worst = max(worst, float(np.max(np.abs(closed - analysis.expected_steps) / analysis.expected_steps)))
     assert worst <= 1e-9
@@ -68,7 +68,7 @@ def test_criterion_3_visit_count_closed_form():
     assert expected_visits_closed(1, 2, 3) == pytest.approx(1.5, rel=1e-12)
     worst = 0.0
     for m in range(2, 51):
-        analysis = chain.analyze(chain.validate(build_matrix(m)))
+        analysis = chain.analyze(build_matrix(m))
         closed = np.array(
             [[expected_visits_closed(i, j, m) for j in range(1, m)] for i in range(1, m)]
         )
@@ -164,7 +164,7 @@ def test_criterion_7_structural_invariants():
         probs[src, dst] += 0.25
         probs[src, src] -= 0.25
         with pytest.raises(ForbiddenTransition):
-            validate_policy(NodePolicy(probs))
+            NodePolicy(probs)
 
     # the attack transform preserves stochasticity and structural zeros
     from sleepwatch.attack import transform_policy
@@ -177,7 +177,7 @@ def test_criterion_7_structural_invariants():
             kind=AttackKind.RTS_CTS_FLOOD, coverage=1.0, sleep_block=float(rng.random()),
             extra_drain=float(2.0 * rng.random()),
         )
-        transformed = validate_policy(transform_policy(policy, model))
+        transformed = NodePolicy(transform_policy(policy, model).probs)
         assert np.all(transformed.probs[~ALLOWED] == 0.0)
         np.testing.assert_allclose(transformed.probs.sum(axis=1), 1.0, atol=1e-9)
 

@@ -13,7 +13,7 @@ from sleepwatch.attack import (
     transform_policy,
 )
 from sleepwatch.errors import ConfigInvalid
-from sleepwatch.lifecycle import ALLOWED, NodeState, default_policy, validate_policy
+from sleepwatch.lifecycle import ALLOWED, NodePolicy, NodeState, default_policy
 from sleepwatch.rng import substream
 
 S, A, I, D = NodeState.SLEEP, NodeState.ACTIVE, NodeState.INACTIVE, NodeState.DEAD
@@ -92,7 +92,7 @@ class TestTransformPolicy:
             policy = random_node_policy(rng)
             block = float(rng.random())
             model = AttackModel(kind=AttackKind.RTS_CTS_FLOOD, coverage=1.0, sleep_block=block)
-            transformed = validate_policy(transform_policy(policy, model))
+            transformed = NodePolicy(transform_policy(policy, model).probs)
             assert np.all(transformed.probs[~ALLOWED] == 0.0)
             np.testing.assert_allclose(transformed.probs.sum(axis=1), 1.0, atol=1e-9)
 

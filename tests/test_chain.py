@@ -32,32 +32,40 @@ class TestValidate:
         tm = two_state()
         assert chain.validate(tm) is tm
 
+    def test_construction_runs_module_validate(self, monkeypatch):
+        # through the module global, so a wrapper installed on chain.validate sees every matrix
+        seen = []
+        monkeypatch.setattr(chain, "validate", seen.append)
+        tm = two_state()
+        assert seen == [tm]
+
+    @pytest.mark.parametrize("probs", [np.array(1.0), np.ones(2), np.ones((2, 3)), np.zeros((0, 0))],
+                             ids=["scalar", "vector", "non-square", "empty"])
+    def test_rejects_non_square_or_empty(self, probs):
+        with pytest.raises(NotStochastic, match="must be square and non-empty"):
+            TransitionMatrix(probs, frozenset())
+
     def test_rejects_bad_row_sum(self):
-        tm = TransitionMatrix(np.array([[1.0, 0.0], [0.6, 0.5]]), frozenset({0}))
         with pytest.raises(NotStochastic, match=r"^row 1 sums to 1\.1, expected 1 within 1e-09$"):
-            chain.validate(tm)
+            TransitionMatrix(np.array([[1.0, 0.0], [0.6, 0.5]]), frozenset({0}))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
-        tm = TransitionMatrix(np.array([[1.0, 0.0, 0.0], [0.5, bad, 0.5], [0.0, 0.0, 1.0]]), frozenset({0, 2}))
         with pytest.raises(NotStochastic):
-            chain.validate(tm)
+            TransitionMatrix(np.array([[1.0, 0.0, 0.0], [0.5, bad, 0.5], [0.0, 0.0, 1.0]]), frozenset({0, 2}))
 
     def test_rejects_negative_entries(self):
-        tm = TransitionMatrix(np.array([[1.0, 0.0], [1.2, -0.2]]), frozenset({0}))
         with pytest.raises(NotStochastic):
-            chain.validate(tm)
+            TransitionMatrix(np.array([[1.0, 0.0], [1.2, -0.2]]), frozenset({0}))
 
     def test_rejects_non_identity_absorbing_row(self):
-        tm = TransitionMatrix(np.array([[0.9, 0.1], [0.5, 0.5]]), frozenset({0}))
         with pytest.raises(BadAbsorbingRow):
-            chain.validate(tm)
+            TransitionMatrix(np.array([[0.9, 0.1], [0.5, 0.5]]), frozenset({0}))
 
     def test_rejects_disguised_absorbing_state(self):
         # state 1 is absorbing in all but name, so absorption from it is impossible
-        tm = TransitionMatrix(np.eye(2), frozenset({0}))
         with pytest.raises(NoAbsorptionPath):
-            chain.validate(tm)
+            TransitionMatrix(np.eye(2), frozenset({0}))
 
     def test_rejects_stranded_transient_group(self):
         probs = np.array(
@@ -68,14 +76,14 @@ class TestValidate:
             ]
         )
         with pytest.raises(NoAbsorptionPath):
-            chain.validate(TransitionMatrix(probs, frozenset({0})))
+            TransitionMatrix(probs, frozenset({0}))
 
 
 class TestCanonicalize:
     """The [Q R; 0 I] split that analyze makes: ascending transient and absorbing orders."""
 
     def test_single_transient(self):
-        tm = chain.validate(two_state())
+        tm = two_state()
         analysis = chain.analyze(tm)
         assert analysis.transient_order == (1,)
         assert analysis.absorbing_order == (0,)
@@ -89,7 +97,7 @@ class TestCanonicalize:
         np.testing.assert_allclose(r, [[2 / 9, 0.0], [0.0, 2 / 9]], rtol=0, atol=1e-15)
 
     def test_all_absorbing_gives_empty_blocks(self):
-        analysis = chain.analyze(chain.validate(TransitionMatrix(np.eye(2), frozenset({0, 1}))))
+        analysis = chain.analyze(TransitionMatrix(np.eye(2), frozenset({0, 1})))
         assert analysis.transient_order == ()
         assert analysis.absorbing_order == (0, 1)
         assert analysis.fundamental.shape == (0, 0)
@@ -108,13 +116,13 @@ class TestCanonicalize:
 
 class TestAnalyze:
     def test_geometric_escape(self):
-        analysis = chain.analyze(chain.validate(two_state()))
+        analysis = chain.analyze(two_state())
         np.testing.assert_allclose(analysis.fundamental, [[2.0]], rtol=1e-12)
         np.testing.assert_allclose(analysis.expected_steps, [2.0], rtol=1e-12)
 
     def test_network_chain_m3_closed_values(self):
         # (I - Q)^-1 for Q = [[5/9,2/9],[2/9,5/9]] inverted by hand
-        analysis = chain.analyze(chain.validate(m3_chain()))
+        analysis = chain.analyze(m3_chain())
         np.testing.assert_allclose(analysis.fundamental, [[3.0, 1.5], [1.5, 3.0]], rtol=1e-12)
         np.testing.assert_allclose(analysis.expected_steps, [4.5, 4.5], rtol=1e-12)
         np.testing.assert_allclose(
@@ -124,14 +132,14 @@ class TestAnalyze:
     def test_absorb_prob_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            analysis = chain.analyze(chain.validate(random_absorbing_chain(rng)))
+            analysis = chain.analyze(random_absorbing_chain(rng))
             if analysis.absorb_prob.shape[0]:
                 np.testing.assert_allclose(analysis.absorb_prob.sum(axis=1), 1.0, atol=1e-8)
 
     def test_expected_steps_at_least_one(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            analysis = chain.analyze(chain.validate(random_absorbing_chain(rng)))
+            analysis = chain.analyze(random_absorbing_chain(rng))
             assert np.all(analysis.expected_steps >= 1.0 - 1e-12)
             assert np.all(analysis.fundamental >= -1e-12)
 
@@ -147,19 +155,19 @@ class TestAnalyze:
         # escape mass so small it vanishes from both the row sum and I - Q:
         # passes the tolerance checks yet leaves nothing to absorb through
         probs = np.array([[1.0, 0.0], [1e-30, 1.0]])
-        tm = chain.validate(TransitionMatrix(probs, frozenset({0})))
+        tm = TransitionMatrix(probs, frozenset({0}))
         with pytest.raises(SingularSystem):
             chain.analyze(tm)
 
 
 class TestNStep:
     def test_zero_steps_is_identity(self):
-        tm = chain.validate(two_state())
+        tm = two_state()
         np.testing.assert_array_equal(np.linalg.matrix_power(tm.probs, 0), np.eye(2))
 
     def test_three_step_absorption(self):
         # paths that stay alive 3 times: 0.5^3, so absorbed mass is 0.875
-        tm = chain.validate(two_state())
+        tm = two_state()
         stepped = np.linalg.matrix_power(tm.probs, 3)
         assert stepped[1, 0] == pytest.approx(0.875, abs=1e-15)
 
@@ -195,12 +203,12 @@ class TestNStep:
 
 class TestExpectedVisits:
     def test_network_chain_m3_entries(self):
-        analysis = chain.analyze(chain.validate(m3_chain()))
+        analysis = chain.analyze(m3_chain())
         # transient states 1 and 2 sit at fundamental rows/columns 0 and 1
         assert analysis.fundamental[0, 0] == pytest.approx(3.0, rel=1e-12)
         assert analysis.fundamental[0, 1] == pytest.approx(1.5, rel=1e-12)
 
     def test_geometric_self_visits(self):
-        analysis = chain.analyze(chain.validate(two_state()))
+        analysis = chain.analyze(two_state())
         assert analysis.fundamental[0, 0] == pytest.approx(2.0, rel=1e-12)
 

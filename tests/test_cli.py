@@ -102,10 +102,13 @@ class TestSimulate:
         for path_a in sorted(out_a.iterdir()):
             assert path_a.read_bytes() == (out_b / path_a.name).read_bytes()
 
-    def test_requires_out_dir(self, tmp_path, capsys):
+    def test_requires_out_dir(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_many", lambda *args, **kwargs: ran.append(args))
         config = write_config(tmp_path, fast_scenario())
         assert main(["simulate", "--config", config]) == 1
         assert "--out" in capsys.readouterr().err
+        assert ran == []
 
     def test_zero_ticks_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, fast_scenario(run={"max_ticks": 0}))
@@ -253,6 +256,23 @@ class TestSweep:
         assert len(rows) == len(values.split(","))
         assert len(built) == builds
         assert len({row.split(",")[1] for row in rows}) == builds
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("theta", "0.5,1.5", "detector.theta must lie in (0, 1], got 1.5"),
+        ("coverage", "0,7", "coverage must lie in [0, 1], got 7.0"),
+        ("m", "4,99", "m_threshold 99 outside [2, 20]"),
+    ])
+    def test_bad_value_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                               param, values, message):
+        ran = []
+        monkeypatch.setattr(cli, "_build_baseline", lambda point: ran.append("baseline"))
+        monkeypatch.setattr(cli, "run_many", lambda *args, **kwargs: ran.append("run"))
+        config = write_config(tmp_path, readme_scenario())
+        assert main(["sweep", "--config", config, "--param", param, "--values", values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert ran == []
 
     def test_writes_csv_artifact(self, tmp_path, capsys):
         doc = fast_scenario(detector={"source": "analytic", "ticks_per_chain_step": 3.0})

@@ -13,7 +13,6 @@ from sleepwatch.lifecycle import (
     default_policy,
     expected_node_lifetime,
     strip_death_transitions,
-    validate_policy,
 )
 from sleepwatch.network import NetworkChainParams
 from sleepwatch.rng import substream
@@ -34,44 +33,44 @@ def collapsed_policy(rows: dict[NodeState, list[float]]) -> NodePolicy:
     )
     for state, row in rows.items():
         probs[state] = row
-    return validate_policy(NodePolicy(probs))
+    return NodePolicy(probs)
 
 
 class TestValidatePolicy:
     def test_default_policy_is_valid(self):
-        validate_policy(default_policy())
+        default_policy()
 
     def test_sleep_to_dead_forbidden(self):
         probs = np.array(default_policy().probs, copy=True)
         probs[S, D] = 0.1
         probs[S, S] -= 0.1
         with pytest.raises(ForbiddenTransition):
-            validate_policy(NodePolicy(probs))
+            NodePolicy(probs)
 
     def test_inactive_to_sleep_forbidden(self):
         probs = np.array(default_policy().probs, copy=True)
         probs[I, S] = 0.2
         probs[I, I] -= 0.2
         with pytest.raises(ForbiddenTransition):
-            validate_policy(NodePolicy(probs))
+            NodePolicy(probs)
 
     def test_dead_row_must_be_identity(self):
         probs = np.array(default_policy().probs, copy=True)
         probs[D] = [0.0, 0.0, 0.5, 0.5]
         with pytest.raises(ForbiddenTransition):
-            validate_policy(NodePolicy(probs))
+            NodePolicy(probs)
 
     def test_rejects_nan_entry(self):
         probs = np.array(default_policy().probs, copy=True)
         probs[S, S] = np.nan
         with pytest.raises(NotStochastic):
-            validate_policy(NodePolicy(probs))
+            NodePolicy(probs)
 
     def test_rejects_bad_row_sum(self):
         probs = np.array(default_policy().probs, copy=True)
         probs[A, A] += 0.05
         with pytest.raises(NotStochastic):
-            validate_policy(NodePolicy(probs))
+            NodePolicy(probs)
 
 
 class TestEnergyModel:

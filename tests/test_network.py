@@ -124,7 +124,7 @@ class TestExpectedVisitsClosed:
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_own_state_visits_equal_threshold(self, m):
-        analysis = chain.analyze(chain.validate(build_matrix(m)))
+        analysis = chain.analyze(build_matrix(m))
         for i in range(1, m):
             assert expected_visits_closed(i, i, m) == pytest.approx(float(m), rel=1e-12)
             assert expected_visits_closed(i, i, m) == pytest.approx(
@@ -186,7 +186,7 @@ class TestBuildMatrix:
 
     def test_absorption_toward_threshold_matches_death_probability(self):
         for m in (3, 8, 15):
-            analysis = chain.analyze(chain.validate(build_matrix(m)))
+            analysis = chain.analyze(build_matrix(m))
             col = analysis.absorbing_order.index(m)
             for row, i in enumerate(analysis.transient_order):
                 assert analysis.absorb_prob[row, col] == pytest.approx(

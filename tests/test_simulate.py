@@ -13,7 +13,7 @@ from sleepwatch import simulate
 from closed_form_oracle import chain_absorptions
 from scalar_oracle import scalar_run
 from sleepwatch.errors import ConfigInvalid, TooFewNodes
-from sleepwatch.lifecycle import NodePolicy, validate_policy
+from sleepwatch.lifecycle import NodePolicy
 from sleepwatch.network import NetworkChainParams, expected_death_time
 from sleepwatch.simulate import (
     ScenarioConfig,
@@ -25,16 +25,14 @@ from sleepwatch.simulate import (
 
 def fast_death_policy() -> NodePolicy:
     """Probabilistic-death policy that kills nodes quickly, for short traces."""
-    return validate_policy(
-        NodePolicy(
-            np.array(
-                [
-                    [0.2, 0.8, 0.0, 0.0],
-                    [0.1, 0.5, 0.0, 0.4],
-                    [0.0, 0.5, 0.1, 0.4],
-                    [0.0, 0.0, 0.0, 1.0],
-                ]
-            )
+    return NodePolicy(
+        np.array(
+            [
+                [0.2, 0.8, 0.0, 0.0],
+                [0.1, 0.5, 0.0, 0.4],
+                [0.0, 0.5, 0.1, 0.4],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
         )
     )
 
@@ -75,6 +73,10 @@ class TestConfigValidation:
         assert default.attack == sw.no_attack()
         with pytest.raises(ConfigInvalid, match="attack must be an AttackModel"):
             scenario(attack=None)
+
+    def test_rejects_policy_that_is_not_a_node_policy(self):
+        with pytest.raises(ConfigInvalid, match="policy must be a NodePolicy"):
+            scenario(policy=np.eye(4))
 
     @pytest.mark.parametrize("m", [1, 6])
     def test_rejects_threshold_override_outside_chain_range(self, m):

@@ -3,7 +3,8 @@
 Subcommands: analyze, simulate, detect, sweep. All take --config (scenario
 JSON, see :mod:`sleepwatch.config`) and --out for artifact files, which
 only simulate requires; --seed, --runs and --theta override the file
-values. Bad arguments are refused before anything is simulated.
+values. Bad arguments are refused, and the --out directory is created,
+before anything is simulated.
 
 Exit codes are a stable contract:
 
@@ -182,9 +183,9 @@ def _build_baseline(parsed: ParsedConfig) -> Baseline:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = _load(args)
+    out = _out_dir(args)
     text = dumps_canonical(_analyze_report(parsed))
     print(text)
-    out = _out_dir(args)
     if out is not None:
         write_json_text(out / "analyze.json", text)
     return 0
@@ -192,8 +193,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _load(args)
-    summary = run_many(parsed.scenario, keep_traces=True)
     out = _out_dir(args)
+    summary = run_many(parsed.scenario, keep_traces=True)
     for trace in summary.traces:
         write_trace_csv(out / f"run_{trace.run_index:03d}.csv", trace)
     text = dumps_canonical(_summary_dict(summary, parsed.scenario))
@@ -204,12 +205,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     parsed = _load(args)
+    out = _out_dir(args)
     baseline = _build_baseline(parsed)
     summary = run_many(parsed.scenario)
     verdict = detect(summary, baseline, parsed.detector.theta)
     text = dumps_canonical(_verdict_dict(verdict, baseline))
     print(text)
-    out = _out_dir(args)
     if out is not None:
         write_json_text(out / "verdict.json", text)
     return _EXIT_FOR_DECISION[verdict.decision]
@@ -246,14 +247,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # every point is built, and so checked, before the first baseline or run
     points = [_sweep_point(parsed, args.param, value) for value in values]
+    out = _out_dir(args)
     rows = ["value,baseline,mean_death_tick,normal,under_attack,inconclusive"]
     # calibration strips the attack, so a point's baseline depends only on its chain params
     baselines: dict[NetworkChainParams, Baseline] = {}
+    summaries: dict[float, RunSummary] = {}  # a repeated value is simulated once
     for value, point in zip(values, points):
         if point.params not in baselines:
             baselines[point.params] = _build_baseline(point)
         baseline = baselines[point.params]
-        summary = run_many(point.scenario)
+        if value not in summaries:
+            summaries[value] = run_many(point.scenario)
+        summary = summaries[value]
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
         for tick in summary.death_ticks:
             elapsed = tick if tick is not None else summary.max_ticks
@@ -268,7 +273,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
-    out = _out_dir(args)
     if out is not None:
         (out / "sweep.csv").write_text(table)
     return 0

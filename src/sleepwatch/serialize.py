@@ -4,10 +4,20 @@ Output files are regression artifacts: reruns with the same config must
 produce identical bytes. JSON objects are therefore emitted with sorted
 keys and floats formatted to 17 significant digits (enough to round-trip
 float64 exactly); CSVs use LF line endings and the same float format.
+
+The JSON emitter makes one pass over the document: every nesting level
+appends its pieces to one shared list, joined once at the end, so no
+subtree's text is copied into its parent's. A list or tuple whose items
+are all exactly ``float`` (a row of the ``analyze`` matrices) is checked
+for finiteness and then formatted by a single ``%`` on a template of one
+``%.17g`` per item, which gives the same text as :func:`format_float`
+item by item. Lists holding anything else, ``bool``, ``int`` and float
+subclasses included, are emitted item by item.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -22,37 +32,57 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_canonical(value, indent: int = 0) -> str:
+def dumps_canonical(value) -> str:
     """Serialize to JSON with sorted keys and fixed float formatting."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        import json
+    out: list[str] = []
+    _emit(value, 0, out)
+    return "".join(out)
 
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
+
+def _emit(value, indent: int, out: list[str]) -> None:
+    """Append the canonical text of ``value``, nested at ``indent``, to ``out``."""
+    if value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(format_float(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        items = [dumps_canonical(v, indent + 2) for v in value]
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-    if isinstance(value, dict):
+            out.append("[]")
+            return
+        inner = " " * (indent + 2)
+        if all(type(v) is float for v in value):
+            if not all(map(math.isfinite, value)):
+                format_float(next(v for v in value if not math.isfinite(v)))  # raises
+            out.append("[\n" + inner)
+            out.append((",\n" + inner).join(["%.17g"] * len(value)) % tuple(value))
+        else:
+            sep = "[\n"
+            for item in value:
+                out.append(sep + inner)
+                _emit(item, indent + 2, out)
+                sep = ",\n"
+        out.append("\n" + " " * indent + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        parts = []
+            out.append("{}")
+            return
+        inner = " " * (indent + 2)
+        sep = "{\n"
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f'{inner}"{key}": ' + dumps_canonical(value[key], indent + 2))
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+            out.append(f'{sep}{inner}"{key}": ')
+            _emit(value[key], indent + 2, out)
+            sep = ",\n"
+        out.append("\n" + " " * indent + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
 def write_json(path: str | Path, value) -> None:

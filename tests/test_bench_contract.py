@@ -87,9 +87,13 @@ def test_simulate_with_trace_files(tmp_path, harness):
 
 
 def test_analyze(tmp_path, harness):
-    counters = check_contract(harness, traced(tmp_path, "analyze"))
+    out = tmp_path / "out"
+    trace = traced(tmp_path, "analyze", "--out", str(out))
+    counters = check_contract(harness, trace)
     # dead-count chain at M = 8 (transient states 1..7) plus the node lifetime
     # chain (Sleep, Active, Inactive)
     assert counters["chain.transient_states"] == 7 + 3
     assert counters["network.closed_form_calls"] == 3
-    assert counters["serialize.json_bytes"] > 0
+    # one outermost emitter call, and every character of the artifact but its newline
+    assert trace["functions"]["serialize.dumps_canonical"]["calls"] == 1
+    assert counters["serialize.json_bytes"] == (out / "analyze.json").stat().st_size - 1

@@ -246,9 +246,11 @@ class TestSweep:
     ])
     def test_builds_each_distinct_baseline_once(self, tmp_path, capsys, monkeypatch,
                                                 param, values, builds):
-        built = []
-        build = cli._build_baseline
+        built, simulated = [], []
+        build, simulate = cli._build_baseline, cli.run_many
         monkeypatch.setattr(cli, "_build_baseline", lambda point: built.append(point) or build(point))
+        monkeypatch.setattr(cli, "run_many",
+                            lambda scenario: simulated.append(scenario) or simulate(scenario))
         doc = readme_scenario(run={"runs": 2}, detector={"baseline_runs": 5})
         config = write_config(tmp_path, doc)
         assert main(["sweep", "--config", config, "--param", param, "--values", values]) == 0
@@ -256,6 +258,9 @@ class TestSweep:
         assert len(rows) == len(values.split(","))
         assert len(built) == builds
         assert len({row.split(",")[1] for row in rows}) == builds
+        # a repeated value is simulated once and repeats its row
+        assert len(simulated) == len(set(values.split(",")))
+        assert len(set(rows)) == len(simulated)
 
     @pytest.mark.parametrize("param, values, message", [
         ("theta", "0.5,1.5", "detector.theta must lie in (0, 1], got 1.5"),
@@ -381,6 +386,24 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: detector.theta must lie in (0, 1], got 1.5\n"
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["simulate"],
+        ["detect"],
+        ["sweep", "--param", "coverage", "--values", "0,1"],
+    ], ids=lambda command: command[0])
+    def test_unusable_out_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        ran = []
+        for name in ("run_many", "_build_baseline", "_analyze_report"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+        (tmp_path / "afile").write_text("")
+        config = write_config(tmp_path, readme_scenario())
+        assert main([*command, "--config", config, "--out", str(tmp_path / "afile" / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert ran == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1

@@ -9,7 +9,7 @@ before anything is simulated.
 Exit codes are a stable contract:
 
     0  success / verdict Normal
-    1  configuration, validation or I/O error
+    1  configuration, validation, I/O or out-of-memory error
     2  verdict UnderAttack
     3  verdict Inconclusive
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chain
-from .attack import no_attack
+from .attack import AttackModel, no_attack
 from .config import BASELINE_SEED_OFFSET, ParsedConfig, load_config
 from .detect import Baseline, BaselineSource, Decision, Verdict, compute_baseline, decide, detect
 from .errors import NoAbsorptionPath, SleepwatchError
@@ -251,14 +251,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = ["value,baseline,mean_death_tick,normal,under_attack,inconclusive"]
     # calibration strips the attack, so a point's baseline depends only on its chain params
     baselines: dict[NetworkChainParams, Baseline] = {}
-    summaries: dict[float, RunSummary] = {}  # a repeated value is simulated once
+    # a point changes only the network, the attack or theta, so each distinct scenario runs once
+    summaries: dict[tuple[NetworkChainParams, AttackModel], RunSummary] = {}
     for value, point in zip(values, points):
         if point.params not in baselines:
             baselines[point.params] = _build_baseline(point)
         baseline = baselines[point.params]
-        if value not in summaries:
-            summaries[value] = run_many(point.scenario)
-        summary = summaries[value]
+        scenario_key = (point.scenario.network, point.scenario.attack)
+        if scenario_key not in summaries:
+            summaries[scenario_key] = run_many(point.scenario)
+        summary = summaries[scenario_key]
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
         for tick in summary.death_ticks:
             elapsed = tick if tick is not None else summary.max_ticks
@@ -291,11 +293,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SleepwatchError as exc:
+    except (SleepwatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy names the refused allocation; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -1,11 +1,24 @@
 """Scenario configuration: one strict JSON document.
 
 The file has up to six sections: network, policy, energy, attack,
-detector, run. Every section is optional and falls back to the module
-defaults documented below; unknown keys anywhere are an error, so a typo
-cannot silently deconfigure an experiment.
+detector, run. ``_SECTIONS`` declares every key once, with the reader
+that checks its JSON value. Every section and key is optional; unknown
+sections and keys are an error, so a typo cannot silently deconfigure
+an experiment.
 
-Example::
+A key that is left out takes the default of the object it configures:
+
+- network: :class:`~sleepwatch.network.NetworkChainParams`, except
+  ``n_deployed``, which is 20;
+- policy: :func:`~sleepwatch.lifecycle.default_policy`;
+- energy: :func:`~sleepwatch.lifecycle.default_energy`, per ``drain`` state;
+- attack: the mechanism named by ``kind`` (see :mod:`sleepwatch.attack`),
+  or no attack when ``kind`` is absent;
+- detector: :class:`DetectorSettings`;
+- run: :class:`~sleepwatch.simulate.ScenarioConfig`, except ``max_ticks``
+  and ``seed``, which are 1000 and 0.
+
+An example that sets every key (these are not the defaults)::
 
     {
       "network": {"n_deployed": 20, "initial_dead": 1},
@@ -30,22 +43,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackKind, AttackModel, broadcast_replay, no_attack, rts_cts_flood
+from .attack import AttackKind, broadcast_replay, no_attack, rts_cts_flood
 from .detect import DEFAULT_THRESHOLD_FACTOR, BaselineSource
 from .errors import ConfigInvalid
-from .lifecycle import (
-    DeathMode,
-    EnergyModel,
-    NodePolicy,
-    STATE_NAMES,
-    default_energy,
-    default_policy,
-)
+from .lifecycle import DeathMode, NodePolicy, STATE_NAMES, default_energy, default_policy
 from .network import NetworkChainParams
 from .simulate import ScenarioConfig
 
@@ -88,38 +94,18 @@ class ParsedConfig:
         return self.scenario.network
 
 
-def _section(doc: dict, name: str, allowed: tuple[str, ...]) -> dict:
-    part = doc.get(name, {})
-    if not isinstance(part, dict):
-        raise ConfigInvalid(f"section '{name}' must be an object")
-    unknown = set(part) - set(allowed)
-    if unknown:
-        raise ConfigInvalid(f"unknown key(s) in section '{name}': {sorted(unknown)}")
-    return part
-
-
 def _require(value, types, path: str):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigInvalid(f"'{path}' has the wrong type: {value!r}")
     return value
 
 
-def _get_int(part: dict, key: str, default: int | None, section: str,
-             nullable: bool = False) -> int | None:
-    value = part.get(key, default)
-    if value is None and nullable:
-        return None
-    return int(_require(value, int, f"{section}.{key}"))
+def _int(value, path: str) -> int:
+    return int(_require(value, int, path))
 
 
-def _get_enum(part: dict, key: str, enum, default, what: str):
-    name = part.get(key, default.value)
-    try:
-        return enum(name)
-    except ValueError:
-        raise ConfigInvalid(
-            f"unknown {what} {name!r}; expected one of {[e.value for e in enum]}"
-        ) from None
+def _int_or_null(value, path: str) -> int | None:
+    return None if value is None else _int(value, path)
 
 
 def _float(value, path: str) -> float:
@@ -129,38 +115,53 @@ def _float(value, path: str) -> float:
         raise ConfigInvalid(f"'{path}' is too large for a float") from None
 
 
-def _get_float(part: dict, key: str, default: float, section: str) -> float:
-    if key not in part:
-        return default
-    return _float(part[key], f"{section}.{key}")
+def _enum(enum, what: str):
+    def read(value, path: str):
+        try:
+            return enum(value)
+        except ValueError:
+            raise ConfigInvalid(
+                f"unknown {what} {value!r}; expected one of {[e.value for e in enum]}"
+            ) from None
+    return read
 
 
-def _parse_policy(part: dict) -> NodePolicy:
-    if "probs" not in part:
-        return default_policy()
+def _probs(value, path: str) -> NodePolicy:
     rows = [
-        [_float(value, f"policy.probs[{r}][{c}]") for c, value in
-         enumerate(_require(row, list, f"policy.probs[{r}]"))]
-        for r, row in enumerate(_require(part["probs"], list, "policy.probs"))
+        [_float(v, f"{path}[{r}][{c}]") for c, v in enumerate(_require(row, list, f"{path}[{r}]"))]
+        for r, row in enumerate(_require(value, list, path))
     ]
     if len({len(row) for row in rows}) > 1:
-        raise ConfigInvalid("'policy.probs' rows differ in length")
+        raise ConfigInvalid(f"'{path}' rows differ in length")
     return NodePolicy(rows)
 
 
-def _parse_energy(part: dict) -> EnergyModel:
-    base = default_energy()
-    capacity = _get_float(part, "capacity", base.capacity, "energy")
-    drain = np.array(base.drain, copy=True)
-    if "drain" in part:
-        entries = _require(part["drain"], dict, "energy.drain")
-        unknown = set(entries) - set(STATE_NAMES)
-        if unknown:
-            raise ConfigInvalid(f"unknown state(s) in energy.drain: {sorted(unknown)}")
-        for idx, name in enumerate(STATE_NAMES):
-            drain[idx] = _get_float(entries, name, drain[idx], "energy.drain")
-    return EnergyModel(capacity=capacity, drain=drain)
+def _drain(value, path: str) -> np.ndarray:
+    entries = _require(value, dict, path)
+    unknown = set(entries) - set(STATE_NAMES)
+    if unknown:
+        raise ConfigInvalid(f"unknown state(s) in {path}: {sorted(unknown)}")
+    drain = np.array(default_energy().drain, copy=True)
+    for idx, name in enumerate(STATE_NAMES):
+        if name in entries:
+            drain[idx] = _float(entries[name], f"{path}.{name}")
+    return drain
 
+
+#: Every section, its keys, and the reader ``(value, path) -> value`` of each.
+_SECTIONS = {
+    "network": {"n_deployed": _int, "initial_dead": _int},
+    "policy": {"probs": _probs},
+    "energy": {"capacity": _float, "drain": _drain},
+    "attack": {"kind": _enum(AttackKind, "attack kind"), "coverage": _float,
+               "sleep_block": _float, "extra_drain": _float,
+               "start_tick": _int, "end_tick": _int_or_null},
+    "detector": {"source": _enum(BaselineSource, "baseline source"), "theta": _float,
+                 "ticks_per_chain_step": _float, "baseline_runs": _int,
+                 "baseline_seed": _int_or_null},
+    "run": {"death_mode": _enum(DeathMode, "death_mode"), "max_ticks": _int,
+            "seed": _int, "runs": _int},
+}
 
 _ATTACK_DEFAULTS = {
     AttackKind.NO_ATTACK: no_attack,
@@ -169,62 +170,40 @@ _ATTACK_DEFAULTS = {
 }
 
 
-def _parse_attack(part: dict) -> AttackModel:
-    kind = _get_enum(part, "kind", AttackKind, AttackKind.NO_ATTACK, "attack kind")
-    base = _ATTACK_DEFAULTS[kind]()
-    return AttackModel(
-        kind=kind,
-        coverage=_get_float(part, "coverage", base.coverage, "attack"),
-        sleep_block=_get_float(part, "sleep_block", base.sleep_block, "attack"),
-        extra_drain=_get_float(part, "extra_drain", base.extra_drain, "attack"),
-        start_tick=_get_int(part, "start_tick", base.start_tick, "attack"),
-        end_tick=_get_int(part, "end_tick", base.end_tick, "attack", nullable=True),
-    )
+def _section(doc: dict, name: str) -> dict:
+    part = doc.get(name, {})
+    if not isinstance(part, dict):
+        raise ConfigInvalid(f"section '{name}' must be an object")
+    unknown = set(part) - set(_SECTIONS[name])
+    if unknown:
+        raise ConfigInvalid(f"unknown key(s) in section '{name}': {sorted(unknown)}")
+    return part
 
 
 def parse_config(doc: dict) -> ParsedConfig:
     """Build the scenario, chain params and detector settings from a dict."""
     if not isinstance(doc, dict):
         raise ConfigInvalid("config root must be a JSON object")
-    unknown = set(doc) - {"network", "policy", "energy", "attack", "detector", "run"}
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigInvalid(f"unknown top-level section(s): {sorted(unknown)}")
-
-    network_part = _section(doc, "network", ("n_deployed", "initial_dead"))
-    policy_part = _section(doc, "policy", ("probs",))
-    energy_part = _section(doc, "energy", ("capacity", "drain"))
-    attack_part = _section(doc, "attack", ("kind", "coverage", "sleep_block",
-                                           "extra_drain", "start_tick", "end_tick"))
-    detector_part = _section(doc, "detector", ("source", "theta", "ticks_per_chain_step",
-                                               "baseline_runs", "baseline_seed"))
-    run = _section(doc, "run", ("max_ticks", "seed", "runs", "death_mode"))
-
-    network = NetworkChainParams(
-        n_deployed=_get_int(network_part, "n_deployed", 20, "network"),
-        initial_dead=_get_int(network_part, "initial_dead", 1, "network"),
-    )
-
-    death_mode = _get_enum(run, "death_mode", DeathMode, DeathMode.ENERGY, "death_mode")
+    parts = {name: _section(doc, name) for name in _SECTIONS}
+    # only the keys present are read; every other key takes its owner's default
+    read = {
+        name: {key: reader(parts[name][key], f"{name}.{key}")
+               for key, reader in readers.items() if key in parts[name]}
+        for name, readers in _SECTIONS.items()
+    }
+    attack = read["attack"]
     scenario = ScenarioConfig(
-        network=network,
-        max_ticks=_get_int(run, "max_ticks", 1000, "run"),
-        seed=_get_int(run, "seed", 0, "run"),
-        policy=_parse_policy(policy_part),
-        energy=_parse_energy(energy_part),
-        attack=_parse_attack(attack_part),
-        death_mode=death_mode,
-        runs=_get_int(run, "runs", 1, "run"),
+        network=NetworkChainParams(**{"n_deployed": 20, **read["network"]}),
+        policy=read["policy"].get("probs") or default_policy(),
+        energy=replace(default_energy(), **read["energy"]),
+        attack=replace(_ATTACK_DEFAULTS[attack["kind"]]() if "kind" in attack else no_attack(),
+                       **attack),
+        **{"max_ticks": 1000, "seed": 0, **read["run"]},
     )
-
-    detector = DetectorSettings(
-        source=_get_enum(detector_part, "source", BaselineSource, BaselineSource.ANALYTIC,
-                         "baseline source"),
-        theta=_get_float(detector_part, "theta", DEFAULT_THRESHOLD_FACTOR, "detector"),
-        ticks_per_chain_step=_get_float(detector_part, "ticks_per_chain_step", 1.0, "detector"),
-        baseline_runs=_get_int(detector_part, "baseline_runs", 100, "detector"),
-        baseline_seed=_get_int(detector_part, "baseline_seed", None, "detector", nullable=True),
-    )
-    return ParsedConfig(scenario=scenario, detector=detector)
+    return ParsedConfig(scenario=scenario, detector=DetectorSettings(**read["detector"]))
 
 
 def _reject_constant(token: str):

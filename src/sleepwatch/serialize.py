@@ -12,13 +12,15 @@ are all exactly ``float`` (a row of the ``analyze`` matrices) is checked
 for finiteness and then formatted by a single ``%`` on a template of one
 ``%.17g`` per item, which gives the same text as :func:`format_float`
 item by item. Lists holding anything else, ``bool``, ``int`` and float
-subclasses included, are emitted item by item.
+subclasses included, are emitted item by item. Object keys and string
+values go through one escaper, the one ``json.dumps`` uses for a
+string, so both come out as ASCII that ``json.loads`` reads back.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .simulate import SimulationTrace
@@ -50,7 +52,7 @@ def _emit(value, indent: int, out: list[str]) -> None:
     elif isinstance(value, float):
         out.append(format_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -77,7 +79,7 @@ def _emit(value, indent: int, out: list[str]) -> None:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f'{sep}{inner}"{key}": ')
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
             _emit(value[key], indent + 2, out)
             sep = ",\n"
         out.append("\n" + " " * indent + "}")

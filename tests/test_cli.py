@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sleepwatch
-from sleepwatch import cli
+from sleepwatch import cli, config
 from sleepwatch.cli import main
 from sleepwatch.serialize import TRACE_HEADER
 
@@ -258,9 +258,8 @@ class TestSweep:
         assert len(rows) == len(values.split(","))
         assert len(built) == builds
         assert len({row.split(",")[1] for row in rows}) == builds
-        # a repeated value is simulated once and repeats its row
-        assert len(simulated) == len(set(values.split(",")))
-        assert len(set(rows)) == len(simulated)
+        # each distinct scenario is simulated once; theta changes only the verdict rule
+        assert len(simulated) == {"coverage": 3, "sleep_block": 2, "theta": 1, "m": 2}[param]
 
     @pytest.mark.parametrize("param, values, message", [
         ("theta", "0.5,1.5", "detector.theta must lie in (0, 1], got 1.5"),
@@ -405,6 +404,30 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert ran == []
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 47.7 GiB for an array with shape (80001, 80001) and data type float64",
+         "error: Unable to allocate 47.7 GiB for an array with shape (80001, 80001) and data type "
+         "float64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command, target", [
+        (["analyze"], "build_matrix"),
+        (["simulate", "--out", "traces"], "run_many"),
+        (["detect"], "run_many"),
+    ], ids=["analyze", "simulate", "detect"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                             command, target, message, line):
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, target, refuse)
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, readme_scenario(detector={"source": "analytic"}))
+        assert main([command[0], "--config", config, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -424,6 +447,13 @@ CONFIG_KEYS = {
     "detector": ("source", "theta", "ticks_per_chain_step", "baseline_runs", "baseline_seed"),
     "run": ("max_ticks", "seed", "runs", "death_mode"),
 }
+
+
+def test_fuzz_covers_every_config_key():
+    assert {section: set(keys) for section, keys in CONFIG_KEYS.items()} == {
+        section: set(readers) for section, readers in config._SECTIONS.items()}
+
+
 FLOAT_KEYS = {"capacity", "coverage", "sleep_block", "extra_drain", "theta",
               "ticks_per_chain_step", "sleep", "active", "inactive", "dead", "probs"}
 HUGE_INT = int("9" * 400)

@@ -1,13 +1,15 @@
 import json
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from test_cli import CONFIG_KEYS
 
 from sleepwatch.attack import AttackKind
 from sleepwatch.config import load_config, parse_config
 from sleepwatch.detect import BaselineSource
-from sleepwatch.errors import ConfigInvalid
+from sleepwatch.errors import ConfigInvalid, OutOfRange, TooFewNodes
 from sleepwatch.lifecycle import DeathMode, NodeState, default_energy, default_policy
 
 
@@ -163,3 +165,122 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigInvalid, match="not valid JSON"):
             load_config(path)
+
+
+_KINDS = "['none', 'rts_cts_flood', 'broadcast_replay']"
+_SOURCES = "['analytic', 'monte_carlo']"
+_MODES = "['probabilistic', 'energy']"
+_PROBS = [[0.6, 0.3, 0.1, 0.0], [0.35, 0.5, 0.13, 0.02],
+          [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]]
+_NO_ATTACK_ONLY = "a no-attack model must have zero coverage, sleep_block and extra_drain"
+
+
+def _wrong_type(path: str, value) -> tuple:
+    return ConfigInvalid, f"'{path}' has the wrong type: {value!r}"
+
+
+#: One fault per document: (section, key, value, expected). ``expected`` is
+#: either (exception type, exact message) or (attribute of the parsed
+#: config, parsed value); for each key it covers a wrong type, null and an
+#: in-range value.
+SINGLE_FAULTS = [
+    ("network", "n_deployed", "7", _wrong_type("network.n_deployed", "7")),
+    ("network", "n_deployed", None, _wrong_type("network.n_deployed", None)),
+    ("network", "n_deployed", 1.0, _wrong_type("network.n_deployed", 1.0)),
+    ("network", "n_deployed", 1, (TooFewNodes, "need at least 2 deployed nodes, got 1")),
+    ("network", "n_deployed", 7, ("scenario.network.n_deployed", 7)),
+    ("network", "initial_dead", True, _wrong_type("network.initial_dead", True)),
+    ("network", "initial_dead", None, _wrong_type("network.initial_dead", None)),
+    ("network", "initial_dead", 17, (OutOfRange, "initial_dead 17 outside [0, 16]")),
+    ("network", "initial_dead", 3, ("params.initial_dead", 3)),
+    ("policy", "probs", "x", _wrong_type("policy.probs", "x")),
+    ("policy", "probs", None, _wrong_type("policy.probs", None)),
+    ("policy", "probs", _PROBS, ("scenario.policy.probs", _PROBS)),
+    ("energy", "capacity", "250", _wrong_type("energy.capacity", "250")),
+    ("energy", "capacity", None, _wrong_type("energy.capacity", None)),
+    ("energy", "capacity", 0, (ConfigInvalid, "battery capacity must be positive and finite, got 0.0")),
+    ("energy", "capacity", 250, ("scenario.energy.capacity", 250.0)),
+    ("energy", "drain", [0.1], _wrong_type("energy.drain", [0.1])),
+    ("energy", "drain", None, _wrong_type("energy.drain", None)),
+    ("energy", "drain", {"active": 7.5}, ("scenario.energy.drain", [0.1, 7.5, 1.0, 0.0])),
+    ("energy", "drain", {}, ("scenario.energy.drain", [0.1, 5.0, 1.0, 0.0])),
+    ("energy", "drain", {"zombie": 1}, (ConfigInvalid, "unknown state(s) in energy.drain: ['zombie']")),
+    ("energy", "drain", {"sleep": "x"}, _wrong_type("energy.drain.sleep", "x")),
+    ("energy", "drain", {"active": None}, _wrong_type("energy.drain.active", None)),
+    ("energy", "drain", {"inactive": False}, _wrong_type("energy.drain.inactive", False)),
+    ("energy", "drain", {"dead": 10 ** 400}, (ConfigInvalid, "'energy.drain.dead' is too large for a float")),
+    ("attack", "kind", 5, (ConfigInvalid, f"unknown attack kind 5; expected one of {_KINDS}")),
+    ("attack", "kind", [], (ConfigInvalid, f"unknown attack kind []; expected one of {_KINDS}")),
+    ("attack", "kind", None, (ConfigInvalid, f"unknown attack kind None; expected one of {_KINDS}")),
+    ("attack", "kind", "broadcast_replay", ("scenario.attack.sleep_block", 0.6)),
+    ("attack", "coverage", "1", _wrong_type("attack.coverage", "1")),
+    ("attack", "coverage", None, _wrong_type("attack.coverage", None)),
+    ("attack", "coverage", 0.5, (ConfigInvalid, _NO_ATTACK_ONLY)),
+    ("attack", "coverage", 0, ("scenario.attack.coverage", 0.0)),
+    ("attack", "sleep_block", {}, _wrong_type("attack.sleep_block", {})),
+    ("attack", "sleep_block", None, _wrong_type("attack.sleep_block", None)),
+    ("attack", "sleep_block", 1.5, (ConfigInvalid, "sleep_block must lie in [0, 1], got 1.5")),
+    ("attack", "sleep_block", 0.0, ("scenario.attack.sleep_block", 0.0)),
+    ("attack", "extra_drain", True, _wrong_type("attack.extra_drain", True)),
+    ("attack", "extra_drain", None, _wrong_type("attack.extra_drain", None)),
+    ("attack", "extra_drain", 10 ** 400, (ConfigInvalid, "'attack.extra_drain' is too large for a float")),
+    ("attack", "extra_drain", 0, ("scenario.attack.extra_drain", 0.0)),
+    ("attack", "start_tick", 0.0, _wrong_type("attack.start_tick", 0.0)),
+    ("attack", "start_tick", None, _wrong_type("attack.start_tick", None)),
+    ("attack", "start_tick", 5, ("scenario.attack.start_tick", 5)),
+    ("attack", "end_tick", "9", _wrong_type("attack.end_tick", "9")),
+    ("attack", "end_tick", None, ("scenario.attack.end_tick", None)),
+    ("attack", "end_tick", -1, (ConfigInvalid, "attack window is empty: start 0 > end -1")),
+    ("attack", "end_tick", 9, ("scenario.attack.end_tick", 9)),
+    ("detector", "source", 1, (ConfigInvalid, f"unknown baseline source 1; expected one of {_SOURCES}")),
+    ("detector", "source", None,
+     (ConfigInvalid, f"unknown baseline source None; expected one of {_SOURCES}")),
+    ("detector", "source", "monte_carlo", ("detector.source", BaselineSource.MONTE_CARLO)),
+    ("detector", "theta", "0.5", _wrong_type("detector.theta", "0.5")),
+    ("detector", "theta", None, _wrong_type("detector.theta", None)),
+    ("detector", "theta", 1, ("detector.theta", 1.0)),
+    ("detector", "ticks_per_chain_step", [2], _wrong_type("detector.ticks_per_chain_step", [2])),
+    ("detector", "ticks_per_chain_step", None, _wrong_type("detector.ticks_per_chain_step", None)),
+    ("detector", "ticks_per_chain_step", 2, ("detector.ticks_per_chain_step", 2.0)),
+    ("detector", "baseline_runs", 7.0, _wrong_type("detector.baseline_runs", 7.0)),
+    ("detector", "baseline_runs", None, _wrong_type("detector.baseline_runs", None)),
+    ("detector", "baseline_runs", 7, ("detector.baseline_runs", 7)),
+    ("detector", "baseline_seed", "1", _wrong_type("detector.baseline_seed", "1")),
+    ("detector", "baseline_seed", None, ("detector.baseline_seed", None)),
+    ("detector", "baseline_seed", 0, ("detector.baseline_seed", 0)),
+    ("run", "max_ticks", "many", _wrong_type("run.max_ticks", "many")),
+    ("run", "max_ticks", None, _wrong_type("run.max_ticks", None)),
+    ("run", "max_ticks", 0, (ConfigInvalid, "max_ticks must be at least 1, got 0")),
+    ("run", "max_ticks", 50, ("scenario.max_ticks", 50)),
+    ("run", "seed", True, _wrong_type("run.seed", True)),
+    ("run", "seed", None, _wrong_type("run.seed", None)),
+    ("run", "seed", -1, (ConfigInvalid, "seed must be a non-negative integer, got -1")),
+    ("run", "seed", 9, ("scenario.seed", 9)),
+    ("run", "runs", [3], _wrong_type("run.runs", [3])),
+    ("run", "runs", None, _wrong_type("run.runs", None)),
+    ("run", "runs", 3, ("scenario.runs", 3)),
+    ("run", "death_mode", 0, (ConfigInvalid, f"unknown death_mode 0; expected one of {_MODES}")),
+    ("run", "death_mode", None, (ConfigInvalid, f"unknown death_mode None; expected one of {_MODES}")),
+    ("run", "death_mode", "probabilistic", ("scenario.death_mode", DeathMode.PROBABILISTIC)),
+]
+
+
+class TestSingleFaults:
+    @pytest.mark.parametrize("section, key, value, expected", SINGLE_FAULTS,
+                             ids=[f"{s}.{k}={v!r}" for s, k, v, _ in SINGLE_FAULTS])
+    def test_one_key_parses_or_fails_exactly(self, section, key, value, expected):
+        outcome, detail = expected
+        if isinstance(outcome, type):
+            with pytest.raises(outcome) as caught:
+                parse_config({section: {key: value}})
+            assert type(caught.value) is outcome
+            assert str(caught.value) == detail
+            return
+        got = attrgetter(outcome)(parse_config({section: {key: value}}))
+        if isinstance(got, np.ndarray):
+            got = got.tolist()
+        assert got == detail and type(got) is type(detail)
+
+    def test_table_covers_every_key(self):
+        assert {(s, k) for s, k, _, _ in SINGLE_FAULTS} == {
+            (section, key) for section, keys in CONFIG_KEYS.items() for key in keys}

@@ -2,7 +2,9 @@
 
 ``canonical_oracle.dumps_canonical`` is the emitter as first written;
 :func:`sleepwatch.serialize.dumps_canonical` must give the same text for
-every document and raise the same error for every value it refuses.
+every document whose keys need no escaping (the oracle writes keys
+raw) and raise the same error for every value it refuses. Keys and
+string values are escaped as ``json.dumps`` escapes a string.
 """
 
 from __future__ import annotations
@@ -108,3 +110,28 @@ def test_set_raises_as_oracle(doc):
     expected = refusal(oracle_dumps, doc)
     assert expected[0] is TypeError
     assert refusal(dumps_canonical, doc) == expected
+
+
+ODD_KEYS = ('a"b', "\\", "\t", "\x00", "\u00e9", "\ud800")
+
+
+@pytest.mark.parametrize("key", ODD_KEYS, ids=["quote", "backslash", "tab", "nul", "e-acute",
+                                                "lone-surrogate"])
+def test_keys_that_need_escaping_round_trip_as_ascii(key):
+    doc = {key: key, "nested": {key: [key, 0.5]}}
+    text = dumps_canonical(doc)
+    assert text.isascii()
+    assert json.loads(text) == doc
+
+
+def test_strings_escape_as_json_dumps():
+    rng = np.random.default_rng(20121)
+    common = [chr(c) for c in (*range(0x80), 0xE9, 0x2028, 0xD800, 0xDFFF, 0xFFFF, 0x1F600)]
+    for _ in range(400):
+        size = int(rng.integers(0, 12))
+        if rng.random() < 0.5:
+            text = "".join(common[int(i)] for i in rng.integers(0, len(common), size=size))
+        else:
+            text = "".join(chr(int(c)) for c in rng.integers(0, 0x110000, size=size))
+        assert dumps_canonical(text) == json.dumps(text)
+        assert dumps_canonical({text: 0}) == f"{{\n  {json.dumps(text)}: 0\n}}"

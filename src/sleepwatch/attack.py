@@ -105,7 +105,7 @@ def affected_set(model: AttackModel, node_count: int, rng: np.random.Generator) 
     if model.kind is AttackKind.NO_ATTACK:
         return frozenset()
     size = int(math.floor(model.coverage * node_count + 0.5))
-    return frozenset(int(i) for i in rng.permutation(node_count)[:size])
+    return frozenset(rng.permutation(node_count)[:size].tolist())
 
 
 def transform_policy(policy: NodePolicy, model: AttackModel) -> NodePolicy:

@@ -35,6 +35,9 @@ DEATH_FRACTION = 4, 5
 #: Rounding rule used to turn (4/5) * N into an integer threshold.
 THRESHOLD_ROUNDING = "half-up"
 
+#: Largest element count numpy can size for an 8-byte dtype.
+_MAX_ITEMS = np.iinfo(np.intp).max // 8
+
 
 def threshold_from_deployed(n: int) -> int:
     """Death threshold M = round(4n/5), rounded half-up.
@@ -55,7 +58,8 @@ class NetworkChainParams:
     This is the one description of a deployment's chain: the simulator,
     the detector and the CLI all read N, M and i from here. M defaults to
     round(4N/5) with half-up rounding; an explicit ``m_threshold`` must
-    lie in [2, N]. The start state must lie in [0, M].
+    lie in [2, N]. The start state must lie in [0, M]. N may not exceed
+    the element count numpy can size for an 8-byte array.
     """
 
     n_deployed: int
@@ -64,6 +68,8 @@ class NetworkChainParams:
 
     def __post_init__(self) -> None:
         derived = threshold_from_deployed(self.n_deployed)  # rejects N < 2
+        if self.n_deployed > _MAX_ITEMS:
+            raise ConfigInvalid(f"n_deployed {self.n_deployed} is too large for numpy arrays")
         if self.m_threshold is None:
             object.__setattr__(self, "m_threshold", derived)
         elif not 2 <= self.m_threshold <= self.n_deployed:
@@ -152,8 +158,12 @@ def expected_death_time(i, m: int):
 def build_matrix(m: int) -> TransitionMatrix:
     """Assemble the (m+1)-state tridiagonal chain for oracle cross-checks.
 
-    States 0 and m are absorbing; the rows come from ``step_probs``.
+    States 0 and m are absorbing; the rows come from ``step_probs``. An
+    ``m`` whose (m+1)-square float matrix numpy cannot size is refused
+    before anything is allocated.
     """
+    if (m + 1) ** 2 > _MAX_ITEMS:
+        raise ConfigInvalid(f"a {m + 1}-state matrix is too large for numpy arrays")
     move, stay = step_probs(m)
     probs = np.diag(stay)
     below = np.arange(m)

@@ -11,12 +11,18 @@ node stepping each draw from their own PCG64 substreams (see
 no-op attack cannot shift any draw. In a group, each running run draws
 one uniform per live node per tick from its own substream; PCG64
 ``random()`` is split-invariant, so a run sees the same uniforms in any
-group, and a run that reaches M draws no more.
+group, and a run that reaches M draws no more. The kernel keeps only the
+live nodes, in run order, in compacted arrays (state, attack row offset,
+battery, bincount bin, node index). It rebuilds them only on a tick
+where a node died, which includes the tick a run reaches M and drops
+all its nodes. On other ticks nothing is gathered or scattered, except
+the live batteries a recording run writes back for its battery column.
 
 Tick ordering is fixed: transform policy, draw next states, pay drain,
 apply battery deaths, count, check, stop at M. Dead-count monotonicity
 and node-count conservation are checked for every run inside the loop
-(InvariantViolated), also under ``python -O``.
+(InvariantViolated), also under ``python -O``; a run's dead count is
+its nodes dropped by earlier rebuilds plus those that died this tick.
 
 ``simulate_chain_trajectory`` runs the (M+1)-state dead-count chain
 itself instead of individual nodes. The node-level death process is not
@@ -127,16 +133,33 @@ class RunSummary:
     traces: tuple[SimulationTrace, ...] = field(repr=False, default=())
 
 
+def _row_costs(drain: np.ndarray, extra_drain: float) -> np.ndarray:
+    """Battery cost of one tick for each of the kernel's 8 policy rows.
+
+    Row ``s`` is a node in state ``s`` outside the attack, row ``4 + s``
+    an attacked node in state ``s`` inside the window; the attacker adds
+    ``extra_drain`` to an attacked node that is awake.
+    """
+    s = np.tile(np.arange(4), 2)
+    attacked = np.arange(8) >= 4
+    return drain[s] + extra_drain * (attacked & (s != SLEEP))
+
+
 def _step_runs(
     config: ScenarioConfig, run_indices: range, record: bool = False
 ) -> tuple[list[int | None], list[TickRecord]]:
     """Step the runs ``run_indices`` in lockstep; their death ticks and records.
 
-    The group's nodes live in flat ``runs * N`` arrays, run by run, so
-    the live nodes are in run order and each running run's draws from
-    its own STEP_STREAM are concatenated in that order. A run that
-    reaches M stops: its nodes are marked dead and draw no more. With
-    ``record`` the per-tick records of the first run are kept.
+    Only the group's live nodes are stepped. Their state, attack row
+    offset (4 on an attacked node), battery, bincount bin and index in
+    the group's ``runs * N`` nodes sit in compacted arrays, run by run,
+    so each running run's draws from its own STEP_STREAM are
+    concatenated in run order. The arrays are rebuilt, dropping the dead
+    nodes and the nodes of runs that reached M, only on a tick where a
+    node died or a run stopped; a run's dead count is the nodes dropped
+    so far plus its nodes that died this tick. With ``record`` the
+    per-tick records of the first run are kept, its battery column
+    summed over all N nodes in node order.
     """
     n, m = config.network.n_deployed, config.network.m_threshold
     size = len(run_indices)
@@ -150,52 +173,52 @@ def _step_runs(
     # edges at or below its uniform; the rows never decrease, so a uniform
     # past the last edge (float slack in a row sum) also lands on DEAD.
     cum = np.cumsum(np.vstack((base.probs, transform_policy(base, attack).probs)), axis=1)
-    edges = cum[:, :DEAD].T.copy()
+    edge0, edge1, edge2 = cum[:, :DEAD].T.copy()
+    costs = _row_costs(config.energy.drain, attack.extra_drain)
 
-    affected = np.zeros(size * n, dtype=bool)
+    offsets = np.zeros(size * n, dtype=np.intp)
     if attack.kind is not AttackKind.NO_ATTACK:
         for slot, k in enumerate(run_indices):
             ids = affected_set(attack, n, substream(config.seed, k, AFFECTED_STREAM))
             if ids:
-                affected[slot * n + np.fromiter(ids, dtype=np.int64)] = True
+                offsets[slot * n + np.fromiter(ids, dtype=np.intp)] = 4
 
     draws = [substream(config.seed, k, STEP_STREAM).random for k in run_indices]
-    drain = config.energy.drain
     energy_death = config.death_mode is DeathMode.ENERGY
-    states = np.full(size * n, SLEEP, dtype=np.int64)
+    states = np.full(size * n, SLEEP, dtype=np.int8)
     batteries = np.full(size * n, config.energy.capacity, dtype=float)
     bins = np.repeat(4 * np.arange(size), n)  # a node's bincount bin is 4 * slot + state
-    run_starts = np.arange(size + 1) * n
+    nodes = np.arange(size * n)
+    run_bins = 4 * np.arange(size + 1)
+    live_per_run = [n] * size
+    removed = np.zeros(size, dtype=np.int64)  # per run, nodes dropped from the live arrays
 
-    records = [TickRecord(0, 0, n, 0, 0, float(batteries.sum()))] if record else []
+    all_batteries = batteries.copy()  # every node's battery in node order, for the records
+    records = [TickRecord(0, 0, n, 0, 0, float(all_batteries.sum()))] if record else []
     death_at = np.zeros(size, dtype=np.int64)  # 0 until the run reaches M
     prev_dead = np.zeros(size, dtype=np.int64)
 
     for tick in range(1, config.max_ticks + 1):
-        live = np.flatnonzero(states != DEAD)
-        if live.size:
-            current = states[live]
-            under_attack = affected[live] & attack.in_window(tick)
-            live_per_run = np.diff(np.searchsorted(live, run_starts)).tolist()
-            u = np.concatenate([draw(c) for draw, c in zip(draws, live_per_run) if c])
-            row = current + 4 * under_attack
-            nxt = sum(u >= edge[row] for edge in edges)
-            cost = drain[current] + attack.extra_drain * (under_attack & (current != SLEEP))
-            left = batteries[live] - cost
-            batteries[live] = left
-            if energy_death:
-                nxt[left <= 0.0] = DEAD
-            states[live] = nxt
+        row = states + offsets if attack.in_window(tick) else states.astype(np.intp)
+        u = np.concatenate([draw(c) for draw, c in zip(draws, live_per_run) if c])
+        states = ((u >= edge0[row]).view(np.int8) + (u >= edge1[row]).view(np.int8)
+                  + (u >= edge2[row]).view(np.int8))
+        batteries -= costs[row]
+        if energy_death:
+            states[batteries <= 0.0] = DEAD
+        if record:
+            all_batteries[nodes] = batteries
 
         counts = np.bincount(states + bins, minlength=4 * size).reshape(size, 4)
-        dead = counts[:, DEAD]
+        died = counts[:, DEAD]
+        dead = removed + died
         fell = np.flatnonzero(dead < prev_dead)
         if fell.size:
             s = fell[0]
             raise InvariantViolated(
                 f"dead count fell from {prev_dead[s]} to {dead[s]} at tick {tick} in run {run_indices[s]}"
             )
-        totals = counts.sum(axis=1)
+        totals = removed + counts.sum(axis=1)
         wrong = np.flatnonzero(totals != n)
         if wrong.size:
             s = wrong[0]
@@ -205,14 +228,22 @@ def _step_runs(
         prev_dead = dead
         if record:
             c = counts[0]
-            records.append(TickRecord(tick, int(c[DEAD]), int(c[SLEEP]), int(c[NodeState.ACTIVE]),
-                                      int(c[NodeState.INACTIVE]), float(batteries.sum())))
+            records.append(TickRecord(tick, int(dead[0]), int(c[SLEEP]), int(c[NodeState.ACTIVE]),
+                                      int(c[NodeState.INACTIVE]), float(all_batteries.sum())))
         stopped = (dead >= m) & (death_at == 0)
         if stopped.any():
             death_at[stopped] = tick
             if death_at.all():
                 break
-            states.reshape(size, n)[stopped] = DEAD
+        if died.any():  # also on the tick a run reaches M
+            keep = states != DEAD
+            if stopped.any():
+                keep &= np.repeat(death_at == 0, live_per_run)
+            states, offsets, batteries, bins, nodes = (
+                a[keep] for a in (states, offsets, batteries, bins, nodes))
+            kept = np.diff(np.searchsorted(bins, run_bins))
+            removed = n - kept
+            live_per_run = kept.tolist()
 
     return [t or None for t in death_at.tolist()], records
 

@@ -428,6 +428,17 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == line
 
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--out", "traces"], ["detect"]],
+                             ids=["analyze", "simulate", "detect"])
+    def test_node_count_numpy_cannot_size_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                            command):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, {"network": {"n_deployed": 10 ** 19}})
+        assert main([command[0], "--config", config, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_deployed 10000000000000000000 is too large for numpy arrays\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
 

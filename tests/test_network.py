@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import closed_form_oracle as oracle
-from sleepwatch import chain
+from sleepwatch import chain, network
 from sleepwatch.errors import ConfigInvalid, OutOfRange, TooFewNodes
 from sleepwatch.network import (
     NetworkChainParams,
@@ -180,6 +180,14 @@ class TestBuildMatrix:
                     assert tm.probs[i, j] == 0.0
         assert np.max(np.abs(tm.probs.sum(axis=1) - 1.0)) <= 1e-12
 
+    def test_refuses_a_matrix_numpy_cannot_size_before_allocating(self, monkeypatch):
+        def allocate(m):
+            raise AssertionError("step_probs allocated before the size check")
+
+        monkeypatch.setattr(network, "step_probs", allocate)
+        with pytest.raises(ConfigInvalid, match="too large for numpy arrays"):
+            build_matrix(3_100_000_000)
+
     def test_absorbing_states_declared(self):
         tm = build_matrix(7)
         assert tm.absorbing == frozenset({0, 7})
@@ -216,6 +224,12 @@ class TestThreshold:
     def test_params_reject_threshold_outside_range(self, m):
         with pytest.raises(ConfigInvalid, match=r"outside \[2, 10\]"):
             NetworkChainParams(n_deployed=10, initial_dead=1, m_threshold=m)
+
+    def test_params_reject_node_counts_numpy_cannot_size(self):
+        largest = np.iinfo(np.intp).max // 8
+        assert NetworkChainParams(n_deployed=largest).n_deployed == largest
+        with pytest.raises(ConfigInvalid, match="too large for numpy arrays"):
+            NetworkChainParams(n_deployed=largest + 1)
 
     def test_params_with_explicit_threshold_still_need_two_nodes(self):
         with pytest.raises(TooFewNodes):

@@ -163,6 +163,33 @@ class TestScalarOracle:
             assert trace.network_death_tick == death_tick
             assert death_tick is not None
 
+    def test_battery_column_after_compaction_matches_node_by_node_loop(self):
+        # numpy's pairwise sum blocks only past 128 elements, and a 0.1 drain makes
+        # the sums inexact, so with 300 nodes the battery column pins that all N
+        # batteries are summed in node order after dead nodes have left the
+        # kernel's live arrays
+        config = scenario(n_deployed=300, policy=sw.default_policy(), death_mode=sw.DeathMode.ENERGY,
+                          energy=sw.EnergyModel(60.0, np.array([0.1, 5.0, 1.0, 0.0])),
+                          attack=sw.rts_cts_flood(coverage=0.5, start_tick=5, end_tick=30))
+        trace = run_one(config)
+        rows, death_tick = scalar_run(config)
+        assert [astuple(rec) for rec in trace.per_tick] == rows
+        assert trace.network_death_tick == death_tick
+        first_death = next(rec.tick for rec in trace.per_tick if rec.dead)
+        assert first_death < death_tick - 10
+
+    @pytest.mark.parametrize("extra_drain", [0.0, 0.1, 2.0, 1 / 3])
+    def test_row_costs_are_the_drain_expression(self, extra_drain):
+        drain = np.array([0.1, 5.0, 1.0, 0.0])
+        costs = simulate._row_costs(drain, extra_drain)
+        assert costs.shape == (8,)
+        for s in range(4):
+            for affected in (False, True):
+                for in_window in (False, True):
+                    attacked = np.array([affected & in_window])
+                    state = np.array([s])
+                    expected = drain[state] + extra_drain * (attacked & (state != sw.NodeState.SLEEP))
+                    assert costs[s + 4 * (affected and in_window)] == expected[0]
 
 
 # Runs `simulate` with run_one's per-tick state count corrupted by {corrupt}.
@@ -189,17 +216,27 @@ sys.exit(main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]))
 """
 
 
+# With this battery run 0 of the corruption configs, as `simulate` and as
+# `detect`'s baseline step it, loses its first node by tick 11 and has 1 dead
+# at ticks 12 and 13, so a phantom death at tick 12 lands after the kernel
+# rebuilt its live arrays, and is gone at tick 13.
+SMALL_BATTERY = {"energy": {"capacity": 35.0}}
+PHANTOM_AFTER_REBUILD = "if CorruptedNumpy.calls == 12: counts[0] -= 1; counts[3] += 1"
+
+
 class TestInvariantChecks:
     """The per-tick invariants still hold under ``python -O``, which drops asserts."""
 
-    @pytest.mark.parametrize("corrupt,message", [
+    @pytest.mark.parametrize("corrupt,message,extra", [
         # a phantom death at tick 1 that is gone at tick 2
-        ("if CorruptedNumpy.calls == 1: counts[0] -= 1; counts[3] += 1", "dead count fell"),
-        ("counts[0] += 1", "nodes counted"),
-    ], ids=["dead-count-falls", "node-appears"])
-    def test_violation_exits_one_under_optimize(self, tmp_path, corrupt, message):
+        ("if CorruptedNumpy.calls == 1: counts[0] -= 1; counts[3] += 1", "dead count fell", {}),
+        ("counts[0] += 1", "nodes counted", {}),
+        (PHANTOM_AFTER_REBUILD, "dead count fell from 2 to 1 at tick 13 in run 0", SMALL_BATTERY),
+    ], ids=["dead-count-falls", "node-appears", "dead-count-falls-after-rebuild"])
+    def test_violation_exits_one_under_optimize(self, tmp_path, corrupt, message, extra):
         config = tmp_path / "scenario.json"
-        config.write_text(json.dumps({"network": {"n_deployed": 10}, "run": {"max_ticks": 20}}))
+        config.write_text(json.dumps({"network": {"n_deployed": 10}, "run": {"max_ticks": 20},
+                                      **extra}))
         script = CORRUPTED_COUNT_SCRIPT.format(corrupt=corrupt)
         env = {**os.environ, "PYTHONPATH": str(Path(sw.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-O", "-c", script, str(config), str(tmp_path / "out")],
@@ -287,16 +324,18 @@ class TestLockstep:
         assert summary_fields(split) == summary_fields(whole)
         assert split.death_ticks == tuple(run_one(config, k).network_death_tick for k in range(7))
 
-    @pytest.mark.parametrize("corrupt,message", [
+    @pytest.mark.parametrize("corrupt,message,extra", [
         ("if CorruptedNumpy.calls == 1: counts[0] -= 1; counts[3] += 1",
-         "dead count fell from 1 to 0 at tick 2 in run 0"),
-        ("counts[0] += 1", "11 nodes counted at tick 1 in run 0, 10 deployed"),
-    ], ids=["dead-count-falls", "node-appears"])
-    def test_invariant_violation_exits_one_under_optimize(self, tmp_path, corrupt, message):
+         "dead count fell from 1 to 0 at tick 2 in run 0", {}),
+        ("counts[0] += 1", "11 nodes counted at tick 1 in run 0, 10 deployed", {}),
+        (PHANTOM_AFTER_REBUILD, "dead count fell from 2 to 1 at tick 13 in run 0", SMALL_BATTERY),
+    ], ids=["dead-count-falls", "node-appears", "dead-count-falls-after-rebuild"])
+    def test_invariant_violation_exits_one_under_optimize(self, tmp_path, corrupt, message, extra):
         # detect's Monte Carlo baseline steps its 5 runs as one lockstep group
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"network": {"n_deployed": 10}, "run": {"max_ticks": 20},
-                                      "detector": {"source": "monte_carlo", "baseline_runs": 5}}))
+                                      "detector": {"source": "monte_carlo", "baseline_runs": 5},
+                                      **extra}))
         script = CORRUPTED_COUNT_SCRIPT.format(corrupt=corrupt)
         detect_script = script.replace('main(["simulate"', 'main(["detect"')
         assert detect_script != script

@@ -37,7 +37,7 @@ from .network import (
     expected_death_time,
     expected_visits_closed,
 )
-from .serialize import dumps_canonical, write_json_text, write_trace_csv
+from .serialize import dumps_canonical, write_json_stream, write_json_text, write_trace_csv
 from .simulate import RunSummary, ScenarioConfig, run_many
 
 _EXIT_FOR_DECISION = {
@@ -135,8 +135,8 @@ def _analyze_report(parsed: ParsedConfig) -> dict:
     }
     for key, (closed, oracle) in closed_and_oracle.items():
         report[key] = {
-            "closed_form": closed.tolist(),
-            "oracle": oracle.tolist(),
+            "closed_form": closed,
+            "oracle": oracle,
             "max_abs_deviation": float(np.max(np.abs(closed - oracle))),
         }
     return report
@@ -185,7 +185,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = _load(args)
     out = _out_dir(args)
     text = dumps_canonical(_analyze_report(parsed))
-    print(text)
+    write_json_stream(sys.stdout, text)
     if out is not None:
         write_json_text(out / "analyze.json", text)
     return 0
@@ -199,7 +199,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_trace_csv(out / f"run_{trace.run_index:03d}.csv", trace)
     text = dumps_canonical(_summary_dict(summary, parsed.scenario))
     write_json_text(out / "summary.json", text)
-    print(text)
+    write_json_stream(sys.stdout, text)
     return 0
 
 
@@ -210,7 +210,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     summary = run_many(parsed.scenario)
     verdict = detect(summary, baseline, parsed.detector.theta)
     text = dumps_canonical(_verdict_dict(verdict, baseline))
-    print(text)
+    write_json_stream(sys.stdout, text)
     if out is not None:
         write_json_text(out / "verdict.json", text)
     return _EXIT_FOR_DECISION[verdict.decision]

@@ -7,25 +7,47 @@ float64 exactly); CSVs use LF line endings and the same float format.
 
 The JSON emitter makes one pass over the document: every nesting level
 appends its pieces to one shared list, joined once at the end, so no
-subtree's text is copied into its parent's. A list or tuple whose items
-are all exactly ``float`` (a row of the ``analyze`` matrices) is checked
-for finiteness and then formatted by a single ``%`` on a template of one
-``%.17g`` per item, which gives the same text as :func:`format_float`
-item by item. Lists holding anything else, ``bool``, ``int`` and float
-subclasses included, are emitted item by item. Object keys and string
-values go through one escaper, the one ``json.dumps`` uses for a
-string, so both come out as ASCII that ``json.loads`` reads back.
+subtree's text is copied into its parent's. Lists and tuples are
+emitted item by item. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
+matrices) gives the same bytes as its ``.tolist()`` would, from a
+vectorized kernel that works on blocks of values: for each value it
+computes the correctly rounded 17-digit integer and the decimal exponent
+with exact float arithmetic, lays out the ``%.17g`` text and the
+separator after it in a ``uint8`` buffer, and keeps the bytes that text
+uses. Values outside the kernel's range (zero, magnitudes below 1e-4 or
+from 1e16 up) go through :func:`format_float`. Object keys and string
+values go through one escaper, the one ``json.dumps`` uses for a string,
+so both come out as ASCII that ``json.loads`` reads back.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TextIO
+
+import numpy as np
 
 from .simulate import SimulationTrace
 
 TRACE_HEADER = "tick,dead,sleep,active,inactive,battery"
+
+_BLOCK = 1 << 14  # values per kernel pass: its buffers stay near 1 MB
+_WRITE_SLICE = 1 << 20  # characters per write to a text stream
+_POW10 = np.array([float(10**p) for p in range(23)])  # exact up to 10**22
+_SPLIT = float(2**27 + 1)  # Veltkamp splitter for float64
+
+# Byte columns of one value's cell in the kernel buffer. _DIGITS holds
+# "000" and the 17 digits, written as five 4-digit groups; _FRACTION is a
+# copy of it. The sign, the integer digits, the point and the fraction
+# digits are then runs whose places depend only on the sign, the exponent
+# and the trailing zeros, so one keep-mask row per such triple selects the
+# text. The separator after the value starts at _NUMBER; a value the
+# kernel leaves to format_float has its text written from column 0.
+_SIGN, _DIGITS, _POINT, _FRACTION, _NUMBER = 3, 4, 24, 28, 48
+_FALLBACK_WIDTH = 24  # longest %.17g text: "-2.2250738585072014e-308"
 
 
 def format_float(x: float) -> str:
@@ -53,22 +75,18 @@ def _emit(value, indent: int, out: list[str]) -> None:
         out.append(format_float(value))
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
+    elif isinstance(value, np.ndarray):
+        _emit_array(value, indent, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = " " * (indent + 2)
-        if all(type(v) is float for v in value):
-            if not all(map(math.isfinite, value)):
-                format_float(next(v for v in value if not math.isfinite(v)))  # raises
-            out.append("[\n" + inner)
-            out.append((",\n" + inner).join(["%.17g"] * len(value)) % tuple(value))
-        else:
-            sep = "[\n"
-            for item in value:
-                out.append(sep + inner)
-                _emit(item, indent + 2, out)
-                sep = ",\n"
+        sep = "[\n"
+        for item in value:
+            out.append(sep + inner)
+            _emit(item, indent + 2, out)
+            sep = ",\n"
         out.append("\n" + " " * indent + "]")
     elif isinstance(value, dict):
         if not value:
@@ -87,13 +105,159 @@ def _emit(value, indent: int, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
+def _emit_array(a: np.ndarray, indent: int, out: list[str]) -> None:
+    """Append the text ``a.tolist()`` would give, for a 1-D or 2-D float64 array."""
+    if a.dtype != np.float64 or a.ndim not in (1, 2):
+        raise TypeError(f"cannot serialize a {a.ndim}-D {a.dtype} ndarray canonically")
+    if a.size == 0:
+        _emit(a.tolist(), indent, out)
+        return
+    finite = np.isfinite(a)
+    if not finite.all():
+        format_float(float(a[~finite][0]))  # raises, for the first in row-major order
+    outer, inner = " " * (indent + 2), " " * (indent + 2 * a.ndim)
+    if a.ndim == 1:
+        out.append("[\n" + inner)
+        row_break, close = "", ""
+    else:
+        out.append(f"[\n{outer}[\n{inner}")
+        row_break, close = f"\n{outer}],\n{outer}[\n{inner}", f"\n{outer}]"
+    suffixes = (",\n" + inner, row_break, "")  # after a value: an item, a row, the end
+    cells, keep_rows = _cell_tables(suffixes)
+    flat = a.ravel()
+    row = a.shape[-1]
+    for start in range(0, flat.size, _BLOCK):
+        x = flat[start:start + _BLOCK]
+        kind = np.zeros(x.size, np.intp)  # index into suffixes
+        kind[(row - 1 - start) % row::row] = 1
+        if start + _BLOCK >= flat.size:
+            kind[-1] = 2
+        out.append(_format_block(x, kind, cells, keep_rows))
+    out.append(close + "\n" + " " * indent + "]")
+
+
+def _cell_tables(suffixes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed bytes of a cell per suffix, and its keep mask per (number code, suffix)."""
+    number_keep = _kernel_tables()[0]
+    width = -(-(_NUMBER + max(map(len, suffixes))) // 4) * 4  # whole uint32 words
+    cells = np.zeros((len(suffixes), width), np.uint8)
+    keep = np.zeros((len(number_keep), len(suffixes), width), bool)
+    cells[:, _SIGN] = ord("-")
+    cells[:, _POINT] = ord(".")
+    keep[:, :, :_NUMBER] = number_keep[:, None]
+    for i, suffix in enumerate(suffixes):
+        cells[i, _NUMBER:_NUMBER + len(suffix)] = list(suffix.encode())
+        keep[:, i, _NUMBER:_NUMBER + len(suffix)] = True
+    return cells, keep.reshape(-1, width)
+
+
+def _format_block(x: np.ndarray, kind: np.ndarray, cells: np.ndarray,
+                  keep_rows: np.ndarray) -> str:
+    """``%.17g`` of each finite value in ``x``, each followed by its ``kind``'s suffix."""
+    _, group_text, group_zeros = _kernel_tables()
+    ax = np.abs(x)
+    in_range = (ax >= 1e-4) & (ax < 1e16)
+    digits, exp10 = _digits17(np.where(in_range, ax, 1.0))
+    hi, lo = np.divmod(digits, 10**8)
+    groups = np.empty((5, x.size), np.intp)
+    groups[3], groups[4] = np.divmod(lo, 10**4)
+    hi, groups[2] = np.divmod(hi, 10**4)
+    groups[0], groups[1] = np.divmod(hi, 10**4)
+    zeros = group_zeros[groups[:0:-1]]  # groups 4, 3, 2, 1; group 0 is never 0
+    trailing = zeros[3]
+    for z in zeros[2::-1]:
+        trailing = z + (z == 4) * trailing
+
+    buf = np.take(cells, kind, axis=0)
+    text = group_text[groups].T
+    words = buf.view(np.uint32)
+    words[:, _DIGITS // 4:_DIGITS // 4 + 5] = text
+    words[:, _FRACTION // 4:_FRACTION // 4 + 5] = text
+    code = ((exp10 + 4) * 17 + trailing) * 2 + (x < 0)
+    keep = np.take(keep_rows, code * len(cells) + kind, axis=0)
+    if not in_range.all():
+        odd = np.flatnonzero(~in_range)
+        texts = np.array([format_float(v) for v in x[odd].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
+        texts = texts.view(np.uint8).reshape(odd.size, _FALLBACK_WIDTH)  # NUL-padded
+        buf[odd, :_FALLBACK_WIDTH] = texts
+        keep[odd, :_NUMBER] = False
+        keep[odd, :_FALLBACK_WIDTH] = texts != 0
+    return buf[keep].tobytes().decode("ascii")
+
+
+def _digits17(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``%.17e`` of each ``1e-4 <= ax < 1e16``: the 17-digit integer and the exponent.
+
+    ``x * 10**p`` is split exactly into ``h + l`` (Dekker's product). Here
+    ``h >= 1e16 > 2**53`` is an even integer, so ``h + rint(l)`` is the
+    product rounded half to even. The exponent estimated from the binary
+    one is exact or one too low; a too-low one gives 18 digits and is
+    redone. No value in the range rounds up to ``10**17``: the float64
+    just below a power of ten is ~1e-16 of it away, the half-unit 5e-18.
+    """
+    _, exp2 = np.frexp(ax)
+    exp10 = ((exp2.astype(np.int64) - 1) * 78913) >> 18  # floor((exp2 - 1) * log10(2))
+    digits = _rounded_product(ax, _POW10[16 - exp10])
+    low = digits >= 10**17
+    if low.any():
+        exp10[low] += 1
+        digits[low] = _rounded_product(ax[low], _POW10[16 - exp10[low]])
+    return digits, exp10
+
+
+def _rounded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` rounded half to even, exact when it is at least 2**53."""
+    h = a * b
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = b * _SPLIT
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    l = ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return h.astype(np.int64) + np.rint(l).astype(np.int64)
+
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep-mask rows of the number columns, and the text and trailing zeros of 0..9999."""
+    exp10 = np.arange(-4, 16)[:, None, None, None]
+    trailing = np.arange(17)[None, :, None, None]
+    negative = np.arange(2)[None, None, :, None]
+    col = np.arange(_NUMBER)
+    digit, fraction = col - _DIGITS, col - _FRACTION
+    number_keep = (
+        ((col == _SIGN) & (negative == 1))
+        | np.where(exp10 < 0, digit == 2, (digit >= 3) & (digit < 4 + exp10))
+        | ((col == _POINT) & (16 - exp10 - trailing > 0))
+        | ((fraction >= 4 + exp10) & (fraction < 20 - trailing))
+    ).reshape(-1, _NUMBER)
+    group = np.arange(10_000)
+    text = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
+    zeros = sum((group % 10**p == 0).astype(np.intp) for p in range(1, 5))
+    return number_keep, (text + ord("0")).astype(np.uint8).view(np.uint32).ravel(), zeros
+
+
 def write_json(path: str | Path, value) -> None:
     write_json_text(path, dumps_canonical(value))
 
 
 def write_json_text(path: str | Path, text: str) -> None:
     """Write the output of :func:`dumps_canonical` as a JSON file."""
-    Path(path).write_text(text + "\n")
+    with Path(path).open("w") as f:
+        write_json_stream(f, text)
+
+
+def write_json_stream(stream: TextIO, text: str) -> None:
+    """Write the output of :func:`dumps_canonical` and a newline to a text stream.
+
+    The text goes in slices: a text stream encodes each string it is given
+    as one bytes object, so one write of the 35 MB ``analyze`` document (or
+    of ``text + "\n"``) would hold a second copy of it.
+    """
+    for start in range(0, len(text), _WRITE_SLICE):
+        stream.write(text[start:start + _WRITE_SLICE])
+    stream.write("\n")
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:

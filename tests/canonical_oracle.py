@@ -4,11 +4,14 @@
 recursive call per value, each nesting level building its text from the
 strings of its children. :func:`sleepwatch.serialize.dumps_canonical`
 must produce the same text and raise the same errors, so
-``test_serialize`` compares the two with ``==``. Nothing here is used by
-the library.
+``test_serialize`` compares the two with ``==``. A 1-D or 2-D float64
+``ndarray`` is written as its ``.tolist()``; any other ``ndarray`` is
+refused. Nothing here is used by the library.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from sleepwatch.serialize import format_float
 
@@ -29,6 +32,10 @@ def dumps_canonical(value, indent: int = 0) -> str:
         import json
 
         return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or value.ndim not in (1, 2):
+            raise TypeError(f"cannot serialize a {value.ndim}-D {value.dtype} ndarray canonically")
+        return dumps_canonical(value.tolist(), indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

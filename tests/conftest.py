@@ -1,4 +1,4 @@
-"""Shared generators for randomized chain and policy tests."""
+"""Shared generators for randomized chain, policy and float-formatting tests."""
 
 from __future__ import annotations
 
@@ -63,3 +63,17 @@ def random_node_policy(rng: np.random.Generator) -> NodePolicy:
         weights = rng.random(keep.size) + 0.05
         probs[s, keep] = weights / weights.sum()
     return NodePolicy(probs)
+
+
+def random_float64(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Finite float64 values from random bit patterns, either sign.
+
+    Half take any finite binary exponent, subnormals included; the other
+    half a binary exponent in [-20, 60] (magnitudes ~1e-6 to ~2e18), the
+    range where ``%.17g`` switches between fixed and exponent form.
+    """
+    sign = rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+    exponent = np.where(rng.random(size) < 0.5, rng.integers(0, 2047, size=size),
+                        rng.integers(1023 - 20, 1023 + 61, size=size)).astype(np.uint64)
+    mantissa = rng.integers(0, 2**52, size=size, dtype=np.uint64)
+    return (sign | (exponent << np.uint64(52)) | mantissa).view(np.float64)

@@ -4,20 +4,26 @@
 :func:`sleepwatch.serialize.dumps_canonical` must give the same text for
 every document whose keys need no escaping (the oracle writes keys
 raw) and raise the same error for every value it refuses. Keys and
-string values are escaped as ``json.dumps`` escapes a string.
+string values are escaped as ``json.dumps`` escapes a string. A float64
+array must give the bytes of its ``.tolist()``, whose floats are
+``format(x, ".17g")``: the vectorized digit kernel is checked against
+that on the values where its arithmetic is most likely to slip.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from canonical_oracle import dumps_canonical as oracle_dumps
-from sleepwatch import cli
+from conftest import random_float64
+from sleepwatch import cli, serialize
 from sleepwatch.config import load_config
-from sleepwatch.serialize import dumps_canonical
+from sleepwatch.serialize import dumps_canonical, write_json_stream, write_json_text
 
 EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 0.1, 1 / 3, 1e308)
 SCALARS = (0, -7, 2**70, True, False, None, "", "plain", 'quote " and \\ slash', "café\n")
@@ -61,10 +67,12 @@ def refusal(dumps, value) -> tuple[type, str]:
 
 def test_analyze_report_matches_oracle(tmp_path):
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"network": {"n_deployed": 40, "initial_dead": 1}}))
-    report = cli._analyze_report(load_config(config))
-    assert len(report["expected_visits"]["oracle"]) > 1
-    assert dumps_canonical(report) == oracle_dumps(report)
+    for n_deployed in (40, 200):  # 200: 159 rows, more than one kernel block
+        config.write_text(json.dumps({"network": {"n_deployed": n_deployed, "initial_dead": 1}}))
+        report = cli._analyze_report(load_config(config))
+        visits = report["expected_visits"]["oracle"]
+        assert isinstance(visits, np.ndarray) and len(visits) > 1
+        assert dumps_canonical(report) == oracle_dumps(report)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -135,3 +143,117 @@ def test_strings_escape_as_json_dumps():
             text = "".join(chr(int(c)) for c in rng.integers(0, 0x110000, size=size))
         assert dumps_canonical(text) == json.dumps(text)
         assert dumps_canonical({text: 0}) == f"{{\n  {json.dumps(text)}: 0\n}}"
+
+
+def assert_kernel_matches_format(values) -> None:
+    """``dumps_canonical`` of the array equals that of its list, and ``format(x, ".17g")``."""
+    array = np.asarray(values, dtype=np.float64)
+    items = array.tolist()
+    text = dumps_canonical(array)
+    assert text == dumps_canonical(items)
+    assert text == "[\n  " + ",\n  ".join(format(x, ".17g") for x in items) + "\n]"
+
+
+def test_powers_of_ten_and_their_neighbours():
+    values = []
+    for e in range(-6, 19):
+        p = float(f"1e{e}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    assert_kernel_matches_format(values + [-v for v in values])
+
+
+def test_half_way_ties_round_to_even():
+    assert dumps_canonical(np.array([1 + 2**-17, 1 + 3 * 2**-17])) == (
+        "[\n  1.0000076293945312,\n  1.0000228881835938\n]")
+    rng = np.random.default_rng(17)
+    ties = []
+    for digits in range(1, 16):  # n + odd / 2**(18 - digits), n of that many digits
+        whole = rng.integers(10 ** (digits - 1), 10**digits, size=200)
+        odd = 2 * rng.integers(0, 2 ** (17 - digits), size=200) + 1
+        ties += (whole + odd * 2.0 ** (digits - 18)).tolist()
+    for zeros in range(4):  # 0.(zeros)ddd: odd / 2**(18 + zeros) in [10**-(zeros + 1), 10**-zeros)
+        scale = 2 ** (18 + zeros)
+        odd = 2 * rng.integers(scale // 10 ** (zeros + 1) // 2 + 1, scale // 10**zeros // 2, size=200) + 1
+        ties += (odd / scale).tolist()
+    for x in ties:  # each is exactly half-way between two 17-digit decimals
+        exact = Decimal(x).as_tuple().digits
+        assert len(exact) == 18 and exact[-1] == 5, x
+    assert_kernel_matches_format(ties + [-x for x in ties])
+
+
+def test_integers_and_the_switch_to_exponent_form():
+    ints = [float(i) for i in range(1001)]
+    near = []
+    for centre in (2.0**53, 1e15, 1e16, 1e17):
+        x = centre
+        for _ in range(6):
+            x = np.nextafter(x, 0.0)
+        for _ in range(12):
+            near.append(x)
+            x = np.nextafter(x, np.inf)
+    assert_kernel_matches_format(ints + near + [2.0**53 + 2, 9007199254740993.0, 99999999999999984.0])
+
+
+def test_zero_subnormals_and_negatives():
+    assert_kernel_matches_format([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  -2.2250738585072014e-308, 1e-300, -1.5, -1e-5, -0.1,
+                                  -123.456, 1e308, -1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_bit_patterns(seed):
+    values = random_float64(np.random.default_rng(seed), 40_000)
+    assert_kernel_matches_format(values)
+    matrix = values.reshape(200, 200)
+    assert dumps_canonical({"m": matrix}) == dumps_canonical({"m": matrix.tolist()})
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (1,), (1, 5), (5, 1), (1, 1), (4, 3)],
+                         ids=str)
+def test_small_arrays_nested_at_several_indents(shape):
+    array = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7
+    doc = {"a": array, "b": {"c": array, "d": [array, {"e": (array, -array)}]}}
+    assert dumps_canonical(doc) == oracle_dumps(doc)
+
+
+def test_arrays_spanning_several_blocks():
+    rng = np.random.default_rng(2012)
+    matrix = rng.random((3 * serialize._BLOCK // 331 + 2, 331)) * 1e3  # blocks end mid-row
+    vector = -rng.random(2 * serialize._BLOCK + 5)
+    doc = {"m": matrix, "v": vector, "f": np.asfortranarray(matrix[:60])}
+    assert dumps_canonical(doc) == oracle_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 3)], ids=["first", "middle", "last"])
+def test_non_finite_in_array_raises_as_list(bad, where):
+    matrix = np.arange(1.0, 13.0).reshape(3, 4)
+    matrix[where] = bad
+    if where == (0, 0):
+        matrix[1, 2] = -bad  # a later bad item must not be the one reported
+    expected = (ValueError, f"refusing to serialize non-finite value {bad!r}")
+    for doc in (matrix, {"a": [1.0], "b": {"c": matrix}}, matrix.ravel()):
+        assert refusal(oracle_dumps, doc) == expected
+        assert refusal(dumps_canonical, doc) == expected
+
+
+@pytest.mark.parametrize("array, message", [
+    (np.arange(3, dtype=np.int64), "cannot serialize a 1-D int64 ndarray canonically"),
+    (np.zeros((2, 2, 2)), "cannot serialize a 3-D float64 ndarray canonically"),
+    (np.zeros(2, np.float32), "cannot serialize a 1-D float32 ndarray canonically"),
+    (np.array(0.5), "cannot serialize a 0-D float64 ndarray canonically"),
+], ids=["int", "3-D", "float32", "0-D"])
+def test_other_arrays_raise_type_error(array, message):
+    for doc in (array, {"a": [0.5], "b": array}):
+        assert refusal(oracle_dumps, doc) == (TypeError, message)
+        assert refusal(dumps_canonical, doc) == (TypeError, message)
+
+
+def test_long_text_is_written_whole(tmp_path):
+    text = dumps_canonical({"v": np.arange(200_000.0) / 7})
+    assert len(text) > 2 * serialize._WRITE_SLICE  # written in several slices
+    write_json_text(tmp_path / "doc.json", text)
+    assert (tmp_path / "doc.json").read_text() == text + "\n"
+    stream = io.StringIO()
+    write_json_stream(stream, text)
+    assert stream.getvalue() == text + "\n"

@@ -145,8 +145,9 @@ def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
     Every :class:`TransitionMatrix` is valid by construction. Splits it into
     Q (transient to transient) and R (transient to absorbing), both in
     ascending original state order, so repeated calls produce identical
-    results. Solves (I - Q) N = I directly; ``absorb_prob = N @ R`` and
-    ``expected_steps = N @ 1``.
+    results. Inverts I - Q directly (the LAPACK ``gesv`` solve of
+    (I - Q) N = I, without a second identity for the right-hand side);
+    ``absorb_prob = N @ R`` and ``expected_steps = N @ 1``.
 
     Raises:
         SingularSystem: I - Q is numerically singular. This signals a
@@ -162,7 +163,7 @@ def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
     q = matrix.probs[np.ix_(transient, transient)]
     r = matrix.probs[np.ix_(transient, absorbing)]
     try:
-        fundamental = np.linalg.solve(np.eye(t) - q, np.eye(t))
+        fundamental = np.linalg.inv(np.eye(t) - q)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"I - Q is singular for transient states {transient}") from exc
     return AbsorptionAnalysis(transient, absorbing, fundamental, fundamental @ r, fundamental.sum(axis=1))

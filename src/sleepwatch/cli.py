@@ -37,7 +37,7 @@ from .network import (
     expected_death_time,
     expected_visits_closed,
 )
-from .serialize import dumps_canonical, write_json_stream, write_json_text, write_trace_csv
+from .serialize import dump_canonical, write_trace_csv
 from .simulate import RunSummary, ScenarioConfig, run_many
 
 _EXIT_FOR_DECISION = {
@@ -90,6 +90,15 @@ def _load(args: argparse.Namespace) -> ParsedConfig:
     if args.theta is not None:
         detector = replace(detector, theta=args.theta)
     return ParsedConfig(scenario=scenario, detector=detector)
+
+
+def _publish(doc: dict, out: Path | None, name: str) -> None:
+    """Write ``doc`` as canonical JSON to stdout and, with --out, to ``out / name``."""
+    if out is None:
+        dump_canonical(doc, [sys.stdout])
+        return
+    with (out / name).open("w") as f:
+        dump_canonical(doc, [sys.stdout, f])
 
 
 def _out_dir(args: argparse.Namespace) -> Path | None:
@@ -184,10 +193,7 @@ def _build_baseline(parsed: ParsedConfig) -> Baseline:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = _load(args)
     out = _out_dir(args)
-    text = dumps_canonical(_analyze_report(parsed))
-    write_json_stream(sys.stdout, text)
-    if out is not None:
-        write_json_text(out / "analyze.json", text)
+    _publish(_analyze_report(parsed), out, "analyze.json")
     return 0
 
 
@@ -197,9 +203,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     summary = run_many(parsed.scenario, keep_traces=True)
     for trace in summary.traces:
         write_trace_csv(out / f"run_{trace.run_index:03d}.csv", trace)
-    text = dumps_canonical(_summary_dict(summary, parsed.scenario))
-    write_json_text(out / "summary.json", text)
-    write_json_stream(sys.stdout, text)
+    _publish(_summary_dict(summary, parsed.scenario), out, "summary.json")
     return 0
 
 
@@ -209,10 +213,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     baseline = _build_baseline(parsed)
     summary = run_many(parsed.scenario)
     verdict = detect(summary, baseline, parsed.detector.theta)
-    text = dumps_canonical(_verdict_dict(verdict, baseline))
-    write_json_stream(sys.stdout, text)
-    if out is not None:
-        write_json_text(out / "verdict.json", text)
+    _publish(_verdict_dict(verdict, baseline), out, "verdict.json")
     return _EXIT_FOR_DECISION[verdict.decision]
 
 

@@ -6,8 +6,12 @@ keys and floats formatted to 17 significant digits (enough to round-trip
 float64 exactly); CSVs use LF line endings and the same float format.
 
 The JSON emitter makes one pass over the document: every nesting level
-appends its pieces to one shared list, joined once at the end, so no
-subtree's text is copied into its parent's. Lists and tuples are
+appends its pieces to one shared list, so no subtree's text is copied
+into its parent's. :func:`dumps_canonical` joins that list once at the
+end. :func:`dump_canonical` streams it instead: the pieces are joined
+and written to each output in chunks of about 1 MiB, so no
+whole-document string is ever built and a large document holds at most
+about one chunk and one kernel block of text. Lists and tuples are
 emitted item by item. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
 matrices) gives the same bytes as its ``.tolist()`` would, from a
 vectorized kernel that works on blocks of values: for each value it
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TextIO
@@ -35,7 +41,8 @@ from .simulate import SimulationTrace
 TRACE_HEADER = "tick,dead,sleep,active,inactive,battery"
 
 _BLOCK = 1 << 14  # values per kernel pass: its buffers stay near 1 MB
-_WRITE_SLICE = 1 << 20  # characters per write to a text stream
+_CHUNK = 1 << 20  # characters joined into one write to each stream
+_CHECK_EVERY = 1 << 10  # pieces a list or dict appends between two size checks
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact up to 10**22
 _SPLIT = float(2**27 + 1)  # Veltkamp splitter for float64
 
@@ -56,14 +63,71 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Pieces:
+    """The text pieces of one document, written to ``streams`` in joined chunks.
+
+    The walk adds pieces with ``append`` (the list's own) and calls
+    :meth:`spill` after each kernel block, and after a list or dict item
+    once ``check_at`` pieces are held. Once the pieces hold ``_CHUNK`` characters, :meth:`flush`
+    joins them, empties the list and writes the text to every stream.
+    Without streams :meth:`spill` does nothing and the pieces stay for one
+    join. ``pieces`` is a plain list because ``str.join`` copies any other
+    sequence into one first.
+    """
+
+    __slots__ = ("pieces", "append", "streams", "check_at", "counted", "held", "written")
+
+    def __init__(self, streams: Sequence[TextIO] = ()) -> None:
+        self.pieces: list[str] = []
+        self.append = self.pieces.append
+        self.streams = streams
+        self.check_at = _CHECK_EVERY if streams else sys.maxsize
+        self.counted = 0  # leading pieces whose characters are in held
+        self.held = 0
+        self.written = 0  # characters written to each stream
+
+    def spill(self) -> None:
+        if not self.streams:
+            return
+        pieces = self.pieces
+        self.held += sum(map(len, pieces[self.counted:]))
+        self.counted = len(pieces)
+        if self.held >= _CHUNK:
+            self.flush()
+        self.check_at = len(pieces) + _CHECK_EVERY
+
+    def flush(self) -> None:
+        text = "".join(self.pieces)
+        self.pieces.clear()  # before the streams encode their copies of the text
+        self.counted = self.held = 0
+        for stream in self.streams:
+            stream.write(text)
+        self.written += len(text)
+
+
 def dumps_canonical(value) -> str:
     """Serialize to JSON with sorted keys and fixed float formatting."""
-    out: list[str] = []
+    out = _Pieces()
     _emit(value, 0, out)
-    return "".join(out)
+    return "".join(out.pieces)
 
 
-def _emit(value, indent: int, out: list[str]) -> None:
+def dump_canonical(value, streams: Sequence[TextIO]) -> int:
+    """Write the text of :func:`dumps_canonical` and a newline to every stream.
+
+    Returns the length of the text without its newline. The text is
+    written in chunks as it is emitted, so an error raised by the walk (a
+    non-finite value, a key that is not a string) can leave part of it
+    written.
+    """
+    out = _Pieces(streams)
+    _emit(value, 0, out)
+    out.append("\n")
+    out.flush()
+    return out.written - 1
+
+
+def _emit(value, indent: int, out: _Pieces) -> None:
     """Append the canonical text of ``value``, nested at ``indent``, to ``out``."""
     if value is None:
         out.append("null")
@@ -87,6 +151,8 @@ def _emit(value, indent: int, out: list[str]) -> None:
             out.append(sep + inner)
             _emit(item, indent + 2, out)
             sep = ",\n"
+            if len(out.pieces) >= out.check_at:
+                out.spill()
         out.append("\n" + " " * indent + "]")
     elif isinstance(value, dict):
         if not value:
@@ -100,12 +166,14 @@ def _emit(value, indent: int, out: list[str]) -> None:
             out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
             _emit(value[key], indent + 2, out)
             sep = ",\n"
+            if len(out.pieces) >= out.check_at:
+                out.spill()
         out.append("\n" + " " * indent + "}")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
-def _emit_array(a: np.ndarray, indent: int, out: list[str]) -> None:
+def _emit_array(a: np.ndarray, indent: int, out: _Pieces) -> None:
     """Append the text ``a.tolist()`` would give, for a 1-D or 2-D float64 array."""
     if a.dtype != np.float64 or a.ndim not in (1, 2):
         raise TypeError(f"cannot serialize a {a.ndim}-D {a.dtype} ndarray canonically")
@@ -133,6 +201,7 @@ def _emit_array(a: np.ndarray, indent: int, out: list[str]) -> None:
         if start + _BLOCK >= flat.size:
             kind[-1] = 2
         out.append(_format_block(x, kind, cells, keep_rows))
+        out.spill()
     out.append(close + "\n" + " " * indent + "]")
 
 
@@ -239,25 +308,9 @@ def _kernel_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_json(path: str | Path, value) -> None:
-    write_json_text(path, dumps_canonical(value))
-
-
-def write_json_text(path: str | Path, text: str) -> None:
-    """Write the output of :func:`dumps_canonical` as a JSON file."""
+    """Write ``value`` as a canonical JSON file that ends in a newline."""
     with Path(path).open("w") as f:
-        write_json_stream(f, text)
-
-
-def write_json_stream(stream: TextIO, text: str) -> None:
-    """Write the output of :func:`dumps_canonical` and a newline to a text stream.
-
-    The text goes in slices: a text stream encodes each string it is given
-    as one bytes object, so one write of the 35 MB ``analyze`` document (or
-    of ``text + "\n"``) would hold a second copy of it.
-    """
-    for start in range(0, len(text), _WRITE_SLICE):
-        stream.write(text[start:start + _WRITE_SLICE])
-    stream.write("\n")
+        dump_canonical(value, [f])
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:

@@ -32,6 +32,7 @@ the closed-form death times and the online detector in isolation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,11 @@ SLEEP = int(NodeState.SLEEP)
 #: ``max(1, LOCKSTEP_SLOTS // N)`` runs, which bounds its temporaries.
 LOCKSTEP_SLOTS = 8192
 
+#: Largest total of N full batteries a scenario may have. A recorded trace's
+#: battery column sums every node's battery; half the largest float leaves
+#: ample room for the rounding of that sum.
+BATTERY_TOTAL_MAX = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -63,7 +69,8 @@ class ScenarioConfig:
     N and M come from ``network`` and are stored nowhere else. Every run
     starts with all N nodes asleep; ``network.initial_dead`` is the chain
     start state of the detector's baseline and is not simulated. No
-    attacker is ``no_attack()``, the default.
+    attacker is ``no_attack()``, the default. N full batteries may total
+    at most ``BATTERY_TOTAL_MAX``, so a trace's battery column stays finite.
     """
 
     network: NetworkChainParams
@@ -86,6 +93,12 @@ class ScenarioConfig:
             raise ConfigInvalid(f"attack must be an AttackModel, got {self.attack!r}")
         if not isinstance(self.policy, NodePolicy):
             raise ConfigInvalid(f"policy must be a NodePolicy, got {self.policy!r}")
+        capacity, n = self.energy.capacity, self.network.n_deployed
+        if not capacity * n <= BATTERY_TOTAL_MAX:
+            raise ConfigInvalid(
+                f"battery capacity {capacity!r} is too large for {n} nodes: their total "
+                f"battery must be at most {BATTERY_TOTAL_MAX!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,17 @@ class TestAnalyze:
         assert first.absorb_prob.tobytes() == second.absorb_prob.tobytes()
         assert first.expected_steps.tobytes() == second.expected_steps.tobytes()
 
+    @pytest.mark.parametrize("m", [*range(2, 60), 81, 200, 300, 799, 800, 1000])
+    def test_fundamental_is_the_identity_solve_bit_for_bit(self, m):
+        # inv(I - Q) and solve(I - Q, I) make the same LAPACK gesv call on an
+        # identity; the published oracle must not move by one bit
+        tm = build_matrix(m)
+        analysis = chain.analyze(tm)
+        q, _ = blocks(tm, analysis)
+        identity = np.eye(len(q))
+        expected = np.linalg.solve(identity - q, identity)
+        assert analysis.fundamental.tobytes() == expected.tobytes()
+
     def test_singular_system_from_underflowed_escape(self):
         # escape mass so small it vanishes from both the row sum and I - Q:
         # passes the tolerance checks yet leaves nothing to absorb through

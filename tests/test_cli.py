@@ -9,6 +9,7 @@ import sleepwatch
 from sleepwatch import cli, config
 from sleepwatch.cli import main
 from sleepwatch.serialize import TRACE_HEADER
+from sleepwatch.simulate import BATTERY_TOTAL_MAX
 
 SCHEMA_DIR = Path(sleepwatch.__file__).parent / "schemas"
 
@@ -438,6 +439,43 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n_deployed 10000000000000000000 is too large for numpy arrays\n"
+
+    @pytest.mark.parametrize("command", [["simulate", "--out", "traces"], ["detect"]],
+                             ids=["simulate", "detect"])
+    def test_battery_total_overflow_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        # each capacity is finite, but a trace's battery column sums all 20 of them
+        ran = []
+        monkeypatch.setattr(cli, "run_many", lambda *args, **kwargs: ran.append(args))
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, {"network": {"n_deployed": 20},
+                                         "energy": {"capacity": 1e307}, "run": {"max_ticks": 5}})
+        assert main([command[0], "--config", config, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: battery capacity 1e+307 is too large for 20 nodes: their total battery "
+            f"must be at most {BATTERY_TOTAL_MAX!r}\n")
+        assert ran == []
+
+    def test_largest_accepted_capacity_writes_finite_traces(self, tmp_path, capsys):
+        n = 20
+        capacity = BATTERY_TOTAL_MAX / n
+        while np.nextafter(capacity, np.inf) * n <= BATTERY_TOTAL_MAX:
+            capacity = float(np.nextafter(capacity, np.inf))
+        while capacity * n > BATTERY_TOTAL_MAX:
+            capacity = float(np.nextafter(capacity, 0.0))
+        doc = {"network": {"n_deployed": n}, "energy": {"capacity": capacity},
+               "run": {"max_ticks": 5, "runs": 2}}
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        batteries = [float(line.rsplit(",", 1)[1])
+                     for line in (out / "run_000.csv").read_text().splitlines()[1:]]
+        assert batteries[0] == pytest.approx(capacity * n, rel=1e-15)  # the sum rounds
+        assert all(map(np.isfinite, batteries))
+        above = {**doc, "energy": {"capacity": float(np.nextafter(capacity, np.inf))}}
+        assert main(["simulate", "--config", write_config(tmp_path, above), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: battery capacity ")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1

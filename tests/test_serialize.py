@@ -8,12 +8,16 @@ string values are escaped as ``json.dumps`` escapes a string. A float64
 array must give the bytes of its ``.tolist()``, whose floats are
 ``format(x, ".17g")``: the vectorized digit kernel is checked against
 that on the values where its arithmetic is most likely to slip.
+:func:`sleepwatch.serialize.dump_canonical` streams the same walk and
+must write exactly that text and a newline to every stream it is given,
+holding only about one chunk of it at a time.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -23,7 +27,7 @@ from canonical_oracle import dumps_canonical as oracle_dumps
 from conftest import random_float64
 from sleepwatch import cli, serialize
 from sleepwatch.config import load_config
-from sleepwatch.serialize import dumps_canonical, write_json_stream, write_json_text
+from sleepwatch.serialize import dump_canonical, dumps_canonical, write_json
 
 EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 0.1, 1 / 3, 1e308)
 SCALARS = (0, -7, 2**70, True, False, None, "", "plain", 'quote " and \\ slash', "café\n")
@@ -65,11 +69,15 @@ def refusal(dumps, value) -> tuple[type, str]:
     return type(exc.value), str(exc.value)
 
 
-def test_analyze_report_matches_oracle(tmp_path):
+def analyze_report(tmp_path, n_deployed: int) -> dict:
     config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"network": {"n_deployed": n_deployed, "initial_dead": 1}}))
+    return cli._analyze_report(load_config(config))
+
+
+def test_analyze_report_matches_oracle(tmp_path):
     for n_deployed in (40, 200):  # 200: 159 rows, more than one kernel block
-        config.write_text(json.dumps({"network": {"n_deployed": n_deployed, "initial_dead": 1}}))
-        report = cli._analyze_report(load_config(config))
+        report = analyze_report(tmp_path, n_deployed)
         visits = report["expected_visits"]["oracle"]
         assert isinstance(visits, np.ndarray) and len(visits) > 1
         assert dumps_canonical(report) == oracle_dumps(report)
@@ -249,11 +257,113 @@ def test_other_arrays_raise_type_error(array, message):
         assert refusal(dumps_canonical, doc) == (TypeError, message)
 
 
+def streamed(value, copies: int = 2) -> tuple[list[str], int]:
+    """What :func:`dump_canonical` writes to each of ``copies`` streams, and its return value."""
+    streams = [io.StringIO() for _ in range(copies)]
+    length = dump_canonical(value, streams)
+    return [stream.getvalue() for stream in streams], length
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_streamed_seeded_documents_match_dumps(seed):
+    rng = np.random.default_rng(seed)
+    doc = {"root": [random_document(rng) for _ in range(6)], "edges": list(EDGE_FLOATS)}
+    text = dumps_canonical(doc)
+    assert streamed(doc) == ([text + "\n"] * 2, len(text))
+
+
+@pytest.mark.parametrize("n_deployed", [40, 400])  # 400: 319 rows, several 1 MiB chunks
+def test_streamed_analyze_report_matches_dumps(tmp_path, n_deployed):
+    report = analyze_report(tmp_path, n_deployed)
+    text = dumps_canonical(report)
+    assert (len(text) > 2 * serialize._CHUNK) == (n_deployed == 400)
+    assert streamed(report) == ([text + "\n"] * 2, len(text))
+
+
+def test_streamed_long_plain_list_matches_dumps():
+    # a list of scalars, not an array: the size checks run between items
+    doc = {"ticks": list(range(300_000)), "tail": [0.5] * 3}
+    text = dumps_canonical(doc)
+    assert len(text) > 2 * serialize._CHUNK
+    assert streamed(doc, copies=1) == ([text + "\n"], len(text))
+    sink = CountingSink()
+    dump_canonical(doc, [sink])
+    assert sink.writes > 2  # chunks were written while the list was walked
+
+
+LATE_NAN = np.arange(300_000.0)
+LATE_NAN[-1] = np.nan  # found after several chunks have been written
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [0.5], "b": {"c": [1.0, float("nan")]}},
+    {"a": np.array([[0.5, 1.5], [np.inf, 2.5]])},
+    {"a": LATE_NAN},
+    {"a": [0.5], "b": {2: [1.0]}},
+    [0.5, {1.5}],
+], ids=["nan", "inf-in-array", "late-nan", "int-key", "set"])
+def test_streaming_raises_as_dumps(doc):
+    expected = refusal(dumps_canonical, doc)
+    assert refusal(lambda value: dump_canonical(value, [io.StringIO()]), doc) == expected
+
+
+class CountingSink:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        self.writes += 1
+        return len(text)
+
+
+def traced_peak(value) -> tuple[int, int]:
+    """The length :func:`dump_canonical` returns for ``value`` and its ``tracemalloc`` peak."""
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        length = dump_canonical(value, [sink])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == length + 1
+    return length, peak
+
+
+def test_streaming_holds_one_chunk_and_one_kernel_block(tmp_path):
+    # the kernel's buffers for one block of a 2-D array are set by the block, not the document
+    block = np.random.default_rng(400).random((128, 128))
+    assert block.size == serialize._BLOCK
+    _, block_peak = traced_peak({"x": {"m": block}})
+    length, peak = traced_peak(analyze_report(tmp_path, 400))
+    assert length > 5 * serialize._CHUNK  # its pieces and their join would break the bound
+    assert peak < block_peak + 2 * serialize._CHUNK
+
+
+def test_small_document_is_one_write_per_stream():
+    sinks = [CountingSink(), CountingSink()]
+    dump_canonical({"a": [1, 2.5, "x"], "b": np.arange(5.0)}, sinks)
+    assert [sink.writes for sink in sinks] == [1, 1]
+
+
 def test_long_text_is_written_whole(tmp_path):
-    text = dumps_canonical({"v": np.arange(200_000.0) / 7})
-    assert len(text) > 2 * serialize._WRITE_SLICE  # written in several slices
-    write_json_text(tmp_path / "doc.json", text)
+    doc = {"v": np.arange(200_000.0) / 7}
+    text = dumps_canonical(doc)
+    assert len(text) > 2 * serialize._CHUNK  # written in several chunks
+    write_json(tmp_path / "doc.json", doc)
     assert (tmp_path / "doc.json").read_text() == text + "\n"
-    stream = io.StringIO()
-    write_json_stream(stream, text)
-    assert stream.getvalue() == text + "\n"
+    assert streamed(doc) == ([text + "\n"] * 2, len(text))
+
+
+@pytest.mark.parametrize("n_deployed", [2, 5, 20, 200])  # 200: 1.4 MB, more than one chunk
+def test_analyze_out_file_equals_stdout_and_oracle(tmp_path, capsys, n_deployed):
+    # the oracle builds the whole text at once; both streamed outputs must be its bytes
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"network": {"n_deployed": n_deployed}}))
+    assert cli.main(["analyze", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    stdout = capsys.readouterr().out
+    assert (tmp_path / "out" / "analyze.json").read_text() == stdout
+    assert stdout == oracle_dumps(cli._analyze_report(load_config(config))) + "\n"

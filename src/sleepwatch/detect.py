@@ -12,7 +12,11 @@ t < theta * baseline, with theta = 0.8 by default.
 ``online_estimate`` applies the same comparison before death is observed:
 it estimates how many chain steps elapse per tick from the dead-count
 trajectory, projects the remaining time to death from the current state,
-and compares elapsed + projected against the baseline.
+and compares elapsed + projected against the baseline. It evaluates its
+trailing windows as arrays, a chunk of rows at a time: event counts are
+differences of an exact integer prefix sum, and each window's expected
+moves are summed left to right in tick order by a row-wise cumsum, so
+every window gets the bits a window-by-window loop gives it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import AttackKind
 from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort
@@ -29,6 +34,10 @@ from .network import NetworkChainParams, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
 DEFAULT_THRESHOLD_FACTOR = 0.8
+
+#: Values per chunk of windows: a chunk's rows of expected moves, and its
+#: rows of closed-form death-time terms, stay near 0.5 MB each.
+_CHUNK = 1 << 16
 
 
 class Decision(Enum):
@@ -165,6 +174,62 @@ def detect(
     raise TypeError(f"expected SimulationTrace or RunSummary, got {type(observation).__name__}")
 
 
+def _dead_counts(view: np.ndarray) -> np.ndarray:
+    """``view`` as int64, refused unless it is 1-D with an integer dtype."""
+    if view.ndim != 1:
+        raise ConfigInvalid(f"chain view must be 1-D, got shape {view.shape}")
+    if view.dtype.kind not in "iu":
+        raise ConfigInvalid(f"chain view must hold integer dead counts, got dtype {view.dtype}")
+    return view.astype(np.int64, copy=False)
+
+
+def _window_rates(view: np.ndarray, m: int, window: int, ends: np.ndarray, min_events: int):
+    """Step rates of the windows ``view[t - window : t + 1]``, ``t`` in ``ends``.
+
+    Yields ``(ends, rates, reasons)`` for consecutive chunks of ``ends``, at
+    most ``_CHUNK // max(window, m)`` rows each. A window's rate is its
+    observed move count over its expected moves; ``rates`` is NaN, and
+    ``reasons`` maps the row to the WindowTooShort message, for a window with
+    fewer than ``min_events`` moves or with none expected. Move counts are
+    differences of an exact int64 prefix sum, and a prefix count of ticks
+    outside [0, m] finds the windows whose states leave the chain. A fitted
+    window with such a state raises OutOfRange, after the rows before it
+    have been yielded, so a caller meets every window in order.
+    """
+    events_before = np.concatenate(([0], np.cumsum(np.abs(np.diff(view)))))
+    outside_before = np.concatenate(([0], np.cumsum((view < 0) | (view > m))))
+    moves = None
+    rows = max(1, _CHUNK // max(window, m))
+    for lo in range(0, ends.size, rows):
+        t = ends[lo:lo + rows]
+        starts = t - window
+        events = events_before[t] - events_before[starts]
+        fitted = events >= min_events
+        if moves is None and fitted.any():
+            doubled = step_probs(m)[0][np.clip(view[:-1], 0, m)]
+            doubled *= 2.0
+            moves = sliding_window_view(doubled, window)
+        outside = np.flatnonzero(fitted & (outside_before[t] > outside_before[starts]))
+        stop = int(outside[0]) if outside.size else t.size
+        fit = np.flatnonzero(fitted[:stop])
+        expected = np.empty(0)
+        if fit.size:
+            block = moves[starts[fit]]  # a copy: one row per fitted window
+            # each row is summed left to right, in tick order, as np.cumsum sums one window
+            expected = np.cumsum(block, axis=1, out=block)[:, -1].copy()
+            del block  # freed before the chunk is handed to the caller
+        pinned = expected <= 0.0
+        rates = np.full(stop, np.nan)
+        rates[fit[~pinned]] = events[fit[~pinned]] / expected[~pinned]
+        reasons = {int(row): f"{events[row]} events in window, need at least {min_events}"
+                   for row in np.flatnonzero(~fitted[:stop])}
+        reasons.update((int(row), "no moves expected in window; states pinned at a boundary")
+                       for row in fit[pinned])
+        yield t[:stop], rates, reasons
+        if outside.size:
+            raise OutOfRange(f"window states outside [0, {m}]")
+
+
 def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> float:
     """Chain steps per tick, estimated from one window of dead counts.
 
@@ -172,21 +237,18 @@ def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> floa
     chain step, so the step rate is the observed move count divided by
     the per-tick expected moves accumulated along the window. Raises
     WindowTooShort when fewer than ``min_events`` moves were observed or
-    when no moves were expected (window pinned at a boundary).
+    when no moves were expected (window pinned at a boundary), and
+    ConfigInvalid unless the window is 1-D with an integer dtype.
     """
-    view = np.asarray(window_view, dtype=np.int64)
+    view = np.asarray(window_view)
     if view.size < 2:
         raise WindowTooShort(f"window has {view.size} ticks; need at least 2")
-    events = int(np.abs(np.diff(view)).sum())
-    if events < min_events:
-        raise WindowTooShort(f"{events} events in window, need at least {min_events}")
-    move, states = step_probs(m)[0], view[:-1]
-    if states.min() < 0 or states.max() > m:
-        raise OutOfRange(f"window states outside [0, {m}]")
-    expected_moves = np.cumsum(2.0 * move[states])[-1]  # summed in tick order
-    if expected_moves <= 0.0:
-        raise WindowTooShort("no moves expected in window; states pinned at a boundary")
-    return float(events / expected_moves)
+    view = _dead_counts(view)
+    window = view.size - 1
+    ((_, rates, reasons),) = _window_rates(view, m, window, np.array([window]), min_events)
+    if reasons:
+        raise WindowTooShort(reasons[0])
+    return float(rates[0])
 
 
 def online_estimate(
@@ -208,13 +270,22 @@ def online_estimate(
     yield inconclusive verdicts. If the trajectory reaches the death
     threshold, the final verdict is the plain observed-death decision and
     evaluation stops there.
+
+    The windows are evaluated as arrays, a chunk of rows at a time: one
+    row-wise cumsum sums each window's expected moves in tick order and
+    one closed-form call projects the chunk, so every verdict, and the
+    first window that raises, are those of a window-by-window loop. The
+    view must be 1-D with an integer dtype, and ``min_events`` at least 1.
     """
     _check_theta(theta)
-    view = np.asarray(chain_view, dtype=np.int64)
+    view = np.asarray(chain_view)
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")
+    view = _dead_counts(view)
     if window < 2 or (stride is not None and stride < 1):
         raise ConfigInvalid("window must be >= 2 and stride >= 1")
+    if min_events < 1:
+        raise ConfigInvalid(f"min_events must be >= 1, got {min_events}")
     stride = stride if stride is not None else window
     m = params.m_threshold
     b = baseline.expected_death_ticks
@@ -224,24 +295,24 @@ def online_estimate(
     horizon = int(death_positions[0]) if death_positions.size else view.size - 1
 
     verdicts: list[Verdict] = []
-    for t in range(window, horizon + 1, stride):
-        segment = view[t - window : t + 1]
-        try:
-            rate = estimate_step_rate(segment, m, min_events)
-        except WindowTooShort as exc:
+    ends = np.arange(window, horizon + 1, stride)
+    for t, rates, reasons in _window_rates(view[:horizon + 1], m, window, ends, min_events):
+        fit = ~np.isnan(rates)
+        projected = np.full(t.size, np.nan)
+        projected[fit] = t[fit] + expected_death_time(view[t[fit]], m) / rates[fit]
+        for row, (tick, rate, proj) in enumerate(zip(t.tolist(), rates.tolist(), projected.tolist())):
+            if row in reasons:
+                verdicts.append(Verdict(
+                    Decision.INCONCLUSIVE, None, b, theta,
+                    f"tick {tick}: {reasons[row]} [{note}]",
+                ))
+                continue
+            decision = Decision.UNDER_ATTACK if proj < theta * b else Decision.NORMAL
             verdicts.append(Verdict(
-                Decision.INCONCLUSIVE, None, b, theta,
-                f"tick {t}: {exc} [{note}]",
+                decision, None, b, theta,
+                f"tick {tick}: rate {rate:.6g} steps/tick, projected death {proj:.6g} "
+                f"vs {theta:g} * baseline {b:.6g} [{note}]",
             ))
-            continue
-        remaining = expected_death_time(int(view[t]), m) / rate
-        projected = t + remaining
-        decision = Decision.UNDER_ATTACK if projected < theta * b else Decision.NORMAL
-        verdicts.append(Verdict(
-            decision, None, b, theta,
-            f"tick {t}: rate {rate:.6g} steps/tick, projected death {projected:.6g} "
-            f"vs {theta:g} * baseline {b:.6g} [{note}]",
-        ))
     if death_positions.size:
         verdicts.append(decide(float(horizon), float(horizon), baseline, theta))
     return verdicts

@@ -1,7 +1,13 @@
+import importlib
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import closed_form_oracle as oracle
+import online_oracle
 import sleepwatch as sw
 from sleepwatch.detect import (
     Baseline,
@@ -22,6 +28,9 @@ from sleepwatch.errors import (
 )
 from sleepwatch.network import NetworkChainParams, expected_death_time, step_probs
 from sleepwatch.simulate import run_one, simulate_chain_trajectory
+
+# the package re-exports a function named ``detect``, which shadows the submodule
+detect_module = importlib.import_module("sleepwatch.detect")
 
 
 def analytic_baseline(m: int, i0: int, ticks_per_step: float) -> Baseline:
@@ -226,6 +235,41 @@ class TestStepRateEstimator:
         with pytest.raises(WindowTooShort):
             estimate_step_rate(np.array([5]), 20, min_events=0)
 
+    @pytest.mark.parametrize("view", [[1.7, 2.2, 3.9], [[5, 6, 7], [7, 8, 9]]])
+    def test_malformed_window_refused(self, view):
+        # floats are not truncated into counts, nor 2-D rows summed as one window
+        with pytest.raises(ConfigInvalid, match="chain view"):
+            estimate_step_rate(view, 20, min_events=1)
+
+    def test_matches_window_by_window_oracle(self):
+        rng = np.random.default_rng(14)
+        m = 16
+        for _ in range(200):
+            view = rng.integers(-1, m + 2, size=int(rng.integers(2, 12)))
+            if rng.random() < 0.5:
+                view = np.clip(view, 0, m)
+            min_events = int(rng.integers(0, 8))
+            assert outcome(estimate_step_rate, view, m, min_events) == outcome(
+                online_oracle.estimate_step_rate, view, m, min_events)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returned, or the type and message of what it raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # whatever was raised is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(result, list):
+        return [(v.decision, v.observed_death_ticks, v.baseline_ticks, v.threshold_factor, v.detail)
+                for v in result]
+    return result
+
+
+def random_walk(m: int, ticks: int, seed: int) -> np.ndarray:
+    """A live dead-count view: a lazy walk kept inside [1, m - 1]."""
+    rng = np.random.default_rng(seed)
+    return np.clip(m // 2 + np.cumsum(rng.integers(-1, 2, size=ticks)), 1, m - 1)
+
 
 class TestOnlineEstimate:
     M = 20
@@ -306,3 +350,134 @@ class TestOnlineEstimate:
                     fired += 1
                     break
         assert fired / total >= 0.95
+
+
+class TestOnlineEstimateRefusals:
+    PARAMS = NetworkChainParams(20)
+
+    @property
+    def baseline(self) -> Baseline:
+        return analytic_baseline(16, 1, 1.0)
+
+    @pytest.mark.parametrize("min_events", [0, -1])
+    def test_min_events_below_one_refused(self, min_events):
+        # a window without events would fit a rate of 0 and divide by it
+        with pytest.raises(ConfigInvalid, match="min_events"):
+            online_estimate([1, 1, 1, 1], self.PARAMS, self.baseline,
+                            window=2, min_events=min_events, stride=1)
+
+    def test_fractional_view_refused(self):
+        with pytest.raises(ConfigInvalid, match="integer"):
+            online_estimate([1.7, 2.2, 3.9, 4.1], self.PARAMS, self.baseline,
+                            window=2, min_events=1, stride=1)
+
+    def test_two_dimensional_view_refused(self):
+        with pytest.raises(ConfigInvalid, match="1-D"):
+            online_estimate(np.array([[1, 2], [3, 4]]), self.PARAMS, self.baseline,
+                            window=2, min_events=1, stride=1)
+
+    @pytest.mark.parametrize("view", [[1, 2, 3, 4], np.array([1, 2, 3, 4], dtype=np.uint8)])
+    def test_integer_views_accepted(self, view):
+        got = outcome(online_estimate, view, self.PARAMS, self.baseline,
+                      window=2, min_events=1, stride=1)
+        assert len(got) == 2
+        assert got == outcome(online_oracle.online_estimate, np.asarray(view, dtype=np.int64),
+                              self.PARAMS, self.baseline, window=2, min_events=1, stride=1)
+
+
+class TestOnlineEstimateMatchesOracle:
+    """The chunked windows give the verdicts and errors of a window-by-window loop."""
+
+    # (window, stride, min_events): window 2, stride > window, stride None,
+    # uneven strides, a window longer than any view
+    SETTINGS = [(2, 1, 1), (2, 3, 1), (10, None, 2), (37, 5, 3), (200, 10, 5),
+                (50, 1, 1), (5000, 1, 1)]
+
+    @staticmethod
+    def views(m: int, window: int, stride: int, seed: int) -> dict[str, np.ndarray]:
+        i0 = m // 2
+        view = simulate_chain_trajectory(m, i0, 0.5, seed=seed, max_ticks=600)
+        live = view[: int(np.argmax(view >= m))] if view[-1] >= m else view
+        rng = np.random.default_rng(seed)
+        end_tick = window + stride * int(rng.integers(0, 40))
+
+        def injected(base: np.ndarray, at: int, value: int) -> np.ndarray:
+            out = base.copy()
+            if out.size > 1:
+                out[min(at, out.size - 1)] = value
+            return out
+
+        long_live = np.concatenate([live, random_walk(m, 600, seed)])
+        return {
+            "trajectory": view,
+            "live": live,
+            "death": np.concatenate([live, np.arange(live[-1], m + 1), np.full(5, m)]),
+            "below_inside": injected(long_live, int(rng.integers(1, long_live.size)), -1),
+            "below_at_end": injected(long_live, end_tick, -1),
+            "above_at_end": injected(long_live, end_tick, m + 3),
+        }
+
+    def test_grid(self):
+        seen = set()
+        for m in (4, 16, 80, 400):
+            params = NetworkChainParams(m, initial_dead=m // 2, m_threshold=m)
+            baseline = analytic_baseline(m, m // 2, 2.0)
+            for seed, (window, stride, min_events) in enumerate(self.SETTINGS):
+                views = self.views(m, window, stride or window, 1_400 + seed)
+                for (kind, view), theta in itertools.product(views.items(), (0.8, 1.0)):
+                    args = (view, params, baseline, theta)
+                    kwargs = dict(window=window, min_events=min_events, stride=stride)
+                    got = outcome(online_estimate, *args, **kwargs)
+                    assert got == outcome(online_oracle.online_estimate, *args, **kwargs), (
+                        m, window, stride, min_events, kind, theta)
+                    if isinstance(got, tuple):
+                        seen.add(got[1].split(" outside")[0].replace(str(m + 3), "above"))
+                    elif got and got[-1][1] is not None:
+                        seen.add("death")
+        # the grid reaches both OutOfRange messages and an observed death
+        assert {"window states", "state -1", "state above", "death"} <= seen
+
+    @pytest.mark.parametrize("spare_rows", [0, 1])
+    @pytest.mark.parametrize("chunk", [None, 3 * 200])
+    def test_chunk_boundaries(self, monkeypatch, chunk, spare_rows):
+        if chunk is not None:
+            monkeypatch.setattr(detect_module, "_CHUNK", chunk)
+        m, window = 80, 200
+        rows = detect_module._CHUNK // max(window, m)
+        windows = 2 * rows + spare_rows  # chunks filled exactly, or a last chunk of one row
+        view = random_walk(m, window + windows, seed=5)  # ticks 0..window + windows - 1
+        params = NetworkChainParams(100, initial_dead=10)
+        baseline = analytic_baseline(m, 10, 2.0)
+        got = outcome(online_estimate, view, params, baseline, window=window, stride=1)
+        assert len(got) == windows
+        assert got == outcome(online_oracle.online_estimate, view, params, baseline,
+                              window=window, stride=1)
+        # an end state below 0 in the last window raises after every earlier row
+        view[-1] = -1
+        assert outcome(online_estimate, view, params, baseline, window=window, stride=1) == (
+            OutOfRange, "state -1 outside [0, 80]")
+
+    def test_row_sums_are_one_window_sums(self):
+        rng = np.random.default_rng(21)
+        for window in (2, 7, 200, 2000):
+            moves = rng.random(window + 300) * rng.choice([1e-3, 1.0, 1e3], size=window + 300)
+            starts = np.arange(0, 301, 3)
+            block = sliding_window_view(moves, window)[starts]
+            rows = np.cumsum(block, axis=1)[:, -1]
+            in_place = np.cumsum(block, axis=1, out=block)[:, -1]  # as the kernel sums
+            one_by_one = np.array([np.cumsum(moves[s:s + window])[-1] for s in starts])
+            assert rows.tobytes() == in_place.tobytes() == one_by_one.tobytes()
+
+    def test_temporaries_stay_bounded(self):
+        # unchunked, 18,001 windows of 2,000 moves would take ~290 MB per block
+        view = random_walk(80, 20_001, seed=9)  # ticks 0..20,000
+        params = NetworkChainParams(100, initial_dead=10)
+        baseline = analytic_baseline(80, 10, 2.0)
+        tracemalloc.start()
+        try:
+            verdicts = online_estimate(view, params, baseline, window=2_000, stride=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(verdicts) == 18_001
+        assert peak < 32 * 2**20

@@ -275,13 +275,18 @@ def online_estimate(
     row-wise cumsum sums each window's expected moves in tick order and
     one closed-form call projects the chunk, so every verdict, and the
     first window that raises, are those of a window-by-window loop. The
-    view must be 1-D with an integer dtype, and ``min_events`` at least 1.
+    view must be 1-D with an integer dtype, ``window`` and ``stride``
+    integers, and ``min_events`` at least 1.
     """
     _check_theta(theta)
     view = np.asarray(chain_view)
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")
     view = _dead_counts(view)
+    for name, value in (("window", window), ("stride", stride)):
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+            raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
     if window < 2 or (stride is not None and stride < 1):
         raise ConfigInvalid("window must be >= 2 and stride >= 1")
     if min_events < 1:

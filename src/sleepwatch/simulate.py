@@ -8,15 +8,21 @@ kernel on a single run, recording its per-tick counts. Every run is a
 pure function of (config, run_index): the attacker's target set and the
 node stepping each draw from their own PCG64 substreams (see
 :mod:`sleepwatch.rng`), so traces are byte-stable across platforms and a
-no-op attack cannot shift any draw. In a group, each running run draws
-one uniform per live node per tick from its own substream; PCG64
-``random()`` is split-invariant, so a run sees the same uniforms in any
-group, and a run that reaches M draws no more. The kernel keeps only the
-live nodes, in run order, in compacted arrays (state, attack row offset,
-battery, bincount bin, node index). It rebuilds them only on a tick
-where a node died, which includes the tick a run reaches M and drops
-all its nodes. On other ticks nothing is gathered or scattered, except
-the live batteries a recording run writes back for its battery column.
+no-op attack cannot shift any draw. In a group, each running run reads
+one uniform per live node per tick from its own substream. The reads
+come from a pool of about ``DRAW_POOL`` values: each run's row holds a
+few ticks of its draws and is topped up with one call when it runs
+short, and a tick's draws are gathered in run order with one index (a
+slice of the pool for a group of one run). PCG64 ``random()`` is
+split-invariant, so a run sees the same uniforms in any group and under
+any pool width, and a run that reaches M is never refilled.
+
+The kernel keeps only the live nodes, in run order, in compacted arrays
+(state, attack row offset, battery, bincount bin, node index). It
+rebuilds them only on a tick where a node died, which includes the tick
+a run reaches M and drops all its nodes. On other ticks nothing is
+gathered or scattered, except the live batteries a recording run writes
+back for its battery column.
 
 Tick ordering is fixed: transform policy, draw next states, pay drain,
 apply battery deaths, count, check, stop at M. Dead-count monotonicity
@@ -55,6 +61,11 @@ SLEEP = int(NodeState.SLEEP)
 #: Node slots stepped together by :func:`run_many`: a lockstep group holds
 #: ``max(1, LOCKSTEP_SLOTS // N)`` runs, which bounds its temporaries.
 LOCKSTEP_SLOTS = 8192
+
+#: Uniforms a lockstep group holds drawn ahead (256 KB): each run's row holds
+#: ``max(1, DRAW_POOL // (runs * N))`` ticks of N draws, and never more
+#: ticks than ``max_ticks``.
+DRAW_POOL = 1 << 15
 
 #: Largest total of N full batteries a scenario may have. A recorded trace's
 #: battery column sums every node's battery; half the largest float leaves
@@ -158,6 +169,52 @@ def _row_costs(drain: np.ndarray, extra_drain: float) -> np.ndarray:
     return drain[s] + extra_drain * (attacked & (s != SLEEP))
 
 
+class _DrawPool:
+    """Each run's next uniforms from its own STEP_STREAM, drawn a few ticks ahead.
+
+    Row r of a ``runs x width`` buffer holds run r's unread uniforms from
+    column ``pos[r]`` on. A run whose unread values cannot cover its live
+    count moves them to the front of its row and tops the row up with one
+    ``random(out=...)`` call; a stopped run (live count 0) is never
+    refilled. A group of one run reads a slice of its row; a larger
+    group's draws are gathered in run order with one index. PCG64 doubles
+    are split-invariant, so each run reads the same uniforms in the same
+    order as with one ``random(c)`` call per tick.
+    """
+
+    def __init__(self, streams: list[np.random.Generator], n: int, max_ticks: int) -> None:
+        ticks = min(max(1, DRAW_POOL // (len(streams) * n)), max_ticks)
+        self.streams = streams
+        self.rows = np.empty((len(streams), n * ticks))
+        self.pos = np.full(len(streams), n * ticks)  # nothing drawn yet
+
+    def take(self, live: np.ndarray) -> np.ndarray:
+        """The next ``live[r]`` uniforms of every run r, concatenated in run order."""
+        rows, pos = self.rows, self.pos
+        width = rows.shape[1]
+        if len(pos) == 1:  # a group of one run reads a slice of its row
+            c, start = int(live[0]), int(pos[0])
+            if width - start < c:
+                self._refill(0, start)
+                start = 0
+            pos[0] = start + c
+            return rows[0, start:start + c]
+        for r in np.flatnonzero(width - pos < live).tolist():
+            self._refill(r, pos[r])
+            pos[r] = 0
+        first = np.cumsum(live) - live  # where each run's draws start in the result
+        at = np.repeat(pos + width * np.arange(len(pos)) - first, live)
+        pos += live
+        return rows.ravel()[at + np.arange(at.size)]
+
+    def _refill(self, r: int, start: int) -> None:
+        """Move run r's unread values (from column ``start`` on) to the front; top the row up."""
+        row = self.rows[r]
+        tail = row.size - start
+        row[:tail] = row[start:]
+        self.streams[r].random(out=row[tail:])
+
+
 def _step_runs(
     config: ScenarioConfig, run_indices: range, record: bool = False
 ) -> tuple[list[int | None], list[TickRecord]]:
@@ -166,13 +223,13 @@ def _step_runs(
     Only the group's live nodes are stepped. Their state, attack row
     offset (4 on an attacked node), battery, bincount bin and index in
     the group's ``runs * N`` nodes sit in compacted arrays, run by run,
-    so each running run's draws from its own STEP_STREAM are
-    concatenated in run order. The arrays are rebuilt, dropping the dead
-    nodes and the nodes of runs that reached M, only on a tick where a
-    node died or a run stopped; a run's dead count is the nodes dropped
-    so far plus its nodes that died this tick. With ``record`` the
-    per-tick records of the first run are kept, its battery column
-    summed over all N nodes in node order.
+    so a tick's draws are each running run's next uniforms from its own
+    STEP_STREAM in run order, read from a ``_DrawPool``. The arrays are
+    rebuilt, dropping the dead nodes and the nodes of runs that reached
+    M, only on a tick where a node died or a run stopped; a run's dead
+    count is the nodes dropped so far plus its nodes that died this
+    tick. With ``record`` the per-tick records of the first run are
+    kept, its battery column summed over all N nodes in node order.
     """
     n, m = config.network.n_deployed, config.network.m_threshold
     size = len(run_indices)
@@ -196,14 +253,15 @@ def _step_runs(
             if ids:
                 offsets[slot * n + np.fromiter(ids, dtype=np.intp)] = 4
 
-    draws = [substream(config.seed, k, STEP_STREAM).random for k in run_indices]
+    pool = _DrawPool([substream(config.seed, k, STEP_STREAM) for k in run_indices], n,
+                     config.max_ticks)
     energy_death = config.death_mode is DeathMode.ENERGY
     states = np.full(size * n, SLEEP, dtype=np.int8)
     batteries = np.full(size * n, config.energy.capacity, dtype=float)
     bins = np.repeat(4 * np.arange(size), n)  # a node's bincount bin is 4 * slot + state
     nodes = np.arange(size * n)
     run_bins = 4 * np.arange(size + 1)
-    live_per_run = [n] * size
+    live = np.full(size, n)  # per run, its nodes in the live arrays
     removed = np.zeros(size, dtype=np.int64)  # per run, nodes dropped from the live arrays
 
     all_batteries = batteries.copy()  # every node's battery in node order, for the records
@@ -213,7 +271,7 @@ def _step_runs(
 
     for tick in range(1, config.max_ticks + 1):
         row = states + offsets if attack.in_window(tick) else states.astype(np.intp)
-        u = np.concatenate([draw(c) for draw, c in zip(draws, live_per_run) if c])
+        u = pool.take(live)
         states = ((u >= edge0[row]).view(np.int8) + (u >= edge1[row]).view(np.int8)
                   + (u >= edge2[row]).view(np.int8))
         batteries -= costs[row]
@@ -251,12 +309,11 @@ def _step_runs(
         if died.any():  # also on the tick a run reaches M
             keep = states != DEAD
             if stopped.any():
-                keep &= np.repeat(death_at == 0, live_per_run)
+                keep &= np.repeat(death_at == 0, live)
             states, offsets, batteries, bins, nodes = (
                 a[keep] for a in (states, offsets, batteries, bins, nodes))
-            kept = np.diff(np.searchsorted(bins, run_bins))
-            removed = n - kept
-            live_per_run = kept.tolist()
+            live = np.diff(np.searchsorted(bins, run_bins))
+            removed = n - live
 
     return [t or None for t in death_at.tolist()], records
 

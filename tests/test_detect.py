@@ -366,6 +366,28 @@ class TestOnlineEstimateRefusals:
             online_estimate([1, 1, 1, 1], self.PARAMS, self.baseline,
                             window=2, min_events=min_events, stride=1)
 
+    @pytest.mark.parametrize("window,stride", [
+        (2.5, 1), (4, 1.5), (4.0, 1), (4, 2.0), (True, 1), (4, True), ("4", 1),
+    ], ids=["fractional-window", "fractional-stride", "float-window", "float-stride",
+            "bool-window", "bool-stride", "string-window"])
+    def test_non_integer_window_or_stride_refused(self, window, stride):
+        # a float or bool must not reach the window index arrays
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            online_estimate([1, 2, 3, 4, 5, 6, 7, 8], self.PARAMS, self.baseline,
+                            window=window, min_events=1, stride=stride)
+
+    @pytest.mark.parametrize("window,stride", [
+        (4, 1), (np.int64(4), np.int32(1)), (np.uint8(4), None), (4, np.intp(2)),
+    ], ids=["python", "numpy", "numpy-no-stride", "numpy-stride"])
+    def test_integer_window_and_stride_accepted(self, window, stride):
+        view = [1, 2, 3, 4, 5, 6, 7, 8]
+        got = outcome(online_estimate, view, self.PARAMS, self.baseline,
+                      window=window, min_events=1, stride=stride)
+        assert isinstance(got, list) and got
+        assert got == outcome(online_estimate, view, self.PARAMS, self.baseline,
+                              window=int(window), min_events=1,
+                              stride=None if stride is None else int(stride))
+
     def test_fractional_view_refused(self):
         with pytest.raises(ConfigInvalid, match="integer"):
             online_estimate([1.7, 2.2, 3.9, 4.1], self.PARAMS, self.baseline,

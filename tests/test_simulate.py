@@ -15,6 +15,7 @@ from scalar_oracle import scalar_run
 from sleepwatch.errors import ConfigInvalid, TooFewNodes
 from sleepwatch.lifecycle import NodePolicy
 from sleepwatch.network import NetworkChainParams, expected_death_time
+from sleepwatch.rng import STEP_STREAM, substream
 from sleepwatch.simulate import (
     ScenarioConfig,
     run_many,
@@ -345,6 +346,128 @@ class TestLockstep:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 1, done.stderr
         assert done.stderr == f"error: {message}\n"
+
+
+def random_pieces(rng: np.random.Generator, total: int) -> list[int]:
+    """Random lengths, zeros among them, that add up to ``total``."""
+    cuts = np.sort(rng.integers(0, total + 1, size=int(rng.integers(1, 30))))
+    pieces = np.diff(np.concatenate(([0], cuts, [total]))).tolist()
+    return [0] + pieces + [0]
+
+
+class TestSplitInvariance:
+    """The draw pool rests on PCG64 doubles being split-invariant; pin it."""
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_pieces_equal_one_call(self, trial):
+        rng = np.random.default_rng(trial)
+        seed, k = int(rng.integers(0, 2**32)), int(rng.integers(0, 1000))
+        total = int(rng.integers(0, 3000))
+        whole = substream(seed, k, STEP_STREAM).random(total)
+
+        stream = substream(seed, k, STEP_STREAM)
+        drawn = [stream.random(c) for c in random_pieces(rng, total)]
+        assert np.concatenate(drawn).tobytes() == whole.tobytes()
+
+        # the same pieces written with out= into row slices of a 2-D buffer
+        pieces = random_pieces(rng, total)
+        buffer = np.full((3, max(pieces) + 5), np.nan)
+        stream, got = substream(seed, k, STEP_STREAM), []
+        for c in pieces:
+            row, at = int(rng.integers(0, 3)), int(rng.integers(0, 6))
+            stream.random(out=buffer[row, at:at + c])
+            got.append(buffer[row, at:at + c].copy())
+        assert np.concatenate(got).tobytes() == whole.tobytes()
+
+
+def naive_draws(streams, live) -> np.ndarray:
+    """The kernel's draws before the pool: one random(c) per running run, concatenated."""
+    draws = [stream.random(c) for stream, c in zip(streams, live) if c]
+    return np.concatenate(draws) if draws else np.empty(0)
+
+
+class TestDrawPool:
+    """``_DrawPool`` hands each run the uniforms one random(c) call per tick would."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 40, 333, simulate.DRAW_POOL])
+    @pytest.mark.parametrize("trial", range(6))
+    def test_matches_per_stream_draws(self, monkeypatch, budget, trial):
+        monkeypatch.setattr(simulate, "DRAW_POOL", budget)
+        rng = np.random.default_rng(1000 + trial)
+        # a group of one run reads slices of its row, a larger group gathers
+        runs = 1 if trial % 2 else int(rng.integers(2, 9))
+        n, max_ticks = int(rng.integers(1, 30)), int(rng.integers(1, 80))
+        seed = int(rng.integers(0, 2**32))
+        streams = [substream(seed, k, STEP_STREAM) for k in range(runs)]
+        pool = simulate._DrawPool(streams, n, max_ticks)
+        naive = [substream(seed, k, STEP_STREAM) for k in range(runs)]
+        live = np.full(runs, n)
+        for _ in range(max_ticks):
+            got = pool.take(live)
+            assert got.tobytes() == naive_draws(naive, live).tobytes()
+            # live counts only fall, and a run that reaches 0 has stopped for good
+            live = np.where(live > 0, live - rng.binomial(live, 0.1), 0)
+            live[rng.random(runs) < 0.05] = 0
+
+    def test_single_run_draws_are_a_view_of_the_pool(self):
+        pool = simulate._DrawPool([substream(3, 0, STEP_STREAM)], 20000, 150)
+        u = pool.take(np.array([19990]))
+        assert u.size == 19990 and np.shares_memory(u, pool.rows)
+
+    @pytest.mark.parametrize("runs,n,max_ticks", [
+        (1, 5, 3), (300, 20, 600), (409, 20, 600), (1, 20000, 5), (1, 40000, 2), (3, 20000, 2),
+        (5, 12, 38),
+    ])
+    def test_pool_stays_within_its_budget(self, runs, n, max_ticks):
+        streams = [substream(9, k, STEP_STREAM) for k in range(runs)]
+        pool = simulate._DrawPool(streams, n, max_ticks)
+        rows, shape = pool.rows, pool.rows.shape
+        # whole ticks of draws, at most the budget unless one tick of the group exceeds it,
+        # and never more ticks than the run can step
+        assert shape[0] == runs and shape[1] % n == 0
+        assert rows.size <= max(simulate.DRAW_POOL, runs * n)
+        assert shape[1] <= n * max_ticks
+        live = np.full(runs, n)
+        for _ in range(max_ticks):
+            pool.take(live)
+            live = live - (live > 0)
+        assert pool.rows is rows and rows.shape == shape  # refills never grow the buffer
+
+    def test_run_many_groups_stay_within_the_budget(self, monkeypatch):
+        sizes = []
+        init = simulate._DrawPool.__init__
+
+        def spy(self, streams, n, max_ticks):
+            init(self, streams, n, max_ticks)
+            sizes.append((len(streams), n, self.rows.size))
+
+        monkeypatch.setattr(simulate._DrawPool, "__init__", spy)
+        for n_deployed in (3, 20, 129):
+            run_many(scenario(n_deployed=n_deployed, runs=300, max_ticks=10))
+        run_one(scenario(n_deployed=40000, max_ticks=1))
+        assert sizes and all(size <= simulate.DRAW_POOL for _, n, size in sizes if n <= 129)
+        assert sizes[-1] == (1, 40000, 40000)
+
+    @pytest.mark.parametrize("budget", [1, 100, 1000])
+    @pytest.mark.parametrize("case", TestLockstep.CASES)
+    def test_any_budget_gives_the_same_runs(self, monkeypatch, budget, case):
+        # budget 1 refills every run's row on nearly every tick; with 12 nodes, 100
+        # and 1000 hold 1 and 11 ticks for a group of 7, and 4 and 41 for a group of 2,
+        # so a row is rarely a whole number of a run's per-tick draws
+        config = scenario(n_deployed=12, runs=7, **TestLockstep.CASES[case])
+        whole = run_many(config)
+        traces = [run_one(config, k) for k in range(7)]
+        monkeypatch.setattr(simulate, "DRAW_POOL", budget)
+        pooled = run_many(config)
+        pooled_traces = [run_one(config, k) for k in range(7)]
+        monkeypatch.setattr(simulate, "LOCKSTEP_SLOTS", 32)  # uneven groups of 2, 2, 2, 1
+        uneven = run_many(config)
+        assert summary_fields(pooled) == summary_fields(uneven) == summary_fields(whole)
+        assert pooled_traces == traces
+        for k, trace in enumerate(pooled_traces):
+            rows, death_tick = scalar_run(config, k)
+            assert [astuple(rec) for rec in trace.per_tick] == rows
+            assert pooled.death_ticks[k] == trace.network_death_tick == death_tick
 
 
 class TestChainSimulation:

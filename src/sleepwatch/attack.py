@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, require_int
 from .lifecycle import NodePolicy, NodeState
 
 
@@ -39,7 +39,7 @@ class AttackModel:
     coverage: fraction of nodes within attacker radio range.
     sleep_block: per-tick probability that a sleep attempt is prevented.
     extra_drain: additional battery units per tick on affected awake nodes.
-    start_tick/end_tick: inclusive active window (end_tick None = forever).
+    start_tick/end_tick: inclusive active window of integer ticks (end_tick None = forever).
     """
 
     kind: AttackKind
@@ -50,6 +50,9 @@ class AttackModel:
     end_tick: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "start_tick", require_int("start_tick", self.start_tick))
+        if self.end_tick is not None:
+            object.__setattr__(self, "end_tick", require_int("end_tick", self.end_tick))
         if not 0.0 <= self.coverage <= 1.0:
             raise ConfigInvalid(f"coverage must lie in [0, 1], got {self.coverage}")
         if not 0.0 <= self.sleep_block <= 1.0:

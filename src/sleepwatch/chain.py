@@ -156,14 +156,10 @@ def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
     """
     transient = tuple(matrix.transient)
     absorbing = tuple(sorted(matrix.absorbing))
-    t = len(transient)
-    if t == 0:
-        return AbsorptionAnalysis(transient, absorbing, np.zeros((0, 0)),
-                                  np.zeros((0, len(absorbing))), np.zeros(0))
     q = matrix.probs[np.ix_(transient, transient)]
     r = matrix.probs[np.ix_(transient, absorbing)]
-    try:
-        fundamental = np.linalg.inv(np.eye(t) - q)
+    try:  # a chain with no transient state gets empty blocks: inv of a 0x0 matrix is 0x0
+        fundamental = np.linalg.inv(np.eye(len(transient)) - q)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"I - Q is singular for transient states {transient}") from exc
     return AbsorptionAnalysis(transient, absorbing, fundamental, fundamental @ r, fundamental.sum(axis=1))

@@ -37,7 +37,7 @@ from .network import (
     expected_death_time,
     expected_visits_closed,
 )
-from .serialize import dump_canonical, write_trace_csv
+from .serialize import dump_canonical, format_float, write_trace_csv
 from .simulate import RunSummary, ScenarioConfig, run_many
 
 _EXIT_FOR_DECISION = {
@@ -263,14 +263,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             summaries[scenario_key] = run_many(point.scenario)
         summary = summaries[scenario_key]
         counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
-        for tick in summary.death_ticks:
-            elapsed = tick if tick is not None else summary.max_ticks
-            counts[decide(tick, elapsed, baseline, point.detector.theta).decision] += 1
+        for tick in summary.death_ticks:  # elapsed is read only when no death was observed
+            counts[decide(tick, summary.max_ticks, baseline, point.detector.theta).decision] += 1
         mean = summary.mean_death_tick
-        mean = f"{mean:.17g}" if mean is not None else ""
-        value_text = str(int(value)) if args.param == "m" else f"{value:.17g}"
+        mean = format_float(mean) if mean is not None else ""
+        value_text = str(int(value)) if args.param == "m" else format_float(value)
         rows.append(
-            f"{value_text},{baseline.expected_death_ticks:.17g},{mean},"
+            f"{value_text},{format_float(baseline.expected_death_ticks)},{mean},"
             f"{counts[Decision.NORMAL]},{counts[Decision.UNDER_ATTACK]},"
             f"{counts[Decision.INCONCLUSIVE]}"
         )

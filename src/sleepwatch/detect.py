@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import AttackKind
-from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort
+from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort, require_int
 from .network import NetworkChainParams, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
@@ -283,10 +283,8 @@ def online_estimate(
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")
     view = _dead_counts(view)
-    for name, value in (("window", window), ("stride", stride)):
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, np.integer))):
-            raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    window = require_int("window", window)
+    stride = stride if stride is None else require_int("stride", stride)
     if window < 2 or (stride is not None and stride < 1):
         raise ConfigInvalid("window must be >= 2 and stride >= 1")
     if min_events < 1:

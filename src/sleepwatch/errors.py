@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check that raises one."""
+
+import numpy as np
 
 
 class SleepwatchError(Exception):
@@ -51,3 +53,10 @@ class WindowTooShort(SleepwatchError):
 
 class InvariantViolated(SleepwatchError):
     """A simulation broke one of its own invariants: a dead node revived or a node was lost."""
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a ``bool``, or ConfigInvalid."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionMatrix
-from .errors import ConfigInvalid, OutOfRange, TooFewNodes
+from .errors import ConfigInvalid, OutOfRange, TooFewNodes, require_int
 
 #: Dead-node fraction at which the network is declared dead.
 DEATH_FRACTION = 4, 5
@@ -58,8 +58,9 @@ class NetworkChainParams:
     This is the one description of a deployment's chain: the simulator,
     the detector and the CLI all read N, M and i from here. M defaults to
     round(4N/5) with half-up rounding; an explicit ``m_threshold`` must
-    lie in [2, N]. The start state must lie in [0, M]. N may not exceed
-    the element count numpy can size for an 8-byte array.
+    lie in [2, N]. The start state must lie in [0, M]. N, M and the start
+    state are integers, and N may not exceed the element count numpy can
+    size for an 8-byte array.
     """
 
     n_deployed: int
@@ -67,15 +68,15 @@ class NetworkChainParams:
     m_threshold: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_deployed", "initial_dead"):
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
         derived = threshold_from_deployed(self.n_deployed)  # rejects N < 2
         if self.n_deployed > _MAX_ITEMS:
             raise ConfigInvalid(f"n_deployed {self.n_deployed} is too large for numpy arrays")
-        if self.m_threshold is None:
-            object.__setattr__(self, "m_threshold", derived)
-        elif not 2 <= self.m_threshold <= self.n_deployed:
-            raise ConfigInvalid(
-                f"m_threshold {self.m_threshold} outside [2, {self.n_deployed}]"
-            )
+        m = derived if self.m_threshold is None else require_int("m_threshold", self.m_threshold)
+        if not 2 <= m <= self.n_deployed:
+            raise ConfigInvalid(f"m_threshold {m} outside [2, {self.n_deployed}]")
+        object.__setattr__(self, "m_threshold", m)
         if not 0 <= self.initial_dead <= self.m_threshold:
             raise OutOfRange(
                 f"initial_dead {self.initial_dead} outside [0, {self.m_threshold}]"

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackKind, AttackModel, affected_set, no_attack, transform_policy
-from .errors import ConfigInvalid, InvariantViolated
+from .errors import ConfigInvalid, InvariantViolated, require_int
 from .lifecycle import (
     DeathMode,
     EnergyModel,
@@ -80,8 +80,9 @@ class ScenarioConfig:
     N and M come from ``network`` and are stored nowhere else. Every run
     starts with all N nodes asleep; ``network.initial_dead`` is the chain
     start state of the detector's baseline and is not simulated. No
-    attacker is ``no_attack()``, the default. N full batteries may total
-    at most ``BATTERY_TOTAL_MAX``, so a trace's battery column stays finite.
+    attacker is ``no_attack()``, the default. ``max_ticks``, ``runs`` and
+    ``seed`` are integers. N full batteries may total at most
+    ``BATTERY_TOTAL_MAX``, so a trace's battery column stays finite.
     """
 
     network: NetworkChainParams
@@ -94,6 +95,8 @@ class ScenarioConfig:
     runs: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("max_ticks", "runs", "seed"):
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
         if self.max_ticks < 1:
             raise ConfigInvalid(f"max_ticks must be at least 1, got {self.max_ticks}")
         if self.runs < 1:
@@ -139,22 +142,34 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Aggregate over the runs of one scenario.
+    """Aggregate over the runs of one scenario, built from their death ticks alone.
 
-    Censored runs (no network death within max_ticks) are excluded from
-    the mean and standard deviation; ``mean_death_tick`` is None when
-    every run was censored, ``std_death_tick`` needs at least two
-    uncensored runs. ``traces`` is empty unless ``run_many`` was asked
-    to keep them.
+    A censored run (no network death within max_ticks) has tick None. The
+    run and censored counts, mean and standard deviation derive from the
+    ticks. Censored runs are excluded from the mean and standard deviation;
+    ``mean_death_tick`` is None when every run was censored,
+    ``std_death_tick`` needs at least two uncensored runs. ``traces`` is
+    empty unless ``run_many`` was asked to keep them.
     """
 
-    runs: int
     max_ticks: int
     death_ticks: tuple[int | None, ...]
-    censored_count: int
-    mean_death_tick: float | None
-    std_death_tick: float | None
     traces: tuple[SimulationTrace, ...] = field(repr=False, default=())
+    runs: int = field(init=False)
+    censored_count: int = field(init=False)
+    mean_death_tick: float | None = field(init=False)
+    std_death_tick: float | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        observed = [t for t in self.death_ticks if t is not None]
+        for name, value in (
+            ("death_ticks", tuple(self.death_ticks)),
+            ("runs", len(self.death_ticks)),
+            ("censored_count", len(self.death_ticks) - len(observed)),
+            ("mean_death_tick", float(np.mean(observed)) if observed else None),
+            ("std_death_tick", float(np.std(observed, ddof=1)) if len(observed) >= 2 else None),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def _row_costs(drain: np.ndarray, extra_drain: float) -> np.ndarray:
@@ -345,18 +360,7 @@ def run_many(config: ScenarioConfig, keep_traces: bool = False) -> RunSummary:
             for start in range(0, config.runs, size)
             for tick in _step_runs(config, range(start, min(start + size, config.runs)))[0]
         )
-    observed = [t for t in death_ticks if t is not None]
-    mean = float(np.mean(observed)) if observed else None
-    std = float(np.std(observed, ddof=1)) if len(observed) >= 2 else None
-    return RunSummary(
-        runs=config.runs,
-        max_ticks=config.max_ticks,
-        death_ticks=death_ticks,
-        censored_count=len(death_ticks) - len(observed),
-        mean_death_tick=mean,
-        std_death_tick=std,
-        traces=traces,
-    )
+    return RunSummary(config.max_ticks, death_ticks, traces)
 
 
 def simulate_chain_trajectory(
@@ -372,8 +376,8 @@ def simulate_chain_trajectory(
     Each tick performs one chain step with probability ``step_prob`` and
     otherwise dwells, so ``step_prob`` is the chain-steps-per-tick rate
     the online detector is expected to recover. The trajectory starts at
-    tick 0 and stops at absorption or after ``max_ticks`` ticks; it is a
-    copy, so a short run does not keep the ``max_ticks + 1`` buffer alive.
+    tick 0 and stops at absorption or after ``max_ticks`` ticks, and is
+    only as long as the run.
     """
     if not 0.0 < step_prob <= 1.0:
         raise ConfigInvalid(f"step_prob must lie in (0, 1], got {step_prob}")
@@ -383,16 +387,14 @@ def simulate_chain_trajectory(
         raise ConfigInvalid(f"max_ticks must be non-negative, got {max_ticks}")
     move = step_probs(m)[0]
     rng = substream(seed, run_index, CHAIN_STREAM)
-    view = np.empty(max_ticks + 1, dtype=np.int64)
-    view[0] = i = initial_dead
-    tick = 0
-    while 0 < i < m and tick < max_ticks:
-        tick += 1
+    i = initial_dead
+    view = [i]
+    while 0 < i < m and len(view) <= max_ticks:
         if rng.random() < step_prob:
             u = rng.random()
             if u < move[i]:
                 i += 1
             elif u < 2.0 * move[i]:
                 i -= 1
-        view[tick] = i
-    return view[: tick + 1].copy()
+        view.append(i)
+    return np.array(view, dtype=np.int64)

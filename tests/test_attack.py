@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,17 @@ class TestAttackModel:
     def test_window_must_be_ordered(self):
         with pytest.raises(ConfigInvalid):
             rts_cts_flood(start_tick=10, end_tick=5)
+
+    @pytest.mark.parametrize("value", [0.5, True, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("name", ["start_tick", "end_tick"])
+    def test_window_ticks_must_be_integers(self, name, value):
+        with pytest.raises(ConfigInvalid, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            rts_cts_flood(**{name: value})
+
+    def test_window_ticks_store_numpy_integers_as_int(self):
+        model = rts_cts_flood(start_tick=np.int64(2), end_tick=np.uint8(9))
+        assert model == rts_cts_flood(start_tick=2, end_tick=9)
+        assert type(model.start_tick) is int and type(model.end_tick) is int
 
     @pytest.mark.parametrize("extra_drain", [float("nan"), float("inf")])
     def test_extra_drain_must_be_finite(self, extra_drain):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,16 @@ class TestThreshold:
             NetworkChainParams(n_deployed=10, initial_dead=9)
         with pytest.raises(OutOfRange):
             NetworkChainParams(n_deployed=10, initial_dead=5, m_threshold=4)
+
+    @pytest.mark.parametrize("value", [10.5, True, np.float64(10.0), "10"])
+    @pytest.mark.parametrize("name", ["n_deployed", "initial_dead", "m_threshold"])
+    def test_params_reject_non_integer(self, name, value):
+        kwargs = {"n_deployed": 20, "initial_dead": 1, "m_threshold": 16, name: value}
+        with pytest.raises(ConfigInvalid, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            NetworkChainParams(**kwargs)
+
+    def test_params_store_numpy_integers_as_int(self):
+        params = NetworkChainParams(np.int64(20), np.int8(1), np.uint16(10))
+        assert params == NetworkChainParams(20, 1, 10)
+        assert [type(v) for v in (params.n_deployed, params.initial_dead, params.m_threshold)] == [int] * 3
+        assert type(NetworkChainParams(np.int32(20)).m_threshold) is int

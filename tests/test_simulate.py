@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple
@@ -17,6 +18,7 @@ from sleepwatch.lifecycle import NodePolicy
 from sleepwatch.network import NetworkChainParams, expected_death_time
 from sleepwatch.rng import STEP_STREAM, substream
 from sleepwatch.simulate import (
+    RunSummary,
     ScenarioConfig,
     run_many,
     run_one,
@@ -87,6 +89,17 @@ class TestConfigValidation:
     def test_rejects_run_index_out_of_bounds(self):
         with pytest.raises(ConfigInvalid):
             run_one(scenario(runs=2), 2)
+
+    @pytest.mark.parametrize("value", [10.5, True, np.float64(40.0), "40"])
+    @pytest.mark.parametrize("name", ["max_ticks", "runs", "seed"])
+    def test_rejects_non_integer(self, name, value):
+        with pytest.raises(ConfigInvalid, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            scenario(**{name: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = scenario(max_ticks=np.int64(400), runs=np.int32(3), seed=np.uint16(4242))
+        assert [type(v) for v in (config.max_ticks, config.runs, config.seed)] == [int] * 3
+        assert run_many(config) == run_many(scenario(runs=3))
 
 
 class TestRunOne:
@@ -272,6 +285,42 @@ class TestRunMany:
         first, second = run_many(config), run_many(config)
         assert first.death_ticks == second.death_ticks
         assert first.mean_death_tick == second.mean_death_tick
+
+
+class TestRunSummary:
+    """A summary is built from its death ticks alone; every other count derives from them."""
+
+    @pytest.mark.parametrize("ticks,runs,censored,mean,std", [
+        ([5, None, 7, 9, None], 5, 2, 7.0, 2.0),
+        ((None, None, None), 3, 3, None, None),
+        ((100,) + (None,) * 9, 10, 9, 100.0, None),
+        ((), 0, 0, None, None),
+    ], ids=["mixed", "all-censored", "single-death", "zero-runs"])
+    def test_fields_derive_from_the_ticks(self, ticks, runs, censored, mean, std):
+        summary = RunSummary(1000, ticks)
+        assert summary.death_ticks == tuple(ticks)
+        assert (summary.runs, summary.censored_count) == (runs, censored)
+        assert (summary.mean_death_tick, summary.std_death_tick) == (mean, std)
+        assert summary.traces == ()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(runs=4, seed=31),
+        dict(policy=sw.default_policy(), energy=sw.EnergyModel(10.0, np.zeros(4)),
+             death_mode=sw.DeathMode.ENERGY, max_ticks=30, runs=3),
+        dict(TestScalarOracle.ENERGY, n_deployed=12, max_ticks=38, runs=7),
+    ], ids=["uncensored", "all-censored", "some-censored"])
+    def test_run_many_is_its_death_ticks(self, overrides):
+        config = scenario(**overrides)
+        summary = run_many(config)
+        assert summary == RunSummary(config.max_ticks, summary.death_ticks)
+        kept = run_many(config, keep_traces=True)
+        assert kept == RunSummary(config.max_ticks, summary.death_ticks, kept.traces)
+
+    @pytest.mark.parametrize("name", ["runs", "censored_count", "mean_death_tick", "std_death_tick"])
+    def test_derived_fields_cannot_be_passed_in(self, name):
+        RunSummary(max_ticks=10, death_ticks=(3,))
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            RunSummary(max_ticks=10, death_ticks=(3,), **{name: 1})
 
 
 def summary_fields(summary) -> tuple:
@@ -525,6 +574,11 @@ class TestChainTrajectory:
         view = simulate_chain_trajectory(6, 3, step_prob=1.0, seed=21, max_ticks=1_000_000)
         assert view.size < 1_000
         assert view.base is None or view.base.nbytes == view.nbytes
+
+    def test_unabsorbed_run_holds_every_tick_of_the_budget(self):
+        view = simulate_chain_trajectory(60, 30, step_prob=0.01, seed=1, max_ticks=50)
+        assert view.dtype == np.int64 and view.size == 51
+        assert 0 < view[-1] < 60
 
     def test_zero_ticks_is_start_state_only(self):
         view = simulate_chain_trajectory(6, 3, step_prob=1.0, seed=1, max_ticks=0)

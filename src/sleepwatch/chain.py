@@ -145,8 +145,9 @@ def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
     Every :class:`TransitionMatrix` is valid by construction. Splits it into
     Q (transient to transient) and R (transient to absorbing), both in
     ascending original state order, so repeated calls produce identical
-    results. Inverts I - Q directly (the LAPACK ``gesv`` solve of
-    (I - Q) N = I, without a second identity for the right-hand side);
+    results. Builds I - Q in its copy of Q and inverts it directly (the
+    LAPACK ``gesv`` solve of (I - Q) N = I, without a second identity for
+    the right-hand side);
     ``absorb_prob = N @ R`` and ``expected_steps = N @ 1``.
 
     Raises:
@@ -158,8 +159,16 @@ def analyze(matrix: TransitionMatrix) -> AbsorptionAnalysis:
     absorbing = tuple(sorted(matrix.absorbing))
     q = matrix.probs[np.ix_(transient, transient)]
     r = matrix.probs[np.ix_(transient, absorbing)]
+    # Q and R are copies. Dropping the argument lets a caller's temporary
+    # matrix be freed before the inverse (CPython >= 3.11 moves a call's
+    # arguments into the callee's frame).
+    del matrix
+    # I - Q in place: 0.0 - q off the diagonal and (0.0 - q) + 1.0 = 1.0 - q
+    # on it, the bits np.eye(n) - q gives, without the identity or a copy
+    np.subtract(0.0, q, out=q)
+    q.flat[:: len(transient) + 1] += 1.0
     try:  # a chain with no transient state gets empty blocks: inv of a 0x0 matrix is 0x0
-        fundamental = np.linalg.inv(np.eye(len(transient)) - q)
+        fundamental = np.linalg.inv(q)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"I - Q is singular for transient states {transient}") from exc
     return AbsorptionAnalysis(transient, absorbing, fundamental, fundamental @ r, fundamental.sum(axis=1))

@@ -50,7 +50,7 @@ import numpy as np
 
 from .attack import AttackKind, broadcast_replay, no_attack, rts_cts_flood
 from .detect import DEFAULT_THRESHOLD_FACTOR, BaselineSource
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, require_int
 from .lifecycle import DeathMode, NodePolicy, STATE_NAMES, default_energy, default_policy
 from .network import NetworkChainParams
 from .simulate import ScenarioConfig
@@ -76,11 +76,16 @@ class DetectorSettings:
             raise ConfigInvalid(
                 f"detector.ticks_per_chain_step must be finite and > 0, got {self.ticks_per_chain_step}"
             )
-        if self.baseline_runs < 1:
-            raise ConfigInvalid(f"detector.baseline_runs must be at least 1, got {self.baseline_runs}")
+        runs = require_int("detector.baseline_runs", self.baseline_runs)
+        if runs < 1:
+            raise ConfigInvalid(f"detector.baseline_runs must be at least 1, got {runs}")
         seed = self.baseline_seed
-        if seed is not None and seed < 0:
-            raise ConfigInvalid(f"detector.baseline_seed must be a non-negative integer, got {seed}")
+        if seed is not None:
+            seed = require_int("detector.baseline_seed", seed)
+            if seed < 0:
+                raise ConfigInvalid(f"detector.baseline_seed must be a non-negative integer, got {seed}")
+        object.__setattr__(self, "baseline_runs", runs)
+        object.__setattr__(self, "baseline_seed", seed)
 
 
 @dataclass(frozen=True)

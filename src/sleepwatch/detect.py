@@ -30,14 +30,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import AttackKind
 from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort, require_int
-from .network import NetworkChainParams, expected_death_time, step_probs
+from .network import _CHUNK, NetworkChainParams, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
 DEFAULT_THRESHOLD_FACTOR = 0.8
-
-#: Values per chunk of windows: a chunk's rows of expected moves, and its
-#: rows of closed-form death-time terms, stay near 0.5 MB each.
-_CHUNK = 1 << 16
 
 
 class Decision(Enum):

@@ -38,6 +38,10 @@ THRESHOLD_ROUNDING = "half-up"
 #: Largest element count numpy can size for an 8-byte dtype.
 _MAX_ITEMS = np.iinfo(np.intp).max // 8
 
+#: Values per chunk of rows (0.5 MB of floats): the closed forms' rows of
+#: death-time terms, and the online detector's rows of expected moves.
+_CHUNK = 1 << 16
+
 
 def threshold_from_deployed(n: int) -> int:
     """Death threshold M = round(4n/5), rounded half-up.
@@ -135,7 +139,12 @@ def expected_visits_closed(i, j, m: int):
     transient (1 <= i, j <= m-1); arrays of states broadcast.
     """
     i, j = _states(i, m, 1, m - 1), _states(j, m, 1, m - 1)
-    return _result(np.where(j <= i, m * (m - i) / (m - j), m * i / j))
+    # each branch divides into one output array, only where it applies
+    out = np.empty(np.broadcast_shapes(i.shape, j.shape))
+    below = np.asarray(j <= i)  # an array also for two 0-d states
+    np.divide(m * (m - i), m - j, out=out, where=below)
+    np.divide(m * i, j, out=out, where=np.logical_not(below, out=below))
+    return _result(out)
 
 
 def expected_death_time(i, m: int):
@@ -149,10 +158,17 @@ def expected_death_time(i, m: int):
     """
     states = _states(i, m, 0, m)
     j = np.arange(1, m)
+    flat = states.reshape(-1, 1)
+    below, above = np.empty(flat.size), np.empty(flat.size)
     # running sums over zero-padded rows add the terms left to right, as the
-    # formula reads; np.sum adds pairwise and would change the last bits
-    below = np.cumsum(np.where(j <= states[..., None], 1.0 / (m - j), 0.0), axis=-1)[..., -1]
-    above = np.cumsum(np.where(j > states[..., None], 1.0 / j, 0.0), axis=-1)[..., -1]
+    # formula reads; np.sum adds pairwise and would change the last bits.
+    # The rows are summed a chunk of at most _CHUNK terms at a time.
+    rows = max(1, _CHUNK // (m - 1))
+    for lo in range(0, flat.size, rows):
+        s = flat[lo:lo + rows]
+        below[lo:lo + rows] = np.cumsum(np.where(j <= s, 1.0 / (m - j), 0.0), axis=-1)[:, -1]
+        above[lo:lo + rows] = np.cumsum(np.where(j > s, 1.0 / j, 0.0), axis=-1)[:, -1]
+    below, above = below.reshape(states.shape), above.reshape(states.shape)
     return _result(m * (m - states) * below + m * states * above)
 
 

@@ -334,7 +334,8 @@ def _step_runs(
 
 
 def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
-    """Simulate one run; fully determined by (config.seed, run_index)."""
+    """Simulate one run; fully determined by (config.seed, run_index), an integer."""
+    run_index = require_int("run_index", run_index)
     if not 0 <= run_index < config.runs:
         raise ConfigInvalid(f"run_index {run_index} outside [0, {config.runs})")
     (death_tick,), records = _step_runs(config, range(run_index, run_index + 1), record=True)
@@ -377,14 +378,21 @@ def simulate_chain_trajectory(
     otherwise dwells, so ``step_prob`` is the chain-steps-per-tick rate
     the online detector is expected to recover. The trajectory starts at
     tick 0 and stops at absorption or after ``max_ticks`` ticks, and is
-    only as long as the run.
+    only as long as the run. Every argument but ``step_prob`` is an integer.
     """
+    m, initial_dead, seed, max_ticks, run_index = (
+        require_int(name, value) for name, value in (
+            ("m", m), ("initial_dead", initial_dead), ("seed", seed),
+            ("max_ticks", max_ticks), ("run_index", run_index)))
     if not 0.0 < step_prob <= 1.0:
         raise ConfigInvalid(f"step_prob must lie in (0, 1], got {step_prob}")
     if not 0 <= initial_dead <= m or m < 2:
         raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
     if max_ticks < 0:
         raise ConfigInvalid(f"max_ticks must be non-negative, got {max_ticks}")
+    for name, value in (("seed", seed), ("run_index", run_index)):
+        if value < 0:
+            raise ConfigInvalid(f"{name} must be non-negative, got {value}")
     move = step_probs(m)[0]
     rng = substream(seed, run_index, CHAIN_STREAM)
     i = initial_dead

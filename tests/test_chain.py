@@ -1,3 +1,6 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,34 @@ class TestAnalyze:
         identity = np.eye(len(q))
         expected = np.linalg.solve(identity - q, identity)
         assert analysis.fundamental.tobytes() == expected.tobytes()
+
+    def test_fundamental_is_the_inverse_of_eye_minus_q_bit_for_bit(self):
+        # I - Q is built in place; the inverse must see the bits np.eye(n) - q has
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            tm = random_absorbing_chain(rng, max_states=12)
+            analysis = chain.analyze(tm)
+            q, _ = blocks(tm, analysis)
+            expected = np.linalg.inv(np.eye(len(q)) - q)
+            assert analysis.fundamental.tobytes() == expected.tobytes()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="a 3.10 caller keeps its arguments alive")
+    def test_argument_is_released_before_the_inverse(self, monkeypatch):
+        built = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            assert built[0]() is None, "the transition matrix outlived its Q and R copies"
+            return inv(a)
+
+        def build(m):
+            tm = build_matrix(m)
+            built.append(weakref.ref(tm))
+            return tm
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        analysis = chain.analyze(build(30))
+        assert analysis.fundamental.shape == (29, 29)
 
     def test_singular_system_from_underflowed_escape(self):
         # escape mass so small it vanishes from both the row sum and I - Q:

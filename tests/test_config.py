@@ -7,7 +7,7 @@ import pytest
 from test_cli import CONFIG_KEYS
 
 from sleepwatch.attack import AttackKind
-from sleepwatch.config import load_config, parse_config
+from sleepwatch.config import DetectorSettings, load_config, parse_config
 from sleepwatch.detect import BaselineSource
 from sleepwatch.errors import ConfigInvalid, OutOfRange, TooFewNodes
 from sleepwatch.lifecycle import DeathMode, NodeState, default_energy, default_policy
@@ -87,6 +87,20 @@ class TestStrictness:
     def test_bad_monte_carlo_settings_name_their_key(self, detector, message):
         with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
             parse_config({"detector": detector})
+
+    @pytest.mark.parametrize("key, value", [
+        ("baseline_runs", 2.5), ("baseline_runs", True), ("baseline_runs", np.float64(100.0)),
+        ("baseline_seed", 1.5), ("baseline_seed", True), ("baseline_seed", "7"),
+    ])
+    def test_settings_refuse_non_integer_counts(self, key, value):
+        # built directly, not through parse_config, whose key readers check the JSON type
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(f'detector.{key} must be an integer, got {value!r}')}$"):
+            DetectorSettings(**{key: value})
+
+    def test_settings_store_numpy_integers_as_int(self):
+        settings = DetectorSettings(baseline_runs=np.int64(5), baseline_seed=np.uint32(9))
+        assert (type(settings.baseline_runs), type(settings.baseline_seed)) == (int, int)
+        assert DetectorSettings(baseline_seed=None).baseline_seed is None
 
     @pytest.mark.parametrize("source", ["analytic", "monte_carlo"])
     @pytest.mark.parametrize("key, value, message", [

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ class TestArrayArguments:
         assert type(death_probability(np.int64(1), m)) is float
         assert type(expected_visits_closed(1, m - 1, m)) is float
 
+    def test_expected_death_time_rows_span_several_chunks(self):
+        # 801 states at M = 800 take ten chunks of at most 82 rows each
+        m = 800
+        assert network._CHUNK // (m - 1) < m + 1
+        states = np.random.default_rng(3).permutation(m + 1).reshape(3, 267)
+        got = expected_death_time(states, m)
+        assert got.shape == states.shape
+        assert got.tolist() == [[oracle.expected_death_time(int(i), m) for i in row] for row in states]
+
     def test_scalar_and_array_agree(self):
         m = 41
         states = np.array([[0, 5], [20, 41]])
@@ -99,6 +109,33 @@ class TestArrayArguments:
             got = closed_form(states, m)
             assert got.shape == states.shape
             assert got.tolist() == [[closed_form(int(i), m) for i in row] for row in states]
+
+
+def traced_peak(closed_form, *args):
+    """The closed form's value for ``args`` and its ``tracemalloc`` peak in bytes."""
+    tracemalloc.start()
+    try:
+        value = closed_form(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+class TestTemporaries:
+    """The closed forms hold one chunk of terms, or one output array, at a time."""
+
+    def test_expected_death_time_holds_one_chunk_of_terms(self):
+        # unchunked, each of the 801 x 799 term rows and its running sum takes 5.1 MB
+        value, peak = traced_peak(expected_death_time, np.arange(801), 800)
+        assert value.shape == (801,)
+        assert peak < 2_000_000
+
+    def test_expected_visits_fills_one_output_array(self):
+        states = np.arange(1, 800)
+        value, peak = traced_peak(expected_visits_closed, states[:, None], states, 800)
+        assert value.nbytes == 799 * 799 * 8
+        assert peak < 2 * value.nbytes
 
 
 class TestDeathProbability:

@@ -90,6 +90,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             run_one(scenario(runs=2), 2)
 
+    @pytest.mark.parametrize("run_index", [1.5, True, np.float64(0.0)])
+    def test_rejects_non_integer_run_index(self, run_index):
+        with pytest.raises(ConfigInvalid, match=re.escape(f"run_index must be an integer, got {run_index!r}")):
+            run_one(scenario(runs=2), run_index)
+
+    def test_numpy_run_index_is_stored_as_int(self):
+        config = scenario(runs=2)
+        trace = run_one(config, np.int64(1))
+        assert type(trace.run_index) is int
+        assert trace == run_one(config, 1)
+
     @pytest.mark.parametrize("value", [10.5, True, np.float64(40.0), "40"])
     @pytest.mark.parametrize("name", ["max_ticks", "runs", "seed"])
     def test_rejects_non_integer(self, name, value):
@@ -569,6 +580,24 @@ class TestChainTrajectory:
     def test_rejects_negative_max_ticks(self, max_ticks):
         with pytest.raises(ConfigInvalid, match="max_ticks must be non-negative"):
             simulate_chain_trajectory(6, 3, step_prob=1.0, seed=1, max_ticks=max_ticks)
+
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0)])
+    @pytest.mark.parametrize("name", ["m", "initial_dead", "seed", "max_ticks", "run_index"])
+    def test_rejects_non_integer(self, name, value):
+        args = {"m": 60, "initial_dead": 30, "seed": 1, "max_ticks": 50, "run_index": 0, name: value}
+        with pytest.raises(ConfigInvalid, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            simulate_chain_trajectory(step_prob=1.0, **args)
+
+    @pytest.mark.parametrize("name", ["seed", "run_index"])
+    def test_rejects_negative_stream_key(self, name):
+        args = {"seed": 1, "run_index": 0, name: -1}
+        with pytest.raises(ConfigInvalid, match=f"{name} must be non-negative, got -1"):
+            simulate_chain_trajectory(60, 30, 1.0, max_ticks=50, **args)
+
+    def test_numpy_integers_keep_their_draws(self):
+        view = simulate_chain_trajectory(np.int64(60), np.int32(30), 0.5, np.uint16(7),
+                                         np.int64(200), run_index=np.int8(2))
+        assert view.tobytes() == simulate_chain_trajectory(60, 30, 0.5, 7, 200, run_index=2).tobytes()
 
     def test_short_run_does_not_hold_the_tick_budget(self):
         view = simulate_chain_trajectory(6, 3, step_prob=1.0, seed=21, max_ticks=1_000_000)

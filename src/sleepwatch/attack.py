@@ -3,7 +3,7 @@
 An attack keeps nodes out of the Sleep state and burns extra battery on
 the nodes it reaches. Radio range is abstracted to a coverage fraction:
 the affected set is a seed-stable random subset of the deployment, drawn
-once per scenario. The two concrete mechanisms differ only in their
+once per run. The two concrete mechanisms differ only in their
 default intensities:
 
 - handshake flooding (forced control-packet responses): sleep_block 0.9,
@@ -96,19 +96,23 @@ def broadcast_replay(
     return AttackModel(AttackKind.BROADCAST_REPLAY, coverage, sleep_block, extra_drain, start_tick, end_tick)
 
 
-def affected_set(model: AttackModel, node_count: int, rng: np.random.Generator) -> frozenset[int]:
-    """Seed-stable subset of node ids within attacker range.
+def affected_set(model: AttackModel, node_count: int, rng: np.random.Generator) -> np.ndarray:
+    """Seed-stable ids of the nodes within attacker range, ascending, as int64.
 
-    Size is round(coverage * node_count), half-up. A no-attack model
-    yields the empty set without consuming any randomness, which keeps
-    traces bit-identical to runs with no attacker at all.
+    The ids are the first round(coverage * node_count), half-up, of one
+    ``rng.permutation(node_count)``. A no-attack model yields an empty
+    array without consuming any randomness, which keeps traces
+    bit-identical to runs with no attacker at all.
     """
     if node_count < 1:
         raise ConfigInvalid(f"node_count must be at least 1, got {node_count}")
     if model.kind is AttackKind.NO_ATTACK:
-        return frozenset()
+        return np.empty(0, dtype=np.int64)
     size = int(math.floor(model.coverage * node_count + 0.5))
-    return frozenset(rng.permutation(node_count)[:size].tolist())
+    # a mask, not np.sort: a process's first sort maps about 0.3 MiB more of numpy
+    reached = np.zeros(node_count, dtype=bool)
+    reached[rng.permutation(node_count)[:size]] = True
+    return np.flatnonzero(reached).astype(np.int64, copy=False)
 
 
 def transform_policy(policy: NodePolicy, model: AttackModel) -> NodePolicy:

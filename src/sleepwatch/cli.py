@@ -143,10 +143,12 @@ def _analyze_report(parsed: ParsedConfig) -> dict:
         },
     }
     for key, (closed, oracle) in closed_and_oracle.items():
+        deviation = closed - oracle
+        np.abs(deviation, out=deviation)  # one full-size temporary, not two
         report[key] = {
             "closed_form": closed,
             "oracle": oracle,
-            "max_abs_deviation": float(np.max(np.abs(closed - oracle))),
+            "max_abs_deviation": float(deviation.max()),
         }
     return report
 

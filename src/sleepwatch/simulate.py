@@ -18,11 +18,12 @@ split-invariant, so a run sees the same uniforms in any group and under
 any pool width, and a run that reaches M is never refilled.
 
 The kernel keeps only the live nodes, in run order, in compacted arrays
-(state, attack row offset, battery, bincount bin, node index). It
-rebuilds them only on a tick where a node died, which includes the tick
-a run reaches M and drops all its nodes. On other ticks nothing is
-gathered or scattered, except the live batteries a recording run writes
-back for its battery column.
+(state and attack row offset, one byte each, battery, bincount bin, node
+index). It rebuilds them only on a tick where a node died, which
+includes the tick a run reaches M and drops all its nodes, one array at
+a time, so old and new copies of all five are never held together. On
+other ticks nothing is gathered or scattered, except the live batteries
+a recording run writes back for its battery column.
 
 Tick ordering is fixed: transform policy, draw next states, pay drain,
 apply battery deaths, count, check, stop at M. Dead-count monotonicity
@@ -235,16 +236,17 @@ def _step_runs(
 ) -> tuple[list[int | None], list[TickRecord]]:
     """Step the runs ``run_indices`` in lockstep; their death ticks and records.
 
-    Only the group's live nodes are stepped. Their state, attack row
-    offset (4 on an attacked node), battery, bincount bin and index in
-    the group's ``runs * N`` nodes sit in compacted arrays, run by run,
-    so a tick's draws are each running run's next uniforms from its own
-    STEP_STREAM in run order, read from a ``_DrawPool``. The arrays are
-    rebuilt, dropping the dead nodes and the nodes of runs that reached
-    M, only on a tick where a node died or a run stopped; a run's dead
-    count is the nodes dropped so far plus its nodes that died this
-    tick. With ``record`` the per-tick records of the first run are
-    kept, its battery column summed over all N nodes in node order.
+    Only the group's live nodes are stepped. Their state and attack row
+    offset (4 on an attacked node), both int8, battery, bincount bin and
+    index in the group's ``runs * N`` nodes sit in compacted arrays, run
+    by run, so a tick's draws are each running run's next uniforms from
+    its own STEP_STREAM in run order, read from a ``_DrawPool``. The
+    arrays are rebuilt one at a time, dropping the dead nodes and the
+    nodes of runs that reached M, only on a tick where a node died or a
+    run stopped; a run's dead count is the nodes dropped so far plus its
+    nodes that died this tick. With ``record`` the per-tick records of
+    the first run are kept, its battery column summed over all N nodes
+    in node order.
     """
     n, m = config.network.n_deployed, config.network.m_threshold
     size = len(run_indices)
@@ -261,12 +263,11 @@ def _step_runs(
     edge0, edge1, edge2 = cum[:, :DEAD].T.copy()
     costs = _row_costs(config.energy.drain, attack.extra_drain)
 
-    offsets = np.zeros(size * n, dtype=np.intp)
+    offsets = np.zeros(size * n, dtype=np.int8)
     if attack.kind is not AttackKind.NO_ATTACK:
         for slot, k in enumerate(run_indices):
             ids = affected_set(attack, n, substream(config.seed, k, AFFECTED_STREAM))
-            if ids:
-                offsets[slot * n + np.fromiter(ids, dtype=np.intp)] = 4
+            offsets[slot * n + ids] = 4
 
     pool = _DrawPool([substream(config.seed, k, STEP_STREAM) for k in run_indices], n,
                      config.max_ticks)
@@ -285,7 +286,7 @@ def _step_runs(
     prev_dead = np.zeros(size, dtype=np.int64)
 
     for tick in range(1, config.max_ticks + 1):
-        row = states + offsets if attack.in_window(tick) else states.astype(np.intp)
+        row = (states + offsets if attack.in_window(tick) else states).astype(np.intp)
         u = pool.take(live)
         states = ((u >= edge0[row]).view(np.int8) + (u >= edge1[row]).view(np.int8)
                   + (u >= edge2[row]).view(np.int8))
@@ -325,8 +326,12 @@ def _step_runs(
             keep = states != DEAD
             if stopped.any():
                 keep &= np.repeat(death_at == 0, live)
-            states, offsets, batteries, bins, nodes = (
-                a[keep] for a in (states, offsets, batteries, bins, nodes))
+            # One array per statement: each old array is freed before the next is copied.
+            states = states[keep]
+            offsets = offsets[keep]
+            batteries = batteries[keep]
+            bins = bins[keep]
+            nodes = nodes[keep]
             live = np.diff(np.searchsorted(bins, run_bins))
             removed = n - live
 

@@ -93,8 +93,9 @@ def scalar_run(config: ScenarioConfig, run_index: int = 0) -> tuple[list[tuple],
     attacked = transform_policy(base, attack)
     affected: frozenset[int] = frozenset()
     if attack.kind is not AttackKind.NO_ATTACK:
-        affected = affected_set(attack, config.network.n_deployed,
-                                substream(config.seed, run_index, AFFECTED_STREAM))
+        ids = affected_set(attack, config.network.n_deployed,
+                           substream(config.seed, run_index, AFFECTED_STREAM))
+        affected = frozenset(ids.tolist())
 
     def row(nodes: list[Node], tick: int) -> tuple:
         states = [node.state for node in nodes]

@@ -58,25 +58,46 @@ class TestAttackModel:
         assert model.in_window(10**9)
 
 
+def assert_ids(ids: np.ndarray, size: int) -> None:
+    """``ids`` is ``size`` distinct node ids, ascending, as int64."""
+    assert ids.dtype == np.int64 and ids.shape == (size,)
+    assert (np.diff(ids) > 0).all()
+
+
 class TestAffectedSet:
     def test_no_attack_is_empty_and_consumes_no_randomness(self):
         rng = substream(5, 0)
         before = rng.bit_generator.state
-        assert affected_set(no_attack(), 100, rng) == frozenset()
+        ids = affected_set(no_attack(), 100, rng)
+        assert_ids(ids, 0)
         assert rng.bit_generator.state == before
 
     def test_full_coverage_hits_everyone(self):
-        assert affected_set(rts_cts_flood(coverage=1.0), 50, substream(5, 0)) == frozenset(range(50))
+        ids = affected_set(rts_cts_flood(coverage=1.0), 50, substream(5, 0))
+        assert_ids(ids, 50)
+        assert ids.tolist() == list(range(50))
 
     def test_half_coverage_is_seed_stable(self):
         first = affected_set(rts_cts_flood(coverage=0.5), 100, substream(9, 1))
         second = affected_set(rts_cts_flood(coverage=0.5), 100, substream(9, 1))
-        assert first == second
-        assert len(first) == 50
+        assert_ids(first, 50)
+        assert first.tolist() == second.tolist()
 
     def test_size_rounds_half_up(self):
-        assert len(affected_set(rts_cts_flood(coverage=0.5), 5, substream(2, 0))) == 3
-        assert len(affected_set(rts_cts_flood(coverage=0.25), 100, substream(2, 0))) == 25
+        for coverage, node_count, size in [
+            (0.5, 5, 3), (0.25, 100, 25), (0.3, 5, 2), (0.5, 1, 1), (0.1, 4, 0), (0.125, 4, 1),
+        ]:
+            assert_ids(affected_set(rts_cts_flood(coverage=coverage), node_count, substream(2, 0)), size)
+
+    @pytest.mark.parametrize("seed,run_index", [(0, 0), (9, 1), (42, 7), (4242, 3)])
+    @pytest.mark.parametrize("coverage,node_count", [(0.3, 20), (0.5, 20_000), (1.0, 3001)])
+    def test_ids_are_the_sorted_permutation_prefix(self, seed, run_index, coverage, node_count):
+        # the draw is one permutation of the node ids; the size rounds half up
+        size = int(np.floor(coverage * node_count + 0.5))
+        drawn = substream(seed, run_index).permutation(node_count)[:size]
+        ids = affected_set(broadcast_replay(coverage=coverage), node_count, substream(seed, run_index))
+        assert_ids(ids, size)
+        assert ids.tolist() == sorted(frozenset(drawn.tolist()))
 
 
 class TestTransformPolicy:

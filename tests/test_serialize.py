@@ -83,6 +83,22 @@ def test_analyze_report_matches_oracle(tmp_path):
         assert dumps_canonical(report) == oracle_dumps(report)
 
 
+def test_analyze_report_holds_one_deviation_temporary(tmp_path):
+    # at N = 1000 each 799 x 799 visit matrix takes 5.1 MB; |closed - oracle|
+    # built as two more full-size temporaries brought the peak to 20.5 MB
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"network": {"n_deployed": 1000, "initial_dead": 1}}))
+    parsed = load_config(config)
+    tracemalloc.start()
+    try:
+        report = cli._analyze_report(parsed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["expected_visits"]["oracle"].shape == (799, 799)
+    assert peak < 18_000_000
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_seeded_documents_match_oracle(seed):
     rng = np.random.default_rng(seed)

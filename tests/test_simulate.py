@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -166,6 +167,23 @@ class TestRunOne:
         assert trace.network_death_tick is not None
         # at full active drain the battery lasts 25 ticks, at full sleep 200
         assert 25 <= trace.network_death_tick <= 200
+
+    def test_holds_few_bytes_per_node(self):
+        # at N = 20,000 the live arrays, the draw pool and one tick's temporaries
+        # peak at 1.32 MB; 8-byte attack offsets (1.55 MB) or all five live
+        # arrays copied before the old ones are freed (1.58 MB) break the bound
+        config = scenario(n_deployed=20_000, policy=sw.default_policy(), death_mode=sw.DeathMode.ENERGY,
+                          energy=sw.EnergyModel(60.0, sw.default_energy().drain),
+                          attack=sw.rts_cts_flood(coverage=0.5))
+        run_one(config)  # a first call also pays for one-time imports and caches
+        tracemalloc.start()
+        try:
+            trace = run_one(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.network_death_tick is not None
+        assert peak < 1_450_000
 
 
 class TestScalarOracle:

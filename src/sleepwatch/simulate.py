@@ -17,13 +17,17 @@ slice of the pool for a group of one run). PCG64 ``random()`` is
 split-invariant, so a run sees the same uniforms in any group and under
 any pool width, and a run that reaches M is never refilled.
 
-The kernel keeps only the live nodes, in run order, in compacted arrays
-(state and attack row offset, one byte each, battery, bincount bin, node
-index). It rebuilds them only on a tick where a node died, which
+The kernel keeps only the live nodes, in run order, in compacted arrays:
+state and attack row offset, one byte each, and battery; a group of more
+than one run adds each node's bincount bin, and a recording run its node
+index. It rebuilds them only on a tick where a node died, which
 includes the tick a run reaches M and drops all its nodes, one array at
-a time, so old and new copies of all five are never held together. On
-other ticks nothing is gathered or scattered, except the live batteries
-a recording run writes back for its battery column.
+a time, so old and new copies are never held together. On other ticks
+nothing is gathered or scattered, except the live batteries a recording
+run writes back for its battery column once its first rebuild has
+happened; before it, the live battery array is every node's, in node
+order. A draw is compared with a row's third cumulative edge (DEAD) only
+when some live row has one below 1.0, since uniforms lie in [0, 1).
 
 Tick ordering is fixed: transform policy, draw next states, pay drain,
 apply battery deaths, count, check, stop at M. Dead-count monotonicity
@@ -237,16 +241,22 @@ def _step_runs(
     """Step the runs ``run_indices`` in lockstep; their death ticks and records.
 
     Only the group's live nodes are stepped. Their state and attack row
-    offset (4 on an attacked node), both int8, battery, bincount bin and
-    index in the group's ``runs * N`` nodes sit in compacted arrays, run
-    by run, so a tick's draws are each running run's next uniforms from
-    its own STEP_STREAM in run order, read from a ``_DrawPool``. The
-    arrays are rebuilt one at a time, dropping the dead nodes and the
-    nodes of runs that reached M, only on a tick where a node died or a
-    run stopped; a run's dead count is the nodes dropped so far plus its
-    nodes that died this tick. With ``record`` the per-tick records of
-    the first run are kept, its battery column summed over all N nodes
-    in node order.
+    offset (4 on an attacked node), both int8, and battery sit in
+    compacted arrays, run by run, so a tick's draws are each running
+    run's next uniforms from its own STEP_STREAM in run order, read from
+    a ``_DrawPool``. A group of more than one run also keeps each live
+    node's bincount bin, ``4 * slot + state``; a group of one counts its
+    states directly. The arrays are rebuilt one at a time, dropping the
+    dead nodes and the nodes of runs that reached M, only on a tick where
+    a node died or a run stopped; a run's live count is read from the
+    rebuilt arrays, and its dead count is the nodes dropped so far plus
+    its nodes that died this tick. The DEAD edge is compared only when
+    some live row's is below 1.0 (float slack after renormalization, or a
+    death probability). With ``record`` the per-tick records of the first
+    run are kept, its battery column summed over all N nodes in node
+    order: the live battery array until the first rebuild, then the
+    array that rebuild left behind, into which the live batteries are
+    scattered by node index, which only a recording run keeps.
     """
     n, m = config.network.n_deployed, config.network.m_threshold
     size = len(run_indices)
@@ -272,15 +282,22 @@ def _step_runs(
     pool = _DrawPool([substream(config.seed, k, STEP_STREAM) for k in run_indices], n,
                      config.max_ticks)
     energy_death = config.death_mode is DeathMode.ENERGY
+    # Rows 3 and 7 are never read: a node that dies leaves the live arrays that
+    # tick. A uniform lies in [0, 1), so it reaches a live row's third edge only
+    # when that edge is below 1.0.
+    dead_edge = bool((edge2.reshape(2, 4)[:, :DEAD] < 1.0).any())
     states = np.full(size * n, SLEEP, dtype=np.int8)
     batteries = np.full(size * n, config.energy.capacity, dtype=float)
-    bins = np.repeat(4 * np.arange(size), n)  # a node's bincount bin is 4 * slot + state
-    nodes = np.arange(size * n)
+    # a node's bincount bin is 4 * slot + state; a group of one counts its states
+    bins = np.repeat(4 * np.arange(size), n) if size > 1 else None
+    nodes = np.arange(size * n) if record else None
     run_bins = 4 * np.arange(size + 1)
     live = np.full(size, n)  # per run, its nodes in the live arrays
     removed = np.zeros(size, dtype=np.int64)  # per run, nodes dropped from the live arrays
 
-    all_batteries = batteries.copy()  # every node's battery in node order, for the records
+    # Every node's battery in node order, for the records: the live array itself
+    # until the first rebuild, then that tick's array, updated from the live one.
+    all_batteries = batteries if record else None
     records = [TickRecord(0, 0, n, 0, 0, float(all_batteries.sum()))] if record else []
     death_at = np.zeros(size, dtype=np.int64)  # 0 until the run reaches M
     prev_dead = np.zeros(size, dtype=np.int64)
@@ -288,15 +305,18 @@ def _step_runs(
     for tick in range(1, config.max_ticks + 1):
         row = (states + offsets if attack.in_window(tick) else states).astype(np.intp)
         u = pool.take(live)
-        states = ((u >= edge0[row]).view(np.int8) + (u >= edge1[row]).view(np.int8)
-                  + (u >= edge2[row]).view(np.int8))
-        batteries -= costs[row]
+        states = (u >= edge0.take(row)).view(np.int8)
+        states += u >= edge1.take(row)
+        if dead_edge:
+            states += u >= edge2.take(row)
+        batteries -= costs.take(row)
         if energy_death:
             states[batteries <= 0.0] = DEAD
-        if record:
+        if record and all_batteries is not batteries:
             all_batteries[nodes] = batteries
 
-        counts = np.bincount(states + bins, minlength=4 * size).reshape(size, 4)
+        counts = np.bincount(states if bins is None else states + bins,
+                             minlength=4 * size).reshape(size, 4)
         died = counts[:, DEAD]
         dead = removed + died
         fell = np.flatnonzero(dead < prev_dead)
@@ -330,9 +350,13 @@ def _step_runs(
             states = states[keep]
             offsets = offsets[keep]
             batteries = batteries[keep]
-            bins = bins[keep]
-            nodes = nodes[keep]
-            live = np.diff(np.searchsorted(bins, run_bins))
+            if bins is None:
+                live = np.array([states.size])
+            else:
+                bins = bins[keep]
+                live = np.diff(np.searchsorted(bins, run_bins))
+            if record:
+                nodes = nodes[keep]
             removed = n - live
 
     return [t or None for t in death_at.tolist()], records

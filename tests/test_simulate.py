@@ -14,8 +14,9 @@ import sleepwatch as sw
 from sleepwatch import simulate
 from closed_form_oracle import chain_absorptions
 from scalar_oracle import scalar_run
+from sleepwatch.attack import transform_policy
 from sleepwatch.errors import ConfigInvalid, TooFewNodes
-from sleepwatch.lifecycle import NodePolicy
+from sleepwatch.lifecycle import NodePolicy, strip_death_transitions
 from sleepwatch.network import NetworkChainParams, expected_death_time
 from sleepwatch.rng import STEP_STREAM, substream
 from sleepwatch.simulate import (
@@ -424,6 +425,120 @@ class TestLockstep:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 1, done.stderr
         assert done.stderr == f"error: {message}\n"
+
+
+def policy_with(state: sw.NodeState, row: list[float]) -> NodePolicy:
+    """The default policy with one live row replaced."""
+    probs = np.array(sw.default_policy().probs)
+    probs[state] = row
+    return NodePolicy(probs)
+
+
+class TestDeadEdgeGuard:
+    """A draw reaches a live row's third cumulative edge only where that edge is below 1.0.
+
+    The kernel compares the draws against the third edges only when some live
+    row, plain or attacked, has one below 1.0. Renormalizing a row can leave
+    its third edge just below 1.0 (0.33, 0.56, 0.11 does), and a draw past
+    it must then land on DEAD, as it does in probabilistic mode.
+    """
+
+    LIVE_ROWS = [0, 1, 2, 4, 5, 6]  # the kernel's plain and attacked rows of states 0..2
+
+    @pytest.fixture(autouse=True)
+    def latest_draws(self, monkeypatch):
+        latest = np.nextafter(1.0, 0.0)  # the largest uniform random() returns
+        monkeypatch.setattr(simulate._DrawPool, "take",
+                            lambda pool, live: np.full(int(live.sum()), latest))
+
+    @staticmethod
+    def third_edges(config: ScenarioConfig) -> np.ndarray:
+        base = strip_death_transitions(config.policy)
+        rows = np.vstack((base.probs, transform_policy(base, config.attack).probs))
+        return np.cumsum(rows, axis=1)[TestDeadEdgeGuard.LIVE_ROWS, 2]
+
+    @pytest.mark.parametrize("policy,attack,death_tick", [
+        # every node reaches the third edge of its sleep row on tick 1 ...
+        (policy_with(sw.NodeState.SLEEP, [0.33, 0.56, 0.11, 0.0]), sw.no_attack(), 1),
+        # ... of its inactive row on tick 2, after the exact sleep row took it there ...
+        (policy_with(sw.NodeState.INACTIVE, [0.0, 0.01, 0.04, 0.95]), sw.no_attack(), 2),
+        # ... and of an attacked sleep row whose plain row has an exact edge
+        (policy_with(sw.NodeState.SLEEP, [0.13, 0.47, 0.40, 0.0]),
+         sw.rts_cts_flood(coverage=1.0, sleep_block=0.5, extra_drain=0.0), 1),
+    ], ids=["sleep-row", "inactive-row", "attacked-sleep-row"])
+    def test_draw_past_an_edge_below_one_lands_on_dead(self, policy, attack, death_tick):
+        config = scenario(runs=3, policy=policy, attack=attack, death_mode=sw.DeathMode.ENERGY,
+                          energy=sw.EnergyModel(1000.0, sw.default_energy().drain), max_ticks=20)
+        assert self.third_edges(config).min() < 1.0
+        trace = run_one(config)
+        assert trace.network_death_tick == death_tick
+        assert trace.per_tick[-1].dead == 5 and trace.per_tick[-2].dead == 0
+        assert run_many(config).death_ticks == (death_tick,) * 3
+
+    @pytest.mark.parametrize("policy,attack", [
+        (sw.default_policy(), sw.no_attack()),
+        (sw.default_policy(), sw.rts_cts_flood(coverage=1.0)),
+        (policy_with(sw.NodeState.SLEEP, [0.13, 0.47, 0.40, 0.0]), sw.no_attack()),
+    ], ids=["default", "default-flood", "exact-sleep-row"])
+    def test_draw_below_an_edge_of_one_never_lands_on_dead(self, policy, attack):
+        config = scenario(runs=3, policy=policy, attack=attack, death_mode=sw.DeathMode.ENERGY,
+                          energy=sw.EnergyModel(1000.0, sw.default_energy().drain), max_ticks=20)
+        assert (self.third_edges(config) == 1.0).all()
+        trace = run_one(config)
+        assert trace.network_death_tick is None and trace.per_tick[-1].dead == 0
+        assert run_many(config).death_ticks == (None,) * 3
+
+
+class TestKernelPaths:
+    """The paths a group takes by its size and by whether it records."""
+
+    @pytest.mark.parametrize("case", TestLockstep.CASES)
+    def test_groups_of_one_run_give_the_same_runs(self, monkeypatch, case):
+        # a group of one run that records nothing keeps no bincount bins or node indices
+        config = scenario(n_deployed=12, runs=7, **TestLockstep.CASES[case])
+        groups = []
+        step_runs = simulate._step_runs
+
+        def spy(config, run_indices, record=False):
+            groups.append((list(run_indices), record))
+            return step_runs(config, run_indices, record)
+
+        monkeypatch.setattr(simulate, "LOCKSTEP_SLOTS", 11)  # below N: one run a group
+        monkeypatch.setattr(simulate, "_step_runs", spy)
+        single = run_many(config)
+        assert groups == [([k], False) for k in range(7)]
+        assert single.death_ticks == tuple(run_one(config, k).network_death_tick for k in range(7))
+        assert single.death_ticks == tuple(scalar_run(config, k)[1] for k in range(7))
+
+    @pytest.mark.parametrize("capacity,m_threshold,seed,death_tick", [
+        (0.1, None, 4242, 1),  # every battery reaches 0.0 on tick 1
+        (0.2, None, 4242, 2),  # ... on tick 2, after a tick without deaths
+        (60.0, 2, 4249, 16),   # the run's first two deaths reach M
+    ], ids=["all-die-at-tick-1", "all-die-at-tick-2", "first-deaths-reach-m"])
+    def test_battery_column_when_the_first_deaths_stop_the_run(self, capacity, m_threshold, seed,
+                                                              death_tick):
+        # the run never rebuilds its live arrays, so its battery column is their sum
+        # throughout; 300 nodes and a 0.1 drain make the order of that sum matter
+        config = scenario(n_deployed=300, m_threshold=m_threshold, seed=seed,
+                          policy=sw.default_policy(), death_mode=sw.DeathMode.ENERGY,
+                          energy=sw.EnergyModel(capacity, np.array([0.1, 5.0, 1.0, 0.0])))
+        trace = run_one(config)
+        rows, scalar_death_tick = scalar_run(config)
+        assert [astuple(rec) for rec in trace.per_tick] == rows
+        assert trace.network_death_tick == scalar_death_tick == death_tick
+        assert next(rec.tick for rec in trace.per_tick if rec.dead) == death_tick
+
+    @pytest.mark.parametrize("n,slots", [
+        (20, 409), (200, 40), (1000, 8), (20_000, 1), (20_001, 1), (20_001, 3),
+    ])
+    def test_group_row_sums_equal_each_run_sum(self, n, slots):
+        # a group's battery column could be its batteries' row sums only if each
+        # equals the sum of that run's own array bit for bit
+        rng = np.random.default_rng(n * slots)
+        all_batteries = 60.0 - 0.1 * rng.integers(0, 700, size=slots * n)
+        row_sums = all_batteries.reshape(slots, n).sum(axis=1)
+        run_sums = [all_batteries[k * n:(k + 1) * n].copy().sum() for k in range(slots)]
+        assert row_sums.tobytes() == np.array(run_sums).tobytes()
 
 
 def random_pieces(rng: np.random.Generator, total: int) -> list[int]:

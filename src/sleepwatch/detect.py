@@ -234,8 +234,10 @@ def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> floa
     the per-tick expected moves accumulated along the window. Raises
     WindowTooShort when fewer than ``min_events`` moves were observed or
     when no moves were expected (window pinned at a boundary), and
-    ConfigInvalid unless the window is 1-D with an integer dtype.
+    ConfigInvalid unless the window is 1-D with an integer dtype and ``m``
+    and ``min_events`` are integers.
     """
+    m, min_events = require_int("m", m), require_int("min_events", min_events)
     view = np.asarray(window_view)
     if view.size < 2:
         raise WindowTooShort(f"window has {view.size} ticks; need at least 2")
@@ -272,7 +274,7 @@ def online_estimate(
     one closed-form call projects the chunk, so every verdict, and the
     first window that raises, are those of a window-by-window loop. The
     view must be 1-D with an integer dtype, ``window`` and ``stride``
-    integers, and ``min_events`` at least 1.
+    integers, and ``min_events`` an integer of at least 1.
     """
     _check_theta(theta)
     view = np.asarray(chain_view)
@@ -283,7 +285,7 @@ def online_estimate(
     stride = stride if stride is None else require_int("stride", stride)
     if window < 2 or (stride is not None and stride < 1):
         raise ConfigInvalid("window must be >= 2 and stride >= 1")
-    if min_events < 1:
+    if require_int("min_events", min_events) < 1:
         raise ConfigInvalid(f"min_events must be >= 1, got {min_events}")
     stride = stride if stride is not None else window
     m = params.m_threshold

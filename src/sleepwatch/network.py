@@ -87,14 +87,16 @@ class NetworkChainParams:
             )
 
 
-def _check_threshold(m: int) -> None:
+def _check_threshold(m: int) -> int:
+    """The threshold ``m`` as an ``int`` of at least 2."""
+    m = require_int("threshold", m)
     if m < 2:
         raise OutOfRange(f"threshold must be at least 2, got {m}")
+    return m
 
 
 def _states(i, m: int, low: int, high: int) -> np.ndarray:
     """State argument as an int array, every entry checked to lie in [low, high]."""
-    _check_threshold(m)
     states = np.asarray(i, dtype=np.int64)
     bad = states[(states < low) | (states > high)]
     if bad.size:
@@ -115,7 +117,7 @@ def step_probs(m: int) -> tuple[np.ndarray, np.ndarray]:
     (i/m)^2; every other destination has probability 0. Both boundaries
     are absorbing: at i = 0 and i = m the move terms vanish and stay = 1.
     """
-    _check_threshold(m)
+    m = _check_threshold(m)
     states = np.arange(m + 1)
     healthy = (m - states) / m
     dead = states / m
@@ -128,6 +130,7 @@ def death_probability(i, m: int):
     Every down/up ratio of the chain is 1, so this is i / m: 0 at i = 0
     and 1 at i = m. ``i`` is one state or an array of states.
     """
+    m = _check_threshold(m)
     return _result(_states(i, m, 0, m) / m)
 
 
@@ -138,6 +141,7 @@ def expected_visits_closed(i, j, m: int):
     fundamental-matrix entry of the assembled chain. Both states must be
     transient (1 <= i, j <= m-1); arrays of states broadcast.
     """
+    m = _check_threshold(m)
     i, j = _states(i, m, 1, m - 1), _states(j, m, 1, m - 1)
     # each branch divides into one output array, only where it applies
     out = np.empty(np.broadcast_shapes(i.shape, j.shape))
@@ -156,6 +160,7 @@ def expected_death_time(i, m: int):
     states. Agrees with the expected-steps vector of the fundamental
     matrix to relative 1e-9 over the tested threshold range.
     """
+    m = _check_threshold(m)
     states = _states(i, m, 0, m)
     j = np.arange(1, m)
     flat = states.reshape(-1, 1)
@@ -179,6 +184,7 @@ def build_matrix(m: int) -> TransitionMatrix:
     ``m`` whose (m+1)-square float matrix numpy cannot size is refused
     before anything is allocated.
     """
+    m = _check_threshold(m)
     if (m + 1) ** 2 > _MAX_ITEMS:
         raise ConfigInvalid(f"a {m + 1}-state matrix is too large for numpy arrays")
     move, stay = step_probs(m)

@@ -5,16 +5,15 @@ produce identical bytes. JSON objects are therefore emitted with sorted
 keys and floats formatted to 17 significant digits (enough to round-trip
 float64 exactly); CSVs use LF line endings and the same float format.
 
-The JSON emitter makes one pass over the document: every nesting level
-appends its pieces to one shared list, so no subtree's text is copied
-into its parent's. :func:`dumps_canonical` joins that list once at the
-end. :func:`dump_canonical` streams it instead: the pieces are joined
-and written to each output in chunks of about 1 MiB, so no
-whole-document string is ever built and a large document holds at most
-about one chunk and one kernel block of text. Lists and tuples are
+The JSON emitter is one walk over the document, a generator that
+yields its text in pieces, with two consumers: :func:`dumps_canonical`
+joins every piece once, and :func:`dump_canonical` joins them about
+1 MiB at a time and writes each chunk to every output, so no
+whole-document string is built and a large document holds at most about
+one chunk and one kernel block of text. Lists and tuples are
 emitted item by item. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
-matrices) gives the same bytes as its ``.tolist()`` would, from a
-vectorized kernel that works on blocks of values: for each value it
+matrices) gives the same bytes as its ``.tolist()`` would, one piece
+per block of values from a vectorized kernel: for each value it
 computes the correctly rounded 17-digit integer and the decimal exponent
 with exact float arithmetic, lays out the ``%.17g`` text and the
 separator after it in a ``uint8`` buffer, and keeps the bytes that text
@@ -28,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TextIO
@@ -42,7 +40,6 @@ TRACE_HEADER = "tick,dead,sleep,active,inactive,battery"
 
 _BLOCK = 1 << 14  # values per kernel pass: its buffers stay near 1 MB
 _CHUNK = 1 << 20  # characters joined into one write to each stream
-_CHECK_EVERY = 1 << 10  # pieces a list or dict appends between two size checks
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact up to 10**22
 _SPLIT = float(2**27 + 1)  # Veltkamp splitter for float64
 
@@ -63,53 +60,9 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _Pieces:
-    """The text pieces of one document, written to ``streams`` in joined chunks.
-
-    The walk adds pieces with ``append`` (the list's own) and calls
-    :meth:`spill` after each kernel block, and after a list or dict item
-    once ``check_at`` pieces are held. Once the pieces hold ``_CHUNK`` characters, :meth:`flush`
-    joins them, empties the list and writes the text to every stream.
-    Without streams :meth:`spill` does nothing and the pieces stay for one
-    join. ``pieces`` is a plain list because ``str.join`` copies any other
-    sequence into one first.
-    """
-
-    __slots__ = ("pieces", "append", "streams", "check_at", "counted", "held", "written")
-
-    def __init__(self, streams: Sequence[TextIO] = ()) -> None:
-        self.pieces: list[str] = []
-        self.append = self.pieces.append
-        self.streams = streams
-        self.check_at = _CHECK_EVERY if streams else sys.maxsize
-        self.counted = 0  # leading pieces whose characters are in held
-        self.held = 0
-        self.written = 0  # characters written to each stream
-
-    def spill(self) -> None:
-        if not self.streams:
-            return
-        pieces = self.pieces
-        self.held += sum(map(len, pieces[self.counted:]))
-        self.counted = len(pieces)
-        if self.held >= _CHUNK:
-            self.flush()
-        self.check_at = len(pieces) + _CHECK_EVERY
-
-    def flush(self) -> None:
-        text = "".join(self.pieces)
-        self.pieces.clear()  # before the streams encode their copies of the text
-        self.counted = self.held = 0
-        for stream in self.streams:
-            stream.write(text)
-        self.written += len(text)
-
-
 def dumps_canonical(value) -> str:
     """Serialize to JSON with sorted keys and fixed float formatting."""
-    out = _Pieces()
-    _emit(value, 0, out)
-    return "".join(out.pieces)
+    return "".join(_pieces(value, 0))
 
 
 def dump_canonical(value, streams: Sequence[TextIO]) -> int:
@@ -120,75 +73,85 @@ def dump_canonical(value, streams: Sequence[TextIO]) -> int:
     non-finite value, a key that is not a string) can leave part of it
     written.
     """
-    out = _Pieces(streams)
-    _emit(value, 0, out)
-    out.append("\n")
-    out.flush()
-    return out.written - 1
+    pieces: list[str] = []
+    held = written = 0
+    for piece in _pieces(value, 0):
+        pieces.append(piece)
+        held += len(piece)
+        if held >= _CHUNK:
+            written += _write(pieces, streams)
+            held = 0
+    pieces.append("\n")
+    return written + _write(pieces, streams) - 1
 
 
-def _emit(value, indent: int, out: _Pieces) -> None:
-    """Append the canonical text of ``value``, nested at ``indent``, to ``out``."""
+def _write(pieces: list[str], streams: Sequence[TextIO]) -> int:
+    """Join ``pieces``, empty the list, write the text to every stream; its length."""
+    text = "".join(pieces)
+    pieces.clear()  # before the streams encode their copies of the text
+    for stream in streams:
+        stream.write(text)
+    return len(text)
+
+
+def _pieces(value, indent: int) -> Iterator[str]:
+    """The canonical text of ``value``, nested at ``indent``, piece by piece."""
     if value is None:
-        out.append("null")
+        yield "null"
     elif isinstance(value, bool):
-        out.append("true" if value else "false")
+        yield "true" if value else "false"
     elif isinstance(value, int):
-        out.append(str(value))
+        yield str(value)
     elif isinstance(value, float):
-        out.append(format_float(value))
+        yield format_float(value)
     elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        yield encode_basestring_ascii(value)
     elif isinstance(value, np.ndarray):
-        _emit_array(value, indent, out)
+        yield from _array_pieces(value, indent)
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            yield "[]"
             return
         inner = " " * (indent + 2)
         sep = "[\n"
         for item in value:
-            out.append(sep + inner)
-            _emit(item, indent + 2, out)
+            yield sep + inner
+            yield from _pieces(item, indent + 2)
             sep = ",\n"
-            if len(out.pieces) >= out.check_at:
-                out.spill()
-        out.append("\n" + " " * indent + "]")
+        yield "\n" + " " * indent + "]"
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            yield "{}"
             return
         inner = " " * (indent + 2)
         sep = "{\n"
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _emit(value[key], indent + 2, out)
+            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
+            yield from _pieces(value[key], indent + 2)
             sep = ",\n"
-            if len(out.pieces) >= out.check_at:
-                out.spill()
-        out.append("\n" + " " * indent + "}")
+        yield "\n" + " " * indent + "}"
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
-def _emit_array(a: np.ndarray, indent: int, out: _Pieces) -> None:
-    """Append the text ``a.tolist()`` would give, for a 1-D or 2-D float64 array."""
+def _array_pieces(a: np.ndarray, indent: int) -> Iterator[str]:
+    """The text ``a.tolist()`` would give, for a 1-D or 2-D float64 array; a piece per block."""
     if a.dtype != np.float64 or a.ndim not in (1, 2):
         raise TypeError(f"cannot serialize a {a.ndim}-D {a.dtype} ndarray canonically")
     if a.size == 0:
-        _emit(a.tolist(), indent, out)
+        yield from _pieces(a.tolist(), indent)
         return
     finite = np.isfinite(a)
     if not finite.all():
         format_float(float(a[~finite][0]))  # raises, for the first in row-major order
     outer, inner = " " * (indent + 2), " " * (indent + 2 * a.ndim)
     if a.ndim == 1:
-        out.append("[\n" + inner)
+        yield "[\n" + inner
         row_break, close = "", ""
     else:
-        out.append(f"[\n{outer}[\n{inner}")
+        yield f"[\n{outer}[\n{inner}"
         row_break, close = f"\n{outer}],\n{outer}[\n{inner}", f"\n{outer}]"
     suffixes = (",\n" + inner, row_break, "")  # after a value: an item, a row, the end
     cells, keep_rows = _cell_tables(suffixes)
@@ -200,9 +163,8 @@ def _emit_array(a: np.ndarray, indent: int, out: _Pieces) -> None:
         kind[(row - 1 - start) % row::row] = 1
         if start + _BLOCK >= flat.size:
             kind[-1] = 2
-        out.append(_format_block(x, kind, cells, keep_rows))
-        out.spill()
-    out.append(close + "\n" + " " * indent + "]")
+        yield _format_block(x, kind, cells, keep_rows)
+    yield close + "\n" + " " * indent + "]"
 
 
 def _cell_tables(suffixes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:

@@ -252,14 +252,17 @@ def _step_runs(
     rebuilt arrays, and its dead count is the nodes dropped so far plus
     its nodes that died this tick. The DEAD edge is compared only when
     some live row's is below 1.0 (float slack after renormalization, or a
-    death probability). With ``record`` the per-tick records of the first
-    run are kept, its battery column summed over all N nodes in node
-    order: the live battery array until the first rebuild, then the
-    array that rebuild left behind, into which the live batteries are
-    scattered by node index, which only a recording run keeps.
+    death probability). With ``record``, which only a group of one run
+    takes, the run's per-tick records are kept, its battery column summed
+    over all N nodes in node order: the live battery array until the
+    first rebuild, then the array that rebuild left behind, into which the
+    live batteries are scattered by node index, which only a recording
+    run keeps.
     """
     n, m = config.network.n_deployed, config.network.m_threshold
     size = len(run_indices)
+    if record and size != 1:
+        raise ValueError(f"only a group of one run records its ticks, got {size} runs")
     attack = config.attack
 
     base = config.policy

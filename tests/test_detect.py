@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,21 @@ class TestStepRateEstimator:
         with pytest.raises(ConfigInvalid, match="chain view"):
             estimate_step_rate(view, 20, min_events=1)
 
+    @pytest.mark.parametrize("name,m,min_events", [
+        ("m", 20.0, 3), ("m", True, 0), ("m", "20", 0),
+        ("min_events", 20, float("nan")), ("min_events", 20, 2.5), ("min_events", 20, True),
+    ])
+    def test_non_integer_m_or_min_events_refused(self, name, m, min_events):
+        # a float m must not reach the step-probability index
+        value = m if name == "m" else min_events
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(ConfigInvalid, match=message):
+            estimate_step_rate(np.array([5, 6, 6, 7]), m, min_events)
+
+    def test_numpy_integer_m_and_min_events_accepted(self):
+        view = np.array([5, 6, 6, 7])
+        assert estimate_step_rate(view, np.int64(20), np.int8(2)) == estimate_step_rate(view, 20, 2)
+
     def test_matches_window_by_window_oracle(self):
         rng = np.random.default_rng(14)
         m = 16
@@ -365,6 +381,19 @@ class TestOnlineEstimateRefusals:
         with pytest.raises(ConfigInvalid, match="min_events"):
             online_estimate([1, 1, 1, 1], self.PARAMS, self.baseline,
                             window=2, min_events=min_events, stride=1)
+
+    @pytest.mark.parametrize("min_events", [float("nan"), 2.0, 1.5, True, "2"])
+    def test_non_integer_min_events_refused(self, min_events):
+        # nan must not mark every window inconclusive, nor True count as 1
+        message = re.escape(f"min_events must be an integer, got {min_events!r}")
+        with pytest.raises(ConfigInvalid, match=message):
+            online_estimate([1, 2, 3, 4, 5, 6], self.PARAMS, self.baseline,
+                            window=2, min_events=min_events, stride=1)
+
+    def test_numpy_integer_min_events_accepted(self):
+        view = [1, 2, 3, 4, 5, 6]
+        got = online_estimate(view, self.PARAMS, self.baseline, window=2, min_events=np.int16(1))
+        assert got == online_estimate(view, self.PARAMS, self.baseline, window=2, min_events=1)
 
     @pytest.mark.parametrize("window,stride", [
         (2.5, 1), (4, 1.5), (4.0, 1), (4, 2.0), (True, 1), (4, True), ("4", 1),

@@ -54,6 +54,28 @@ class TestStepProbs:
             with pytest.raises(OutOfRange):
                 step_probs(m)
 
+    @pytest.mark.parametrize("m", [8.5, 8.0, np.float64(8.0), True, "8", None])
+    @pytest.mark.parametrize("form", [
+        lambda m: death_probability(3, m),
+        lambda m: expected_visits_closed(3, 4, m),
+        lambda m: expected_death_time(3, m),
+        lambda m: expected_death_time(np.arange(3), m),
+        step_probs,
+        build_matrix,
+    ], ids=["death_probability", "expected_visits_closed", "expected_death_time",
+            "expected_death_time-array", "step_probs", "build_matrix"])
+    def test_threshold_must_be_an_integer(self, form, m):
+        # a fractional threshold must not give a number, a float one a bare
+        # TypeError or IndexError, nor True a threshold of 1
+        message = re.escape(f"threshold must be an integer, got {m!r}")
+        with pytest.raises(ConfigInvalid, match=message):
+            form(m)
+
+    def test_numpy_integer_threshold_gives_the_same_values(self):
+        assert death_probability(3, np.int64(8)) == death_probability(3, 8)
+        assert expected_death_time(3, np.int32(8)) == expected_death_time(3, 8)
+        assert np.array_equal(build_matrix(np.int64(8)).probs, build_matrix(8).probs)
+
     def test_bits_match_scalar_formula(self):
         for m in PINNED_THRESHOLDS:
             move, stay = step_probs(m)

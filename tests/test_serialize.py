@@ -374,6 +374,35 @@ def test_long_text_is_written_whole(tmp_path):
     assert streamed(doc) == ([text + "\n"] * 2, len(text))
 
 
+class WriteLog(list):
+    """A text stream that keeps each write as one item."""
+
+    def write(self, text: str) -> int:
+        self.append(text)
+        return len(text)
+
+
+def padded(total: int, tail: int) -> dict:
+    """A document whose text and newline are ``total`` characters, ending in ``tail`` ints."""
+    doc = {"a": "", "b": list(range(tail))}
+    doc["a"] = "x" * (total - 1 - len(dumps_canonical(doc)))
+    return doc
+
+
+# CHUNK: text and newline fill one chunk; CHUNK + 1: the text alone fills it, so the last
+# piece reaches the chunk size and the newline is written on its own
+@pytest.mark.parametrize("total", [serialize._CHUNK, serialize._CHUNK + 1, 2 * serialize._CHUNK])
+@pytest.mark.parametrize("tail", [0, 50_000])
+def test_writes_at_a_chunk_edge_are_non_empty_and_whole(total, tail):
+    doc = padded(total, tail)
+    text = dumps_canonical(doc)
+    assert len(text) + 1 == total
+    log = WriteLog()
+    assert dump_canonical(doc, [log]) == len(text)
+    assert all(log) and "".join(log) == text + "\n"
+    assert len(log) == 1 + (total > serialize._CHUNK)
+
+
 @pytest.mark.parametrize("n_deployed", [2, 5, 20, 200])  # 200: 1.4 MB, more than one chunk
 def test_analyze_out_file_equals_stdout_and_oracle(tmp_path, capsys, n_deployed):
     # the oracle builds the whole text at once; both streamed outputs must be its bytes

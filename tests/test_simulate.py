@@ -404,6 +404,13 @@ class TestLockstep:
         assert summary_fields(split) == summary_fields(whole)
         assert split.death_ticks == tuple(run_one(config, k).network_death_tick for k in range(7))
 
+    def test_only_a_group_of_one_records(self):
+        # the records are one run's: a larger group would sum every run's batteries
+        # into them and record past the first run's death
+        config = scenario(n_deployed=5, runs=2)
+        with pytest.raises(ValueError, match="only a group of one run records its ticks, got 2"):
+            simulate._step_runs(config, range(2), record=True)
+
     @pytest.mark.parametrize("corrupt,message,extra", [
         ("if CorruptedNumpy.calls == 1: counts[0] -= 1; counts[3] += 1",
          "dead count fell from 1 to 0 at tick 2 in run 0", {}),

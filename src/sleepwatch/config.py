@@ -1,10 +1,11 @@
 """Scenario configuration: one strict JSON document.
 
-The file has up to six sections: network, policy, energy, attack,
-detector, run. ``_SECTIONS`` declares every key once, with the reader
-that checks its JSON value. Every section and key is optional; unknown
-sections and keys are an error, so a typo cannot silently deconfigure
-an experiment.
+The file is UTF-8 (a byte-order mark is refused) and has up to six
+sections: network, policy, energy, attack, detector, run. ``_SECTIONS``
+declares every key once, with the reader that checks its JSON value.
+Every section and key is optional; unknown sections and keys are an
+error, and so is a key repeated in any one object, so a typo cannot
+silently deconfigure an experiment.
 
 A key that is left out takes the default of the object it configures:
 
@@ -216,10 +217,24 @@ def _reject_constant(token: str):
     raise ConfigInvalid(f"non-finite number {token} is not allowed")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of two equal keys, which would hide the first
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigInvalid(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> ParsedConfig:
-    """Parse a scenario JSON file."""
+    """Parse a scenario JSON file, read as UTF-8 whatever the locale."""
     try:
-        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
     return parse_config(doc)

@@ -10,8 +10,10 @@ yields its text in pieces, with two consumers: :func:`dumps_canonical`
 joins every piece once, and :func:`dump_canonical` joins them about
 1 MiB at a time and writes each chunk to every output, so no
 whole-document string is built and a large document holds at most about
-one chunk and one kernel block of text. Lists and tuples are
-emitted item by item. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
+one chunk and one kernel block of text. A scalar, or an object whose
+values are all scalars, is one piece, with the separator, indentation
+and key before it; lists and tuples are emitted item by item, other
+objects key by key. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
 matrices) gives the same bytes as its ``.tolist()`` would, one piece
 per block of values from a vectorized kernel: for each value it
 computes the correctly rounded 17-digit integer and the decimal exponent
@@ -96,16 +98,9 @@ def _write(pieces: list[str], streams: Sequence[TextIO]) -> int:
 
 def _pieces(value, indent: int) -> Iterator[str]:
     """The canonical text of ``value``, nested at ``indent``, piece by piece."""
-    if value is None:
-        yield "null"
-    elif isinstance(value, bool):
-        yield "true" if value else "false"
-    elif isinstance(value, int):
-        yield str(value)
-    elif isinstance(value, float):
-        yield format_float(value)
-    elif isinstance(value, str):
-        yield encode_basestring_ascii(value)
+    text = _inline(value, indent)
+    if text is not None:
+        yield text
     elif isinstance(value, np.ndarray):
         yield from _array_pieces(value, indent)
     elif isinstance(value, (list, tuple)):
@@ -115,8 +110,10 @@ def _pieces(value, indent: int) -> Iterator[str]:
         inner = " " * (indent + 2)
         sep = "[\n"
         for item in value:
-            yield sep + inner
-            yield from _pieces(item, indent + 2)
+            text = _inline(item, indent + 2)  # the whole item, never "", or None
+            yield sep + inner + (text or "")
+            if text is None:
+                yield from _pieces(item, indent + 2)
             sep = ",\n"
         yield "\n" + " " * indent + "]"
     elif isinstance(value, dict):
@@ -128,12 +125,40 @@ def _pieces(value, indent: int) -> Iterator[str]:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
-            yield from _pieces(value[key], indent + 2)
+            text = _inline(value[key], indent + 2)
+            yield f"{sep}{inner}{encode_basestring_ascii(key)}: {text or ''}"
+            if text is None:
+                yield from _pieces(value[key], indent + 2)
             sep = ",\n"
         yield "\n" + " " * indent + "}"
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+
+
+def _inline(value, indent: int | None) -> str | None:
+    """The text of a scalar or, given an ``indent``, of a non-empty object of scalars; else None."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if indent is None or not isinstance(value, dict) or not value:
+        return None
+    inner = " " * (indent + 2)
+    parts = []
+    for key in sorted(value):  # the walk's order up to the first non-scalar: its errors
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        text = _inline(value[key], None)
+        if text is None:
+            return None
+        parts.append(f"{inner}{encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n" + " " * indent + "}"
 
 
 def _array_pieces(a: np.ndarray, indent: int) -> Iterator[str]:

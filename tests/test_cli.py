@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -314,7 +317,31 @@ MALFORMED_POLICY_CONFIGS = {
 }
 
 
+# the last is UTF-8, read under an ASCII locale: refused for its unknown section, not its bytes
+UNREADABLE_CONFIGS = {
+    "not-utf8": (b'{"network": {"n_deployed": 20}, "\xff": 1}', "error: scenario.json: not UTF-8: "),
+    "repeated-key": (b'{"network": {"n_deployed": 20, "n_deployed": 30}}',
+                     "error: repeated key 'n_deployed' in a JSON object\n"),
+    "utf8-ascii-locale": ('{"caf\u00e9": {}}'.encode(), "error: unknown top-level section(s): "),
+}
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("data, message", UNREADABLE_CONFIGS.values(),
+                             ids=UNREADABLE_CONFIGS.keys())
+    @pytest.mark.parametrize("locale", [{}, ASCII_LOCALE], ids=["own-locale", "ascii-locale"])
+    def test_unreadable_config_exits_one_without_traceback(self, tmp_path, data, message, locale):
+        (tmp_path / "scenario.json").write_bytes(data)
+        env = {**os.environ, "PYTHONPATH": str(Path(sleepwatch.__file__).parents[1]), **locale}
+        done = subprocess.run([sys.executable, "-m", "sleepwatch.cli", "analyze", "--config",
+                               "scenario.json"], capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("command", ["simulate", "detect"])
     @pytest.mark.parametrize("text", NON_FINITE_CONFIGS.values(), ids=NON_FINITE_CONFIGS.keys())
     def test_non_finite_input_exits_one(self, tmp_path, capsys, command, text):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from test_cli import CONFIG_KEYS
 
+from sleepwatch import config
 from sleepwatch.attack import AttackKind
 from sleepwatch.config import DetectorSettings, load_config, parse_config
 from sleepwatch.detect import BaselineSource
@@ -179,6 +180,51 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigInvalid, match="not valid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("data", [
+        b'{"network": {"n_deployed": 20}, "\xff": 1}',
+        '{"network": {"n_deployed": 20}, "\u00e9": 1}'.encode("latin-1"),
+        '{"run": {"seed": 1}}'.encode("utf-16"),
+    ], ids=["stray-byte", "latin-1", "utf-16"])
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, data):
+        path = tmp_path / "encoded.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(str(path))}: not UTF-8: "):
+            load_config(path)
+
+    def test_byte_order_mark_stays_refused(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf{}")
+        with pytest.raises(ConfigInvalid, match="not valid JSON: Unexpected UTF-8 BOM"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"network": {"n_deployed": 20}, "network": {"n_deployed": 30}}', "network"),
+        ('{"network": {"n_deployed": 20, "n_deployed": 30}}', "n_deployed"),
+        ('{"energy": {"drain": {"sleep": 0.1, "active": 5.0, "sleep": 0.2}}}', "sleep"),
+        ('{"run": {"seed": 1}, "detector": {"theta": 0.8, "theta": 0.8}}', "theta"),
+    ], ids=["top-level", "section", "energy-drain", "same-value"])
+    def test_repeated_key_is_config_error(self, tmp_path, text, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ConfigInvalid, match=f"^repeated key '{key}' in a JSON object$"):
+            load_config(path)
+
+    def test_distinct_keys_parse_as_without_the_check(self, tmp_path, monkeypatch):
+        doc = {
+            "network": {"n_deployed": 30, "initial_dead": 2},
+            "energy": {"capacity": 500.0, "drain": {"sleep": 0.2, "active": 4.0}},
+            "attack": {"kind": "rts_cts_flood", "coverage": 0.5, "end_tick": None},
+            "detector": {"source": "monte_carlo", "baseline_runs": 7},
+            "run": {"max_ticks": 50, "seed": 9},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        read = []
+        monkeypatch.setattr(config, "parse_config", read.append)
+        load_config(path)
+        assert read == [json.loads(path.read_text())] == [doc]
+        assert type(read[0]) is dict and list(read[0]) == list(doc)
 
 
 _KINDS = "['none', 'rts_cts_flood', 'broadcast_replay']"

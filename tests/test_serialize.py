@@ -19,6 +19,7 @@ import io
 import json
 import tracemalloc
 from decimal import Decimal
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -142,6 +143,55 @@ def test_set_raises_as_oracle(doc):
     expected = refusal(oracle_dumps, doc)
     assert expected[0] is TypeError
     assert refusal(dumps_canonical, doc) == expected
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    pass
+
+
+def record(i: int) -> dict:
+    """A flat object of six scalars, like one online verdict."""
+    return {"decision": "normal", "observed": None if i % 3 else 100.0 + i / 7,
+            "baseline": 1234.5678901234567 + i, "theta": 0.8, "source": Label("analytic"),
+            "detail": f"window {i}: rate {i / 13} steps/tick"}
+
+
+FLAT_DOCUMENTS = {
+    "records": [record(i) for i in range(5)],
+    "flat-in-object": {"a": record(1), "b": {}, "c": {"d": record(2), "e": [record(3), {}]}},
+    "mixed-object": {"a": 1, "b": [record(4), 2.5, {"x": True}], "c": "z", "d": {"e": False}},
+    "subclasses": {"f": np.float64(0.1), "g": [np.float64(-1e300), {"h": np.float64(2.5)}],
+                   "i": Level.HIGH, "j": [Level.LOW, {"k": Level.LOW}], "l": Label("s\"t"),
+                   "m": {"n": Label(""), "o": np.float64(5e-324)}},
+    "empty-and-nested": [{}, [], {"a": {}}, [{}], {"a": []}, {"a": {"b": None}}, [[{"a": 1}]]],
+}
+
+
+@pytest.mark.parametrize("doc", FLAT_DOCUMENTS.values(), ids=FLAT_DOCUMENTS.keys())
+def test_flat_objects_and_scalar_subclasses_match_oracle(doc):
+    text = dumps_canonical(doc)
+    assert text == oracle_dumps(doc)
+    assert streamed(doc) == ([text + "\n"] * 2, len(text))
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 0.5, "b": float("nan"), "c": float("inf")},
+    [{"a": 1, "b": {"c": 2, "d": -float("inf")}}],
+    [{2: 0.5, 1: float("nan")}],
+    [{"a": 1, "b": 2, "c": {2.5}, "d": float("nan")}],
+    {"a": 1, "b": np.int64(3), "c": float("nan")},
+    [{"a": None, "b": "x", "c": [np.int64(3)]}],
+], ids=["nan-in-flat", "inf-in-nested-flat", "non-string-key", "set-after-scalars",
+        "numpy-int", "numpy-int-in-list"])
+def test_flat_object_refusals_raise_as_oracle(doc):
+    expected = refusal(oracle_dumps, doc)
+    assert refusal(dumps_canonical, doc) == expected
+    assert refusal(lambda value: dump_canonical(value, [io.StringIO()]), doc) == expected
 
 
 ODD_KEYS = ('a"b', "\\", "\t", "\x00", "\u00e9", "\ud800")
@@ -357,6 +407,15 @@ def test_streaming_holds_one_chunk_and_one_kernel_block(tmp_path):
     length, peak = traced_peak(analyze_report(tmp_path, 400))
     assert length > 5 * serialize._CHUNK  # its pieces and their join would break the bound
     assert peak < block_peak + 2 * serialize._CHUNK
+
+
+def test_records_hold_less_than_three_times_their_text():
+    # every scalar record is one piece, so until the one join the pieces hold about
+    # the text once; a piece per key and per value held 5.5 times it
+    records = [record(i) for i in range(2000)]
+    length, peak = traced_peak(records)
+    assert length < serialize._CHUNK  # one write: every piece is held until the join
+    assert peak < 3 * length
 
 
 def test_small_document_is_one_write_per_stream():

@@ -13,10 +13,11 @@ import pytest
 import sleepwatch as sw
 from sleepwatch import simulate
 from closed_form_oracle import chain_absorptions
+from exact_law_oracle import death_cdf, death_tick_cdf, death_tick_mean
 from scalar_oracle import scalar_run
 from sleepwatch.attack import transform_policy
 from sleepwatch.errors import ConfigInvalid, TooFewNodes
-from sleepwatch.lifecycle import NodePolicy, strip_death_transitions
+from sleepwatch.lifecycle import NodePolicy, expected_node_lifetime, strip_death_transitions
 from sleepwatch.network import NetworkChainParams, expected_death_time
 from sleepwatch.rng import STEP_STREAM, substream
 from sleepwatch.simulate import (
@@ -690,6 +691,35 @@ class TestChainSimulation:
     def test_rejects_bad_state(self):
         with pytest.raises(ConfigInvalid):
             simulate_chain_trajectory(10, 11, 1.0, seed=0, max_ticks=10)
+
+
+class TestExactLaw:
+    """``run_many`` against the exact law of the death tick (``exact_law_oracle``)."""
+
+    def test_node_death_cdf_matches_expected_lifetime(self):
+        policy = sw.default_policy()
+        cdf = death_cdf(policy.probs, policy.probs, lambda t: False, 20_000)
+        assert float((1.0 - cdf).sum()) == pytest.approx(expected_node_lifetime(policy), rel=1e-9)
+
+    @pytest.mark.parametrize("attack, exact_mean", [
+        (sw.no_attack(), 139.049),
+        (sw.rts_cts_flood(coverage=0.5), 107.459),
+        (sw.rts_cts_flood(coverage=1.0), 78.683),
+        (sw.rts_cts_flood(coverage=1.0, end_tick=30), 114.359),
+    ], ids=["no-attack", "coverage-0.5", "coverage-1.0", "coverage-1.0-until-30"])
+    def test_death_ticks_follow_the_exact_law(self, attack, exact_mean):
+        config = scenario(20, policy=sw.default_policy(), attack=attack, max_ticks=3000, runs=2000)
+        assert config.network.m_threshold == 16
+        cdf = death_tick_cdf(config)
+        mean = death_tick_mean(cdf)
+        assert mean == pytest.approx(exact_mean, abs=1e-3)
+        summary = run_many(config)
+        assert summary.censored_count == 0
+        standard_error = summary.std_death_tick / np.sqrt(summary.runs)
+        assert abs(summary.mean_death_tick - mean) <= 4.0 * standard_error
+        ticks = np.sort(summary.death_ticks)
+        empirical = np.searchsorted(ticks, np.arange(cdf.size), side="right") / ticks.size
+        assert np.abs(empirical - cdf).max() <= 1.95 / np.sqrt(summary.runs)
 
 
 class TestChainTrajectory:

@@ -237,4 +237,6 @@ def load_config(path: str | Path) -> ParsedConfig:
         doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # valid JSON too, once it nests about 1,000 deep
+        raise ConfigInvalid(f"{path}: nested too deeply to parse") from exc
     return parse_config(doc)

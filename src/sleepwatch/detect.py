@@ -127,30 +127,25 @@ def decide(
 
     Death observed at t: attack iff t < theta * baseline, normal
     otherwise. No death: normal once the baseline has fully elapsed,
-    inconclusive before that.
+    inconclusive before that. Each branch only picks the decision, the
+    observed tick and the start of the detail; one ``Verdict`` adds the
+    baseline, theta and the calibration note.
     """
     _check_theta(theta)
     b = baseline.expected_death_ticks
     note = _calibration_note(baseline)
     if observed_death_tick is not None:
-        if observed_death_tick < theta * b:
-            return Verdict(
-                Decision.UNDER_ATTACK, float(observed_death_tick), b, theta,
-                f"death at tick {observed_death_tick:g} < {theta:g} * baseline {b:.6g} [{note}]",
-            )
-        return Verdict(
-            Decision.NORMAL, float(observed_death_tick), b, theta,
-            f"death at tick {observed_death_tick:g} >= {theta:g} * baseline {b:.6g} [{note}]",
-        )
-    if elapsed_ticks >= b:
-        return Verdict(
-            Decision.NORMAL, None, b, theta,
-            f"no death within {elapsed_ticks:g} ticks >= baseline {b:.6g} [{note}]",
-        )
-    return Verdict(
-        Decision.INCONCLUSIVE, None, b, theta,
-        f"no death yet at tick {elapsed_ticks:g} < baseline {b:.6g} [{note}]",
-    )
+        attack = observed_death_tick < theta * b
+        decision = Decision.UNDER_ATTACK if attack else Decision.NORMAL
+        observed = float(observed_death_tick)
+        text = f"death at tick {observed_death_tick:g} {'<' if attack else '>='} {theta:g} * baseline"
+    elif elapsed_ticks >= b:
+        decision, observed = Decision.NORMAL, None
+        text = f"no death within {elapsed_ticks:g} ticks >= baseline"
+    else:
+        decision, observed = Decision.INCONCLUSIVE, None
+        text = f"no death yet at tick {elapsed_ticks:g} < baseline"
+    return Verdict(decision, observed, b, theta, f"{text} {b:.6g} [{note}]")
 
 
 def detect(
@@ -265,7 +260,9 @@ def online_estimate(
     current dead count is the closed-form chain-step count divided by
     that rate, and elapsed + projected is compared against the baseline
     exactly like an observed death time. Windows too quiet to fit a rate
-    yield inconclusive verdicts. If the trajectory reaches the death
+    yield inconclusive verdicts; each window picks its decision and
+    reason, and one ``Verdict`` per window adds the tick, the baseline,
+    theta and the calibration note. If the trajectory reaches the death
     threshold, the final verdict is the plain observed-death decision and
     evaluation stops there.
 
@@ -303,17 +300,12 @@ def online_estimate(
         projected[fit] = t[fit] + expected_death_time(view[t[fit]], m) / rates[fit]
         for row, (tick, rate, proj) in enumerate(zip(t.tolist(), rates.tolist(), projected.tolist())):
             if row in reasons:
-                verdicts.append(Verdict(
-                    Decision.INCONCLUSIVE, None, b, theta,
-                    f"tick {tick}: {reasons[row]} [{note}]",
-                ))
-                continue
-            decision = Decision.UNDER_ATTACK if proj < theta * b else Decision.NORMAL
-            verdicts.append(Verdict(
-                decision, None, b, theta,
-                f"tick {tick}: rate {rate:.6g} steps/tick, projected death {proj:.6g} "
-                f"vs {theta:g} * baseline {b:.6g} [{note}]",
-            ))
+                decision, text = Decision.INCONCLUSIVE, reasons[row]
+            else:
+                decision = Decision.UNDER_ATTACK if proj < theta * b else Decision.NORMAL
+                text = (f"rate {rate:.6g} steps/tick, projected death {proj:.6g} "
+                        f"vs {theta:g} * baseline {b:.6g}")
+            verdicts.append(Verdict(decision, None, b, theta, f"tick {tick}: {text} [{note}]"))
     if death_positions.size:
         verdicts.append(decide(float(horizon), float(horizon), baseline, theta))
     return verdicts

@@ -12,8 +12,12 @@ joins every piece once, and :func:`dump_canonical` joins them about
 whole-document string is built and a large document holds at most about
 one chunk and one kernel block of text. A scalar, or an object whose
 values are all scalars, is one piece, with the separator, indentation
-and key before it; lists and tuples are emitted item by item, other
-objects key by key. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
+and key before it. Lists, tuples and other objects share one container
+loop over ``(label, item)`` pairs, the label empty for a list item and
+the escaped key for an object member. :func:`_inline` keeps its own loop
+over a flat object's members: it makes each such record one piece, and
+going through the shared pairs there made the walk over a list of
+records 18-19% slower. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
 matrices) gives the same bytes as its ``.tolist()`` would, one piece
 per block of values from a vectorized kernel: for each value it
 computes the correctly rounded 17-digit integer and the decimal exponent
@@ -30,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator, Sequence
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TextIO
@@ -101,38 +106,33 @@ def _pieces(value, indent: int) -> Iterator[str]:
     text = _inline(value, indent)
     if text is not None:
         yield text
-    elif isinstance(value, np.ndarray):
+        return
+    if isinstance(value, np.ndarray):
         yield from _array_pieces(value, indent)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        inner = " " * (indent + 2)
-        sep = "[\n"
-        for item in value:
-            text = _inline(item, indent + 2)  # the whole item, never "", or None
-            yield sep + inner + (text or "")
-            if text is None:
-                yield from _pieces(item, indent + 2)
-            sep = ",\n"
-        yield "\n" + " " * indent + "]"
+        return
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", zip(repeat(""), value)
     elif isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        inner = " " * (indent + 2)
-        sep = "{\n"
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            text = _inline(value[key], indent + 2)
-            yield f"{sep}{inner}{encode_basestring_ascii(key)}: {text or ''}"
-            if text is None:
-                yield from _pieces(value[key], indent + 2)
-            sep = ",\n"
-        yield "\n" + " " * indent + "}"
+        brackets, items = "{}", _members(value)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+    inner = " " * (indent + 2)
+    sep = brackets[0] + "\n"
+    for label, item in items:
+        text = _inline(item, indent + 2)  # the whole item, never "", or None
+        yield f"{sep}{inner}{label}{text or ''}"
+        if text is None:
+            yield from _pieces(item, indent + 2)
+        sep = ",\n"
+    yield "\n" + " " * indent + brackets[1] if value else brackets
+
+
+def _members(obj: dict) -> Iterator[tuple[str, object]]:
+    """``(label, value)`` per key of ``obj`` in sorted order, the label its escaped key and ": "."""
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        yield encode_basestring_ascii(key) + ": ", obj[key]
 
 
 def _inline(value, indent: int | None) -> str | None:

@@ -9,6 +9,17 @@ probability that the 4-state policy, started asleep, has reached DEAD
 after t ticks. An attacked node steps with ``transform_policy`` on the
 ticks inside the attack window and with the base policy elsewhere.
 Binomial probabilities are taken in log space with ``math.lgamma``.
+
+In energy-death mode the policy is ``strip_death_transitions`` of the
+configured one, and a node dies on the tick its battery reaches 0. Its
+law is a forward pass over (live state, battery), the battery counted
+in the common unit of the capacity and the per-tick costs (0.1 for the
+README drains 0.1/5.0/1.0 and extra drain 2.0, so capacity 300 has 3,001
+levels); each tick pays the cost of the row the node was in before it
+moves, as the simulator does. The simulator subtracts floats, so a path
+that lands exactly on 0 can be left a rounding error above it and die
+one tick late; ``late=True`` gives the law in which every such path
+does, and the simulated law lies between the two.
 Nothing here is used by the library; ``test_simulate`` compares
 ``run_many`` with it.
 """
@@ -16,11 +27,12 @@ Nothing here is used by the library; ``test_simulate`` compares
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from sleepwatch.attack import transform_policy
-from sleepwatch.lifecycle import NodeState
+from sleepwatch.lifecycle import DeathMode, NodeState, strip_death_transitions
 from sleepwatch.simulate import ScenarioConfig
 
 
@@ -49,16 +61,60 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
     ])
 
 
-def death_tick_cdf(config: ScenarioConfig) -> np.ndarray:
-    """P(T <= t) for t = 0..max_ticks, in probabilistic-death mode."""
+def energy_death_cdf(probs: np.ndarray, window_probs: np.ndarray, in_window, max_ticks: int,
+                     costs, window_costs, capacity: int, late: bool = False) -> np.ndarray:
+    """P(a node is dead after t ticks) in energy mode; battery and costs in whole units.
+
+    ``costs[s]`` is what a tick in live state ``s`` drains, ``window_costs``
+    on window ticks. With ``late``, a battery at exactly 0 lives one more tick.
+    """
+    live = [NodeState.SLEEP, NodeState.ACTIVE, NodeState.INACTIVE]
+    dist = np.zeros((len(live), capacity + 1))  # by live state and battery level
+    dist[NodeState.SLEEP, capacity] = 1.0
+    cdf = np.zeros(max_ticks + 1)
+    for t in range(1, max_ticks + 1):
+        rows, cost = (window_probs, window_costs) if in_window(t) else (probs, costs)
+        moved = np.zeros_like(dist)
+        died = 0.0
+        for s in live:
+            first = cost[s] if late else cost[s] + 1  # lowest level that survives the tick
+            died += dist[s, :first].sum()
+            moved[:, first - cost[s]:capacity + 1 - cost[s]] += np.outer(rows[s, live], dist[s, first:])
+        dist = moved
+        cdf[t] = cdf[t - 1] + died
+    return cdf
+
+
+def _in_units(values) -> list[int]:
+    """``values`` as whole multiples of their common decimal unit."""
+    exact = [Fraction(repr(float(v))) for v in values]
+    unit = Fraction(1, math.lcm(*(f.denominator for f in exact)))
+    return [int(f / unit) for f in exact]
+
+
+def death_tick_cdf(config: ScenarioConfig, late: bool = False) -> np.ndarray:
+    """P(T <= t) for t = 0..max_ticks; ``late`` only matters in energy mode."""
     n, m = config.network.n_deployed, config.network.m_threshold
     attack = config.attack
     k = math.floor(attack.coverage * n + 0.5)  # 0 without an attack, whose coverage is 0
-    base = config.policy.probs
-    attacked = transform_policy(config.policy, attack).probs
+    energy = config.death_mode is DeathMode.ENERGY
+    policy = strip_death_transitions(config.policy) if energy else config.policy
+    base = policy.probs
+    attacked = transform_policy(policy, attack).probs
     end = math.inf if attack.end_tick is None else attack.end_tick
-    unaffected = death_cdf(base, base, lambda t: False, config.max_ticks)
-    affected = death_cdf(base, attacked, lambda t: attack.start_tick <= t <= end, config.max_ticks)
+    window = lambda t: attack.start_tick <= t <= end
+    if energy:
+        live = range(NodeState.DEAD)
+        capacity, *drain, extra = _in_units([config.energy.capacity, *config.energy.drain[live],
+                                             attack.extra_drain])
+        awake = [drain[s] + extra * (s != NodeState.SLEEP) for s in live]  # an attacked node's costs
+        unaffected = energy_death_cdf(base, base, lambda t: False, config.max_ticks,
+                                      drain, drain, capacity, late)
+        affected = energy_death_cdf(base, attacked, window, config.max_ticks,
+                                    drain, awake, capacity, late)
+    else:
+        unaffected = death_cdf(base, base, lambda t: False, config.max_ticks)
+        affected = death_cdf(base, attacked, window, config.max_ticks)
     return np.array([
         np.convolve(binomial_pmf(n - k, fu), binomial_pmf(k, fa))[m:].sum()
         for fu, fa in zip(unaffected.tolist(), affected.tolist())

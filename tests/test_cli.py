@@ -322,6 +322,9 @@ UNREADABLE_CONFIGS = {
     "not-utf8": (b'{"network": {"n_deployed": 20}, "\xff": 1}', "error: scenario.json: not UTF-8: "),
     "repeated-key": (b'{"network": {"n_deployed": 20, "n_deployed": 30}}',
                      "error: repeated key 'n_deployed' in a JSON object\n"),
+    "deep-lists": (b"[" * 200_000, "error: scenario.json: nested too deeply to parse\n"),
+    "deep-objects": (b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
+                     "error: scenario.json: nested too deeply to parse\n"),
     "utf8-ascii-locale": ('{"caf\u00e9": {}}'.encode(), "error: unknown top-level section(s): "),
 }
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}

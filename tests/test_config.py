@@ -198,6 +198,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match="not valid JSON: Unexpected UTF-8 BOM"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,
+        '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    ], ids=["unclosed-lists", "valid-objects"])
+    def test_deep_nesting_is_config_error(self, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(str(path))}: nested too deeply to parse$"):
+            load_config(path)
+
     @pytest.mark.parametrize("text, key", [
         ('{"network": {"n_deployed": 20}, "network": {"n_deployed": 30}}', "network"),
         ('{"network": {"n_deployed": 20, "n_deployed": 30}}', "n_deployed"),

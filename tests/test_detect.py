@@ -172,6 +172,37 @@ class TestDecide:
         assert "ticks_per_chain_step=10" in verdict.detail
         assert "analytic" in verdict.detail
 
+    MONTE_CARLO = Baseline(160.04166666666666, BaselineSource.MONTE_CARLO, 3.0146296296296297)
+    ANALYTIC_NOTE = "[baseline=analytic, ticks_per_chain_step=10]"
+    MONTE_CARLO_NOTE = "[baseline=monte_carlo, ticks_per_chain_step=3.01463]"
+
+    @pytest.mark.parametrize("baseline, observed, elapsed, theta, decision, observed_ticks, detail", [
+        (BASELINE, 400, 400.0, 0.8, Decision.UNDER_ATTACK, 400.0,
+         f"death at tick 400 < 0.8 * baseline 1000 {ANALYTIC_NOTE}"),
+        (BASELINE, 1000.0, 1000.0, 0.8, Decision.NORMAL, 1000.0,
+         f"death at tick 1000 >= 0.8 * baseline 1000 {ANALYTIC_NOTE}"),
+        (BASELINE, None, 1500.0, 0.8, Decision.NORMAL, None,
+         f"no death within 1500 ticks >= baseline 1000 {ANALYTIC_NOTE}"),
+        (BASELINE, None, 500, 0.8, Decision.INCONCLUSIVE, None,
+         f"no death yet at tick 500 < baseline 1000 {ANALYTIC_NOTE}"),
+        (MONTE_CARLO, 57, 57, 0.9, Decision.UNDER_ATTACK, 57.0,
+         f"death at tick 57 < 0.9 * baseline 160.042 {MONTE_CARLO_NOTE}"),
+        (MONTE_CARLO, 128.5, 128.5, 0.8, Decision.NORMAL, 128.5,
+         f"death at tick 128.5 >= 0.8 * baseline 160.042 {MONTE_CARLO_NOTE}"),
+        (MONTE_CARLO, None, 600, 0.8, Decision.NORMAL, None,
+         f"no death within 600 ticks >= baseline 160.042 {MONTE_CARLO_NOTE}"),
+        (MONTE_CARLO, None, 159.5, 0.75, Decision.INCONCLUSIVE, None,
+         f"no death yet at tick 159.5 < baseline 160.042 {MONTE_CARLO_NOTE}"),
+    ], ids=[f"{source}-{branch}" for source in ("analytic", "monte-carlo")
+            for branch in ("attack", "normal-by-death", "normal-by-time", "inconclusive")])
+    def test_golden_verdicts(self, baseline, observed, elapsed, theta, decision, observed_ticks, detail):
+        verdict = decide(observed, elapsed, baseline, theta)
+        assert verdict.decision is decision
+        assert verdict.observed_death_ticks == observed_ticks
+        assert type(verdict.observed_death_ticks) is type(observed_ticks)
+        assert (verdict.baseline_ticks, verdict.threshold_factor) == (baseline.expected_death_ticks, theta)
+        assert verdict.detail == detail
+
 
 class TestDetectDispatch:
     def test_trace_verdict(self):

@@ -721,6 +721,41 @@ class TestExactLaw:
         empirical = np.searchsorted(ticks, np.arange(cdf.size), side="right") / ticks.size
         assert np.abs(empirical - cdf).max() <= 1.95 / np.sqrt(summary.runs)
 
+    README_ENERGY = sw.EnergyModel(300.0, np.array([0.1, 5.0, 1.0, 0.0]))
+
+    def test_float_battery_landing_on_zero_dies_a_tick_late(self):
+        # a node that only sleeps pays 0.1 from 300.0: exactly 0 after 3,000 ticks, in floats not yet
+        always_asleep = NodePolicy([[1.0, 0.0, 0.0, 0.0], [0.35, 0.5, 0.13, 0.02],
+                                    [0.0, 0.38, 0.6, 0.02], [0.0, 0.0, 0.0, 1.0]])
+        config = scenario(5, policy=always_asleep, energy=self.README_ENERGY,
+                          death_mode=sw.DeathMode.ENERGY, max_ticks=3100)
+        assert run_one(config).network_death_tick == 3001
+        assert np.flatnonzero(death_tick_cdf(config))[0] == 3000
+        assert np.flatnonzero(death_tick_cdf(config, late=True))[0] == 3001
+
+    @pytest.mark.parametrize("attack, exact_mean, mean_gap, sup_gap", [
+        (sw.no_attack(), 158.838, 0.0499, 0.0072),
+        (sw.rts_cts_flood(coverage=0.5), 147.940, 0.0482, 0.0063),
+        (sw.rts_cts_flood(coverage=1.0), 55.559, 0.0000, 0.0000),
+    ], ids=["no-attack", "coverage-0.5", "coverage-1.0"])
+    def test_energy_death_ticks_follow_the_exact_law(self, attack, exact_mean, mean_gap, sup_gap):
+        config = scenario(20, policy=sw.default_policy(), energy=self.README_ENERGY, attack=attack,
+                          death_mode=sw.DeathMode.ENERGY, max_ticks=600, runs=2000)
+        assert config.network.m_threshold == 16
+        cdf, late = death_tick_cdf(config), death_tick_cdf(config, late=True)
+        mean, late_mean = death_tick_mean(cdf), death_tick_mean(late)
+        assert mean == pytest.approx(exact_mean, abs=1e-3)
+        # float rounding only delays a death, so the simulated law lies between these two
+        assert late_mean - mean == pytest.approx(mean_gap, abs=1e-4)
+        assert np.abs(late - cdf).max() == pytest.approx(sup_gap, abs=1e-4)
+        summary = run_many(config)
+        assert summary.censored_count == 0
+        standard_error = summary.std_death_tick / np.sqrt(summary.runs)
+        assert mean - 4.0 * standard_error <= summary.mean_death_tick <= late_mean + 4.0 * standard_error
+        ticks = np.sort(summary.death_ticks)
+        empirical = np.searchsorted(ticks, np.arange(cdf.size), side="right") / ticks.size
+        assert np.abs(empirical - cdf).max() <= 1.95 / np.sqrt(summary.runs) + np.abs(late - cdf).max()
+
 
 class TestChainTrajectory:
     def test_starts_at_initial_state_and_stops_at_boundary(self):

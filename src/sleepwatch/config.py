@@ -239,4 +239,6 @@ def load_config(path: str | Path) -> ParsedConfig:
         raise ConfigInvalid(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:  # valid JSON too, once it nests about 1,000 deep
         raise ConfigInvalid(f"{path}: nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer longer than int() may parse, 4,300 digits by default
+        raise ConfigInvalid(f"{path}: a number too long to parse") from exc
     return parse_config(doc)

@@ -49,6 +49,7 @@ def threshold_from_deployed(n: int) -> int:
     Uses exact integer arithmetic: (8n + 5) // 10. Raises TooFewNodes for
     n < 2; every n >= 2 gives M >= 2, so the chain has a transient state.
     """
+    n = require_int("n_deployed", n)
     if n < 2:
         raise TooFewNodes(f"need at least 2 deployed nodes, got {n}")
     num, den = DEATH_FRACTION
@@ -96,12 +97,21 @@ def _check_threshold(m: int) -> int:
 
 
 def _states(i, m: int, low: int, high: int) -> np.ndarray:
-    """State argument as an int array, every entry checked to lie in [low, high]."""
-    states = np.asarray(i, dtype=np.int64)
+    """State argument as an int64 array, every entry checked to lie in [low, high].
+
+    ``i`` is an integer or an array of an integer dtype: a bool, a float or
+    a string is refused, not truncated to a state.
+    """
+    if isinstance(i, (np.ndarray, list, tuple)):
+        states = np.asarray(i)
+        if states.dtype.kind not in "iu":
+            raise ConfigInvalid(f"states must have an integer dtype, got {states.dtype}")
+    else:
+        states = np.asarray(require_int("state", i))  # an object array past int64: still compared
     bad = states[(states < low) | (states > high)]
     if bad.size:
         raise OutOfRange(f"state {bad[0]} outside [{low}, {high}]")
-    return states
+    return states.astype(np.int64, copy=False)
 
 
 def _result(values: np.ndarray):

@@ -5,28 +5,28 @@ produce identical bytes. JSON objects are therefore emitted with sorted
 keys and floats formatted to 17 significant digits (enough to round-trip
 float64 exactly); CSVs use LF line endings and the same float format.
 
-The JSON emitter is one walk over the document, a generator that
-yields its text in pieces, with two consumers: :func:`dumps_canonical`
-joins every piece once, and :func:`dump_canonical` joins them about
-1 MiB at a time and writes each chunk to every output, so no
-whole-document string is built and a large document holds at most about
-one chunk and one kernel block of text. A scalar, or an object whose
-values are all scalars, is one piece, with the separator, indentation
-and key before it. Lists, tuples and other objects share one container
-loop over ``(label, item)`` pairs, the label empty for a list item and
-the escaped key for an object member. :func:`_inline` keeps its own loop
-over a flat object's members: it makes each such record one piece, and
-going through the shared pairs there made the walk over a list of
-records 18-19% slower. A 1-D or 2-D float64 ``ndarray`` (the ``analyze``
-matrices) gives the same bytes as its ``.tolist()`` would, one piece
-per block of values from a vectorized kernel: for each value it
-computes the correctly rounded 17-digit integer and the decimal exponent
-with exact float arithmetic, lays out the ``%.17g`` text and the
-separator after it in a ``uint8`` buffer, and keeps the bytes that text
-uses. Values outside the kernel's range (zero, magnitudes below 1e-4 or
-from 1e16 up) go through :func:`format_float`. Object keys and string
-values go through one escaper, the one ``json.dumps`` uses for a string,
-so both come out as ASCII that ``json.loads`` reads back.
+The JSON emitter is one walk over the document, a generator that yields
+its text in pieces, with two consumers: :func:`dumps_canonical` joins
+every piece once, and :func:`dump_canonical` writes each piece to every
+output as it is yielded, leaving the batching to the streams' own
+buffers, so no whole-document string is built and a large document holds
+at most one kernel block and one piece of text. A scalar, or an object
+whose values are all scalars, is one piece, with the separator,
+indentation and key before it. Lists, tuples and other objects share one
+container loop over ``(label, item)`` pairs, the label empty for a list
+item and the escaped key for an object member. :func:`_inline` keeps its
+own loop over a flat object's members: it makes each such record one
+piece, and going through the shared pairs there made the walk over a
+list of records 18-19% slower. A 1-D or 2-D float64 ``ndarray`` (the
+``analyze`` matrices) gives the same bytes as its ``.tolist()`` would,
+one piece per block of values from a vectorized kernel: for each value
+it computes the correctly rounded 17-digit integer and the decimal
+exponent with exact float arithmetic, lays out the ``%.17g`` text and
+the separator after it in a ``uint8`` buffer, and keeps the bytes that
+text uses. Values outside the kernel's range (zero, magnitudes below
+1e-4 or from 1e16 up) go through :func:`format_float`. Object keys and
+string values go through one escaper, the one ``json.dumps`` uses for a
+string, so both come out as ASCII that ``json.loads`` reads back.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TextIO
@@ -46,7 +46,6 @@ from .simulate import SimulationTrace
 TRACE_HEADER = "tick,dead,sleep,active,inactive,battery"
 
 _BLOCK = 1 << 14  # values per kernel pass: its buffers stay near 1 MB
-_CHUNK = 1 << 20  # characters joined into one write to each stream
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact up to 10**22
 _SPLIT = float(2**27 + 1)  # Veltkamp splitter for float64
 
@@ -75,30 +74,18 @@ def dumps_canonical(value) -> str:
 def dump_canonical(value, streams: Sequence[TextIO]) -> int:
     """Write the text of :func:`dumps_canonical` and a newline to every stream.
 
-    Returns the length of the text without its newline. The text is
-    written in chunks as it is emitted, so an error raised by the walk (a
-    non-finite value, a key that is not a string) can leave part of it
-    written.
+    Returns the length of the text without its newline. Each piece of the
+    walk is written to every stream as it is yielded, so an error raised
+    by the walk (a non-finite value, a key that is not a string) can leave
+    part of the text written.
     """
-    pieces: list[str] = []
-    held = written = 0
-    for piece in _pieces(value, 0):
-        pieces.append(piece)
-        held += len(piece)
-        if held >= _CHUNK:
-            written += _write(pieces, streams)
-            held = 0
-    pieces.append("\n")
-    return written + _write(pieces, streams) - 1
-
-
-def _write(pieces: list[str], streams: Sequence[TextIO]) -> int:
-    """Join ``pieces``, empty the list, write the text to every stream; its length."""
-    text = "".join(pieces)
-    pieces.clear()  # before the streams encode their copies of the text
-    for stream in streams:
-        stream.write(text)
-    return len(text)
+    written = 0
+    for piece in chain(_pieces(value, 0), ["\n"]):
+        for stream in streams:
+            stream.write(piece)
+        written += len(piece)
+        del piece  # not held while the walk formats the next block
+    return written - 1
 
 
 def _pieces(value, indent: int) -> Iterator[str]:

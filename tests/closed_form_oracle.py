@@ -3,7 +3,10 @@
 One state at a time, with the builtin ``sum`` adding terms left to right,
 exactly as the closed forms were first written. The array versions in
 :mod:`sleepwatch.network` must reproduce these values bit for bit, so
-``test_network`` compares them with ``==``. ``chain_absorptions`` reads
+``test_network`` compares them with ``==``. ``conditional_death_time``
+is the expected death time given that the network dies, which the
+library does not compute yet; the tests check it against the
+fundamental matrix and the chain stepper. ``chain_absorptions`` reads
 empirical absorption times off the library's chain stepper, for the
 Monte Carlo checks of the death time. Nothing here is used by the
 library.
@@ -47,6 +50,14 @@ def expected_death_time(i: int, m: int) -> float:
     below = sum(1.0 / (m - j) for j in range(1, i + 1))
     above = sum(1.0 / j for j in range(i + 1, m))
     return m * (m - i) * below + m * i * above
+
+
+def conditional_death_time(i: int, m: int) -> float:
+    """E[T | death, start i] for a transient i: the mean steps of the runs absorbed at m.
+
+    M(M-1-i) + (M(M-i)/i) * sum(j/(M-j) for j in 1..i). At i = 1 it is M(M-1).
+    """
+    return m * (m - 1 - i) + m * (m - i) / i * sum(j / (m - j) for j in range(1, i + 1))
 
 
 def chain_absorptions(m: int, initial_dead: int, runs: int, seed: int,

@@ -325,6 +325,8 @@ UNREADABLE_CONFIGS = {
     "deep-lists": (b"[" * 200_000, "error: scenario.json: nested too deeply to parse\n"),
     "deep-objects": (b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
                      "error: scenario.json: nested too deeply to parse\n"),
+    "long-integer": (b'{"network": {"n_deployed": ' + b"9" * 5000 + b"}}",
+                     "error: scenario.json: a number too long to parse\n"),
     "utf8-ascii-locale": ('{"caf\u00e9": {}}'.encode(), "error: unknown top-level section(s): "),
 }
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}

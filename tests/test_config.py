@@ -208,6 +208,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match=f"^{re.escape(str(path))}: nested too deeply to parse$"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"network": {"n_deployed": ' + "9" * 5000 + "}}",
+        '{"policy": {"probs": [[0.6, 0.2, 0.2, ' + "1" * 5000 + "]]}}",
+    ], ids=["network", "policy-probs"])
+    def test_integer_past_the_digit_limit_is_config_error(self, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(str(path))}: a number too long to parse$"):
+            load_config(path)
+
     @pytest.mark.parametrize("text, key", [
         ('{"network": {"n_deployed": 20}, "network": {"n_deployed": 30}}', "network"),
         ('{"network": {"n_deployed": 20, "n_deployed": 30}}', "n_deployed"),

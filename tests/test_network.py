@@ -124,6 +124,55 @@ class TestArrayArguments:
         assert got.shape == states.shape
         assert got.tolist() == [[oracle.expected_death_time(int(i), m) for i in row] for row in states]
 
+    @pytest.mark.parametrize("state", [2.7, 1.5, np.float64(2.0), True, np.bool_(True), "3", None],
+                             ids=["2.7", "1.5", "float64", "True", "bool_", "str", "None"])
+    def test_non_integer_state_is_refused(self, state):
+        # truncated, 2.7 would give the values of state 2 and True those of state 1
+        message = re.escape(f"state must be an integer, got {state!r}")
+        for form in (lambda i: death_probability(i, 8), lambda i: expected_death_time(i, 16),
+                     lambda i: expected_visits_closed(i, 3, 8), lambda i: expected_visits_closed(3, i, 8)):
+            with pytest.raises(ConfigInvalid, match=message):
+                form(state)
+
+    @pytest.mark.parametrize("states, dtype", [
+        (np.array([1.0, 2.0]), "float64"),
+        (np.array([1, 2], dtype=np.float32), "float32"),
+        (np.array([True, False]), "bool"),
+        (np.array(["1", "2"]), "<U1"),
+        ([1.5, 2], "float64"),
+        ([True], "bool"),
+        (np.array(2.0), "float64"),
+    ], ids=["float64", "float32", "bool", "str", "float-list", "bool-list", "0-d-float"])
+    def test_non_integer_state_array_is_refused(self, states, dtype):
+        message = re.escape(f"states must have an integer dtype, got {dtype}")
+        for form in (lambda i: death_probability(i, 8), lambda i: expected_death_time(i, 8),
+                     lambda i: expected_visits_closed(i, 3, 8)):
+            with pytest.raises(ConfigInvalid, match=message):
+                form(states)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_integer_dtypes_give_the_bits_of_python_ints(self, dtype):
+        m = 200  # a product like m * (m - i) would wrap in int8 or uint8 arithmetic
+        states = np.arange(128)  # every state int8 can hold
+        typed = states.astype(dtype)
+        assert death_probability(typed, m).tolist() == death_probability(states, m).tolist()
+        assert expected_death_time(typed, m).tolist() == expected_death_time(states, m).tolist()
+        want = expected_visits_closed(states[1:, None], states[1:], m)
+        assert expected_visits_closed(typed[1:, None], typed[1:], m).tolist() == want.tolist()
+        for i in (1, 57, 127):
+            assert death_probability(dtype(i), m) == death_probability(i, m)
+            assert expected_death_time(dtype(i), m) == expected_death_time(i, m)
+            assert expected_visits_closed(dtype(i), dtype(3), m) == expected_visits_closed(i, 3, m)
+
+    def test_out_of_range_states_of_any_integer_type(self):
+        with pytest.raises(OutOfRange, match=r"^state 9 outside \[0, 8\]$"):
+            death_probability(np.array([3, 9], dtype=np.uint8), 8)
+        with pytest.raises(OutOfRange, match=r"^state 0 outside \[1, 7\]$"):
+            expected_visits_closed(np.uint64(0), 3, 8)
+        for big in (2**63, 10**30):  # past int64: refused as out of range, not an OverflowError
+            with pytest.raises(OutOfRange, match=rf"^state {big} outside \[0, 8\]$"):
+                expected_death_time(big, 8)
+
     def test_scalar_and_array_agree(self):
         m = 41
         states = np.array([[0, 5], [20, 41]])
@@ -222,6 +271,34 @@ class TestExpectedDeathTime:
             expected_death_time(11, 10)
 
 
+class TestConditionalDeathTime:
+    """E[T | death, start i], the mean death time of the runs that die, in the test oracle."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 16, 81, 300])
+    def test_matches_h_transformed_fundamental_matrix(self, m):
+        # conditioned on absorption at m, the visits to j from i are N[i, j] * b[j] / b[i]
+        analysis = chain.analyze(build_matrix(m))
+        b = analysis.absorb_prob[:, analysis.absorbing_order.index(m)]
+        conditioned = (analysis.fundamental @ b) / b
+        for row, i in enumerate(analysis.transient_order):
+            assert oracle.conditional_death_time(i, m) == pytest.approx(conditioned[row], rel=1e-11)
+
+    def test_readme_chain_from_one_dead_node(self):
+        # N = 20 gives M = 16: the one network in 16 that dies takes M(M - 1) steps on average,
+        # far longer than the 53 steps of the mean over every run, most of which heal
+        m, i = 16, 1
+        assert death_probability(i, m) == 1 / 16
+        assert expected_death_time(i, m) == pytest.approx(53.0917, abs=5e-5)
+        assert oracle.conditional_death_time(i, m) == pytest.approx(m * (m - 1), rel=1e-15)
+
+    def test_matches_chain_stepper(self):
+        steps, absorbed_at = oracle.chain_absorptions(16, 8, 2000, 4242)
+        died = steps[absorbed_at == 16]
+        assert died.size == 1014
+        se = float(died.std(ddof=1)) / np.sqrt(died.size)
+        assert abs(float(died.mean()) - oracle.conditional_death_time(8, 16)) <= 4 * se
+
+
 class TestBuildMatrix:
     def test_m2_middle_row(self):
         tm = build_matrix(2)
@@ -271,6 +348,18 @@ class TestThreshold:
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes):
             threshold_from_deployed(1)
+
+    @pytest.mark.parametrize("n", [20.5, 20.0, np.float64(20.0), True, "20"],
+                             ids=["20.5", "20.0", "float64", "True", "str"])
+    def test_non_integer_node_count_is_refused(self, n):
+        # truncated, 20.5 gave 16.0
+        with pytest.raises(ConfigInvalid, match=re.escape(f"n_deployed must be an integer, got {n!r}")):
+            threshold_from_deployed(n)
+
+    def test_numpy_integer_node_count_gives_an_int(self):
+        for n in (np.int64(20), np.uint16(20), np.int8(20)):
+            m = threshold_from_deployed(n)
+            assert type(m) is int and m == 16
 
     def test_params_derive_threshold(self):
         params = NetworkChainParams(n_deployed=10, initial_dead=3)

@@ -10,7 +10,8 @@ array must give the bytes of its ``.tolist()``, whose floats are
 that on the values where its arithmetic is most likely to slip.
 :func:`sleepwatch.serialize.dump_canonical` streams the same walk and
 must write exactly that text and a newline to every stream it is given,
-holding only about one chunk of it at a time.
+one piece of the walk per write, holding no more than one piece and one
+kernel block of it at a time.
 """
 
 from __future__ import annotations
@@ -338,27 +339,27 @@ def test_streamed_seeded_documents_match_dumps(seed):
     assert streamed(doc) == ([text + "\n"] * 2, len(text))
 
 
-@pytest.mark.parametrize("n_deployed", [40, 400])  # 400: 319 rows, several 1 MiB chunks
+@pytest.mark.parametrize("n_deployed", [40, 400])  # 400: 319 rows, several MiB of text
 def test_streamed_analyze_report_matches_dumps(tmp_path, n_deployed):
     report = analyze_report(tmp_path, n_deployed)
     text = dumps_canonical(report)
-    assert (len(text) > 2 * serialize._CHUNK) == (n_deployed == 400)
+    assert (len(text) > 2 << 20) == (n_deployed == 400)
     assert streamed(report) == ([text + "\n"] * 2, len(text))
 
 
 def test_streamed_long_plain_list_matches_dumps():
-    # a list of scalars, not an array: the size checks run between items
+    # a list of scalars, not an array: its items are written as they are walked
     doc = {"ticks": list(range(300_000)), "tail": [0.5] * 3}
     text = dumps_canonical(doc)
-    assert len(text) > 2 * serialize._CHUNK
+    assert len(text) > 2 << 20
     assert streamed(doc, copies=1) == ([text + "\n"], len(text))
     sink = CountingSink()
     dump_canonical(doc, [sink])
-    assert sink.writes > 2  # chunks were written while the list was walked
+    assert sink.writes > 300_000  # one per item
 
 
 LATE_NAN = np.arange(300_000.0)
-LATE_NAN[-1] = np.nan  # found after several chunks have been written
+LATE_NAN[-1] = np.nan  # found after several kernel blocks have been written
 
 
 @pytest.mark.parametrize("doc", [
@@ -403,31 +404,34 @@ def test_streaming_holds_one_chunk_and_one_kernel_block(tmp_path):
     # the kernel's buffers for one block of a 2-D array are set by the block, not the document
     block = np.random.default_rng(400).random((128, 128))
     assert block.size == serialize._BLOCK
+    serialize._kernel_tables()  # built once per process, not per block
     _, block_peak = traced_peak({"x": {"m": block}})
     length, peak = traced_peak(analyze_report(tmp_path, 400))
-    assert length > 5 * serialize._CHUNK  # its pieces and their join would break the bound
-    assert peak < block_peak + 2 * serialize._CHUNK
+    # holding its pieces, a 1 MiB join of them, or one block's text while the next
+    # block is formatted would break the bound
+    assert length > 5 << 20
+    assert peak < block_peak + 500_000
 
 
 def test_records_hold_less_than_three_times_their_text():
-    # every scalar record is one piece, so until the one join the pieces hold about
-    # the text once; a piece per key and per value held 5.5 times it
+    # every scalar record is one piece, written as it is yielded; a piece per key
+    # and per value, each held until one join, took 5.5 times the text
     records = [record(i) for i in range(2000)]
     length, peak = traced_peak(records)
-    assert length < serialize._CHUNK  # one write: every piece is held until the join
+    assert length < 1 << 20
     assert peak < 3 * length
 
 
-def test_small_document_is_one_write_per_stream():
-    sinks = [CountingSink(), CountingSink()]
-    dump_canonical({"a": [1, 2.5, "x"], "b": np.arange(5.0)}, sinks)
-    assert [sink.writes for sink in sinks] == [1, 1]
+def test_record_list_is_one_write_per_record():
+    sink = CountingSink()
+    dump_canonical([record(i) for i in range(2000)], [sink])
+    assert sink.writes == 2000 + 2  # a record each, the closing bracket, the newline
 
 
 def test_long_text_is_written_whole(tmp_path):
     doc = {"v": np.arange(200_000.0) / 7}
     text = dumps_canonical(doc)
-    assert len(text) > 2 * serialize._CHUNK  # written in several chunks
+    assert len(text) > 2 << 20  # written in several kernel blocks
     write_json(tmp_path / "doc.json", doc)
     assert (tmp_path / "doc.json").read_text() == text + "\n"
     assert streamed(doc) == ([text + "\n"] * 2, len(text))
@@ -441,28 +445,20 @@ class WriteLog(list):
         return len(text)
 
 
-def padded(total: int, tail: int) -> dict:
-    """A document whose text and newline are ``total`` characters, ending in ``tail`` ints."""
-    doc = {"a": "", "b": list(range(tail))}
-    doc["a"] = "x" * (total - 1 - len(dumps_canonical(doc)))
-    return doc
-
-
-# CHUNK: text and newline fill one chunk; CHUNK + 1: the text alone fills it, so the last
-# piece reaches the chunk size and the newline is written on its own
-@pytest.mark.parametrize("total", [serialize._CHUNK, serialize._CHUNK + 1, 2 * serialize._CHUNK])
-@pytest.mark.parametrize("tail", [0, 50_000])
-def test_writes_at_a_chunk_edge_are_non_empty_and_whole(total, tail):
-    doc = padded(total, tail)
-    text = dumps_canonical(doc)
-    assert len(text) + 1 == total
+@pytest.mark.parametrize("doc", [
+    [record(i) for i in range(50)],
+    {"ticks": list(range(5000)), "tail": [0.5] * 3},
+    {"m": np.arange(3.0 * serialize._BLOCK).reshape(-1, 96) / 7},
+], ids=["flat-records", "long-plain-list", "2-D-array"])
+def test_each_write_is_one_piece_or_the_newline(doc):
     log = WriteLog()
-    assert dump_canonical(doc, [log]) == len(text)
-    assert all(log) and "".join(log) == text + "\n"
-    assert len(log) == 1 + (total > serialize._CHUNK)
+    length = dump_canonical(doc, [log])
+    assert log == [*serialize._pieces(doc, 0), "\n"]
+    assert all(log) and "".join(log) == dumps_canonical(doc) + "\n"
+    assert length == len(dumps_canonical(doc))
 
 
-@pytest.mark.parametrize("n_deployed", [2, 5, 20, 200])  # 200: 1.4 MB, more than one chunk
+@pytest.mark.parametrize("n_deployed", [2, 5, 20, 200])  # 200: 1.4 MB, more than one block
 def test_analyze_out_file_equals_stdout_and_oracle(tmp_path, capsys, n_deployed):
     # the oracle builds the whole text at once; both streamed outputs must be its bytes
     config = tmp_path / "scenario.json"

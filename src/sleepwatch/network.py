@@ -107,7 +107,8 @@ def _states(i, m: int, low: int, high: int) -> np.ndarray:
         if states.dtype.kind not in "iu":
             raise ConfigInvalid(f"states must have an integer dtype, got {states.dtype}")
     else:
-        states = np.asarray(require_int("state", i))  # an object array past int64: still compared
+        # past int64 this is an object array, which the range check still compares
+        states = np.asarray(require_int("state", i))
     bad = states[(states < low) | (states > high)]
     if bad.size:
         raise OutOfRange(f"state {bad[0]} outside [{low}, {high}]")

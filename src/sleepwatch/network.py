@@ -100,11 +100,16 @@ def _states(i, m: int, low: int, high: int) -> np.ndarray:
     """State argument as an int64 array, every entry checked to lie in [low, high].
 
     ``i`` is an integer or an array of an integer dtype: a bool, a float or
-    a string is refused, not truncated to a state.
+    a string is refused, not truncated to a state. Each item of a list or
+    tuple is checked as a scalar is, since its array folds a bool into an
+    integer and holds an int past ``int64`` as an object.
     """
     if isinstance(i, (np.ndarray, list, tuple)):
         states = np.asarray(i)
-        if states.dtype.kind not in "iu":
+        if not isinstance(i, np.ndarray) and states.dtype.kind in "iuO":
+            for item in np.asarray(i, dtype=object).flat:
+                require_int("state", item)
+        elif states.dtype.kind not in "iu":
             raise ConfigInvalid(f"states must have an integer dtype, got {states.dtype}")
     else:
         # past int64 this is an object array, which the range check still compares

@@ -17,16 +17,18 @@ container loop over ``(label, item)`` pairs, the label empty for a list
 item and the escaped key for an object member. :func:`_inline` keeps its
 own loop over a flat object's members: it makes each such record one
 piece, and going through the shared pairs there made the walk over a
-list of records 18-19% slower. A 1-D or 2-D float64 ``ndarray`` (the
-``analyze`` matrices) gives the same bytes as its ``.tolist()`` would,
-one piece per block of values from a vectorized kernel: for each value
-it computes the correctly rounded 17-digit integer and the decimal
-exponent with exact float arithmetic, lays out the ``%.17g`` text and
-the separator after it in a ``uint8`` buffer, and keeps the bytes that
-text uses. Values outside the kernel's range (zero, magnitudes below
-1e-4 or from 1e16 up) go through :func:`format_float`. Object keys and
-string values go through one escaper, the one ``json.dumps`` uses for a
-string, so both come out as ASCII that ``json.loads`` reads back.
+list of records 18-19% slower. A 1-D or 2-D float64 ``ndarray`` gives
+the same bytes as its ``.tolist()`` would. A 1-D one is written as that
+list. A 2-D one (the ``analyze`` matrices) is one piece per block of
+values from a vectorized kernel: for each value it computes the
+correctly rounded 17-digit integer and the decimal exponent with exact
+float arithmetic, lays out the ``%.17g`` text and the separator after it
+in a ``uint8`` buffer, and keeps the bytes that text uses. Values outside
+the kernel's range (zero, magnitudes below 1e-4 or from 1e16 up, and
+the non-finite ones, which it refuses) go through :func:`format_float`.
+Object keys and string values go through one escaper, the one
+``json.dumps`` uses for a string, so both come out as ASCII that
+``json.loads`` reads back.
 """
 
 from __future__ import annotations
@@ -149,34 +151,26 @@ def _inline(value, indent: int | None) -> str | None:
 
 
 def _array_pieces(a: np.ndarray, indent: int) -> Iterator[str]:
-    """The text ``a.tolist()`` would give, for a 1-D or 2-D float64 array; a piece per block."""
+    """The text ``a.tolist()`` would give, for a 1-D or 2-D float64 array; a piece per block for a matrix."""
     if a.dtype != np.float64 or a.ndim not in (1, 2):
         raise TypeError(f"cannot serialize a {a.ndim}-D {a.dtype} ndarray canonically")
-    if a.size == 0:
+    if a.ndim == 1 or a.size == 0:
         yield from _pieces(a.tolist(), indent)
         return
-    finite = np.isfinite(a)
-    if not finite.all():
-        format_float(float(a[~finite][0]))  # raises, for the first in row-major order
-    outer, inner = " " * (indent + 2), " " * (indent + 2 * a.ndim)
-    if a.ndim == 1:
-        yield "[\n" + inner
-        row_break, close = "", ""
-    else:
-        yield f"[\n{outer}[\n{inner}"
-        row_break, close = f"\n{outer}],\n{outer}[\n{inner}", f"\n{outer}]"
-    suffixes = (",\n" + inner, row_break, "")  # after a value: an item, a row, the end
-    cells, keep_rows = _cell_tables(suffixes)
+    outer, inner = " " * (indent + 2), " " * (indent + 4)
+    yield f"[\n{outer}[\n{inner}"
+    # after a value: an item, a row, the end
+    cells, keep_rows = _cell_tables((",\n" + inner, f"\n{outer}],\n{outer}[\n{inner}", ""))
     flat = a.ravel()
-    row = a.shape[-1]
+    row = a.shape[1]
     for start in range(0, flat.size, _BLOCK):
         x = flat[start:start + _BLOCK]
-        kind = np.zeros(x.size, np.intp)  # index into suffixes
+        kind = np.zeros(x.size, np.intp)  # index into the suffixes
         kind[(row - 1 - start) % row::row] = 1
         if start + _BLOCK >= flat.size:
             kind[-1] = 2
         yield _format_block(x, kind, cells, keep_rows)
-    yield close + "\n" + " " * indent + "]"
+    yield f"\n{outer}]\n{' ' * indent}]"
 
 
 def _cell_tables(suffixes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +190,7 @@ def _cell_tables(suffixes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _format_block(x: np.ndarray, kind: np.ndarray, cells: np.ndarray,
                   keep_rows: np.ndarray) -> str:
-    """``%.17g`` of each finite value in ``x``, each followed by its ``kind``'s suffix."""
+    """``%.17g`` of each value in ``x``, each followed by its ``kind``'s suffix; refuses non-finite ones."""
     _, group_text, group_zeros = _kernel_tables()
     ax = np.abs(x)
     in_range = (ax >= 1e-4) & (ax < 1e16)

@@ -87,7 +87,12 @@ class ScenarioConfig:
     start state of the detector's baseline and is not simulated. No
     attacker is ``no_attack()``, the default. ``max_ticks``, ``runs`` and
     ``seed`` are integers. N full batteries may total at most
-    ``BATTERY_TOTAL_MAX``, so a trace's battery column stays finite.
+    ``BATTERY_TOTAL_MAX``. So may N batteries that each hold a full charge
+    plus a tick's largest cost (the top drain plus the attack's extra
+    drain) times the ticks a node can keep paying it: one in energy mode,
+    where a dead node undershoots zero by at most one tick's cost, and
+    ``max_ticks`` in probabilistic mode, where a live node pays every
+    tick. So a trace's battery column stays finite.
     """
 
     network: NetworkChainParams
@@ -117,6 +122,16 @@ class ScenarioConfig:
             raise ConfigInvalid(
                 f"battery capacity {capacity!r} is too large for {n} nodes: their total "
                 f"battery must be at most {BATTERY_TOTAL_MAX!r}"
+            )
+        # Python floats, which overflow to inf without a numpy warning; min() keeps
+        # the tick count convertible to a float
+        cost = float(max(self.energy.drain)) + float(self.attack.extra_drain)
+        ticks = 1 if self.death_mode is DeathMode.ENERGY else min(self.max_ticks, sys.float_info.max)
+        if not n * (float(capacity) + cost * ticks) <= BATTERY_TOTAL_MAX:
+            raise ConfigInvalid(
+                f"a drain of up to {cost!r} per tick for {ticks} tick(s) is too large for {n} "
+                f"nodes of capacity {capacity!r}: their total battery must stay within "
+                f"{BATTERY_TOTAL_MAX!r} of zero"
             )
 
 

@@ -331,6 +331,18 @@ UNREADABLE_CONFIGS = {
 }
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
+# finite drains whose cost over the ticks a node can keep paying it overflows a battery total
+OVERFLOWING_DRAINS = {
+    "active": {"network": {"n_deployed": 20}, "run": {"max_ticks": 200},
+               "energy": {"capacity": 300.0, "drain": {"active": 1e308, "inactive": 1.0}}},
+    "extra": {"network": {"n_deployed": 20}, "run": {"max_ticks": 200},
+              "energy": {"capacity": 300.0, "drain": {"active": 1e308, "inactive": 1.0}},
+              "attack": {"kind": "rts_cts_flood", "extra_drain": 1e308}},
+    "probabilistic": {"network": {"n_deployed": 20},
+                      "run": {"max_ticks": 1000, "death_mode": "probabilistic"},
+                      "energy": {"capacity": 300.0, "drain": {"active": 1e306, "inactive": 1e306}}},
+}
+
 
 class TestErrors:
     @pytest.mark.parametrize("data, message", UNREADABLE_CONFIGS.values(),
@@ -346,6 +358,21 @@ class TestErrors:
         assert done.stdout == ""
         assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    @pytest.mark.parametrize("doc", OVERFLOWING_DRAINS.values(), ids=OVERFLOWING_DRAINS.keys())
+    def test_overflowing_drain_exits_one_at_config_load(self, tmp_path, command, doc):
+        # a battery drained past -BATTERY_TOTAL_MAX used to reach the CSV writer as -inf
+        write_config(tmp_path, doc)
+        env = {**os.environ, "PYTHONPATH": str(Path(sleepwatch.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "sleepwatch.cli", command, "--config",
+                               "scenario.json", "--out", "out"], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: a drain of up to ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
 
     @pytest.mark.parametrize("command", ["simulate", "detect"])
     @pytest.mark.parametrize("text", NON_FINITE_CONFIGS.values(), ids=NON_FINITE_CONFIGS.keys())

@@ -150,6 +150,39 @@ class TestArrayArguments:
             with pytest.raises(ConfigInvalid, match=message):
                 form(states)
 
+    @pytest.mark.parametrize("states, item", [
+        ([1, True], True),
+        ([[1, 2], [3, True]], True),
+        ((3, False), False),
+        ([1, np.bool_(True)], np.bool_(True)),
+        ([2, None], None),
+        ([1.5, 10**30], 1.5),
+    ], ids=["bool-in-list", "bool-in-nested-list", "bool-in-tuple", "bool_-in-list", "None-in-list",
+            "float-beside-huge-int"])
+    def test_non_integer_item_of_a_list_is_refused(self, states, item):
+        # numpy folds a bool into an integer array, and a None or a huge int makes an object one
+        message = re.escape(f"state must be an integer, got {item!r}")
+        for form in (lambda i: death_probability(i, 8), lambda i: expected_death_time(i, 8),
+                     lambda i: expected_visits_closed(i, 3, 8)):
+            with pytest.raises(ConfigInvalid, match=message):
+                form(states)
+
+    def test_list_items_past_int64_are_out_of_range(self):
+        for states in ([10**30], [1, -(10**30)], ([2**63],)):
+            big = np.asarray(states, dtype=object).flat[-1]
+            with pytest.raises(OutOfRange, match=rf"^state {big} outside \[0, 8\]$"):
+                death_probability(states, 8)
+        # an object array is not a list: its dtype is refused, with no item loop
+        with pytest.raises(ConfigInvalid, match="^states must have an integer dtype, got object$"):
+            death_probability(np.array([10**30], dtype=object), 8)
+
+    def test_lists_of_integers_give_the_bits_of_arrays(self):
+        states = [[0, 1, np.int32(2)], (3, np.uint8(4), 8)]
+        want = death_probability(np.array(states, dtype=np.int64), 8).tolist()
+        assert death_probability(states, 8).tolist() == want
+        want = expected_death_time(np.array([3, 4, 8]), 8).tolist()
+        assert expected_death_time(states[1], 8).tolist() == want
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
     def test_integer_dtypes_give_the_bits_of_python_ints(self, dtype):
         m = 200  # a product like m * (m - i) would wrap in int8 or uint8 arithmetic

@@ -221,12 +221,21 @@ def test_strings_escape_as_json_dumps():
 
 
 def assert_kernel_matches_format(values) -> None:
-    """``dumps_canonical`` of the array equals that of its list, and ``format(x, ".17g")``."""
+    """Each value's ``format(x, ".17g")``, as a list and through the kernel as a row and a column.
+
+    A 1-D array is written as its list, so the kernel sees the values as a
+    one-row and a one-column matrix; each must give the bytes of its list.
+    """
     array = np.asarray(values, dtype=np.float64)
-    items = array.tolist()
-    text = dumps_canonical(array)
-    assert text == dumps_canonical(items)
-    assert text == "[\n  " + ",\n  ".join(format(x, ".17g") for x in items) + "\n]"
+    texts = [format(x, ".17g") for x in array.tolist()]
+    assert dumps_canonical(array) == dumps_canonical(array.tolist()) == (
+        "[\n  " + ",\n  ".join(texts) + "\n]")
+    row, column = array.reshape(1, -1), array.reshape(-1, 1)
+    for matrix, rows in ((row, [texts]), (column, [[t] for t in texts])):
+        text = dumps_canonical(matrix)
+        assert text == dumps_canonical(matrix.tolist())
+        assert text == "[\n  [\n    " + "\n  ],\n  [\n    ".join(
+            ",\n    ".join(r) for r in rows) + "\n  ]\n]"
 
 
 def test_powers_of_ten_and_their_neighbours():
@@ -273,6 +282,40 @@ def test_zero_subnormals_and_negatives():
     assert_kernel_matches_format([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                   -2.2250738585072014e-308, 1e-300, -1.5, -1e-5, -0.1,
                                   -123.456, 1e308, -1.7976931348623157e308])
+
+
+class KernelCalls:
+    """Wraps ``serialize._format_block`` and counts its calls."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        kernel = serialize._format_block
+
+        def counted(*args):
+            self.calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(serialize, "_format_block", counted)
+
+
+@pytest.mark.parametrize("exactness_test", [
+    test_powers_of_ten_and_their_neighbours,
+    test_half_way_ties_round_to_even,
+    test_integers_and_the_switch_to_exponent_form,
+    test_zero_subnormals_and_negatives,
+], ids=lambda test: test.__name__)
+def test_exactness_tests_run_the_kernel(exactness_test, monkeypatch):
+    kernel = KernelCalls(monkeypatch)
+    exactness_test()
+    assert kernel.calls >= 1
+
+
+def test_vector_is_written_as_its_list(monkeypatch):
+    kernel = KernelCalls(monkeypatch)
+    vector = np.random.default_rng(1).random(2 * serialize._BLOCK + 5) * 1e3
+    pieces = list(serialize._pieces({"v": vector}, 0))
+    assert pieces == list(serialize._pieces({"v": vector.tolist()}, 0))
+    assert kernel.calls == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -358,8 +401,8 @@ def test_streamed_long_plain_list_matches_dumps():
     assert sink.writes > 300_000  # one per item
 
 
-LATE_NAN = np.arange(300_000.0)
-LATE_NAN[-1] = np.nan  # found after several kernel blocks have been written
+LATE_NAN = np.arange(300_000.0).reshape(600, 500)
+LATE_NAN[-1, -1] = np.nan  # found after several kernel blocks have been written
 
 
 @pytest.mark.parametrize("doc", [
@@ -370,8 +413,19 @@ LATE_NAN[-1] = np.nan  # found after several kernel blocks have been written
     [0.5, {1.5}],
 ], ids=["nan", "inf-in-array", "late-nan", "int-key", "set"])
 def test_streaming_raises_as_dumps(doc):
-    expected = refusal(dumps_canonical, doc)
+    expected = refusal(oracle_dumps, doc)
+    assert refusal(dumps_canonical, doc) == expected
     assert refusal(lambda value: dump_canonical(value, [io.StringIO()]), doc) == expected
+
+
+def test_late_nan_is_refused_after_kernel_blocks_are_written(monkeypatch):
+    # no pre-scan: the kernel meets the NaN in the last block, after writing the others
+    kernel = KernelCalls(monkeypatch)
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match="^refusing to serialize non-finite value nan$"):
+        dump_canonical({"a": LATE_NAN}, [stream])
+    assert kernel.calls == -(-LATE_NAN.size // serialize._BLOCK)
+    assert len(stream.getvalue()) > (kernel.calls - 1) * serialize._BLOCK
 
 
 class CountingSink:
@@ -429,7 +483,7 @@ def test_record_list_is_one_write_per_record():
 
 
 def test_long_text_is_written_whole(tmp_path):
-    doc = {"v": np.arange(200_000.0) / 7}
+    doc = {"m": np.arange(200_000.0).reshape(-1, 400) / 7}
     text = dumps_canonical(doc)
     assert len(text) > 2 << 20  # written in several kernel blocks
     write_json(tmp_path / "doc.json", doc)

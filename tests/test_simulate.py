@@ -115,6 +115,27 @@ class TestConfigValidation:
         assert [type(v) for v in (config.max_ticks, config.runs, config.seed)] == [int] * 3
         assert run_many(config) == run_many(scenario(runs=3))
 
+    # N batteries a tick's largest cost past full, for one tick in energy mode (a dead
+    # node's undershoot) and for max_ticks in probabilistic mode, must stay finite
+    @pytest.mark.parametrize("active, extra", [(1e308, 0.0), (5.0, 1e308), (1e308, 1e308)])
+    def test_rejects_drain_whose_undershoot_overflows_in_energy_mode(self, active, extra):
+        attack = sw.rts_cts_flood(extra_drain=extra) if extra else sw.no_attack()
+        with pytest.raises(ConfigInvalid, match=r"per tick for 1 tick\(s\) is too large for 20 nodes"):
+            scenario(n_deployed=20, energy=sw.EnergyModel(300.0, [0.1, active, 1.0, 0.0]),
+                     attack=attack, death_mode=sw.DeathMode.ENERGY)
+
+    def test_rejects_drain_that_overflows_over_max_ticks_in_probabilistic_mode(self):
+        energy = sw.EnergyModel(300.0, [0.1, 1e306, 1.0, 0.0])
+        with pytest.raises(ConfigInvalid, match=r"per tick for 1000 tick\(s\) is too large"):
+            scenario(n_deployed=20, energy=energy, max_ticks=1000)
+        scenario(n_deployed=20, energy=energy, max_ticks=1000, death_mode=sw.DeathMode.ENERGY)
+        scenario(n_deployed=20, energy=energy, max_ticks=4)  # 20 * 4 * 1e306 is finite
+
+    def test_huge_max_ticks_is_refused_without_overflow_error(self):
+        with pytest.raises(ConfigInvalid, match="is too large for 5 nodes"):
+            scenario(max_ticks=10**400)
+        assert scenario(max_ticks=10**400, death_mode=sw.DeathMode.ENERGY).max_ticks == 10**400
+
 
 class TestRunOne:
     def test_five_nodes_die_at_threshold_four(self):

@@ -96,10 +96,15 @@ def broadcast_replay(
     return AttackModel(AttackKind.BROADCAST_REPLAY, coverage, sleep_block, extra_drain, start_tick, end_tick)
 
 
+def attacked_count(model: AttackModel, node_count: int) -> int:
+    """Nodes within attacker range: round(coverage * node_count), half-up (0 with no attack)."""
+    return int(math.floor(model.coverage * node_count + 0.5))
+
+
 def affected_set(model: AttackModel, node_count: int, rng: np.random.Generator) -> np.ndarray:
     """Seed-stable ids of the nodes within attacker range, ascending, as int64.
 
-    The ids are the first round(coverage * node_count), half-up, of one
+    The ids are the first ``attacked_count(model, node_count)`` of one
     ``rng.permutation(node_count)``. A no-attack model yields an empty
     array without consuming any randomness, which keeps traces
     bit-identical to runs with no attacker at all.
@@ -108,7 +113,7 @@ def affected_set(model: AttackModel, node_count: int, rng: np.random.Generator) 
         raise ConfigInvalid(f"node_count must be at least 1, got {node_count}")
     if model.kind is AttackKind.NO_ATTACK:
         return np.empty(0, dtype=np.int64)
-    size = int(math.floor(model.coverage * node_count + 0.5))
+    size = attacked_count(model, node_count)
     # a mask, not np.sort: a process's first sort maps about 0.3 MiB more of numpy
     reached = np.zeros(node_count, dtype=bool)
     reached[rng.permutation(node_count)[:size]] = True

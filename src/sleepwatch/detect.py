@@ -22,6 +22,7 @@ every window gets the bits a window-by-window loop gives it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import AttackKind
 from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort, require_int
-from .network import _CHUNK, NetworkChainParams, expected_death_time, step_probs
+from .network import _CHUNK, NetworkChainParams, _as_array, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
 DEFAULT_THRESHOLD_FACTOR = 0.8
@@ -108,7 +109,7 @@ def compute_baseline(
 
 
 def _check_theta(theta: float) -> None:
-    if not 0.0 < theta <= 1.0:
+    if not isinstance(theta, numbers.Real) or not 0.0 < theta <= 1.0:
         raise ConfigInvalid(f"threshold_factor must lie in (0, 1], got {theta}")
 
 
@@ -233,7 +234,7 @@ def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> floa
     and ``min_events`` are integers.
     """
     m, min_events = require_int("m", m), require_int("min_events", min_events)
-    view = np.asarray(window_view)
+    view = _as_array(window_view, "chain view")
     if view.size < 2:
         raise WindowTooShort(f"window has {view.size} ticks; need at least 2")
     view = _dead_counts(view)
@@ -271,10 +272,11 @@ def online_estimate(
     one closed-form call projects the chunk, so every verdict, and the
     first window that raises, are those of a window-by-window loop. The
     view must be 1-D with an integer dtype, ``window`` and ``stride``
-    integers, and ``min_events`` an integer of at least 1.
+    integers, and ``min_events`` an integer of at least 1. A ``window``
+    or ``stride`` past the view's length acts as that length.
     """
     _check_theta(theta)
-    view = np.asarray(chain_view)
+    view = _as_array(chain_view, "chain view")
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")
     view = _dead_counts(view)
@@ -284,7 +286,9 @@ def online_estimate(
         raise ConfigInvalid("window must be >= 2 and stride >= 1")
     if require_int("min_events", min_events) < 1:
         raise ConfigInvalid(f"min_events must be >= 1, got {min_events}")
-    stride = stride if stride is not None else window
+    # a window or stride past the view's length gives the windows that length gives;
+    # np.arange refuses one past its size limit
+    stride = min(stride if stride is not None else window, view.size)
     m = params.m_threshold
     b = baseline.expected_death_ticks
     note = _calibration_note(baseline)
@@ -293,7 +297,7 @@ def online_estimate(
     horizon = int(death_positions[0]) if death_positions.size else view.size - 1
 
     verdicts: list[Verdict] = []
-    ends = np.arange(window, horizon + 1, stride)
+    ends = np.arange(min(window, view.size), horizon + 1, stride)
     for t, rates, reasons in _window_rates(view[:horizon + 1], m, window, ends, min_events):
         fit = ~np.isnan(rates)
         projected = np.full(t.size, np.nan)

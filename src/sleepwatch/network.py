@@ -17,7 +17,10 @@ absorption probability (a ratio of sums of those ratios) is i / M. The
 closed forms below (``death_probability``, ``expected_visits_closed``,
 ``expected_death_time``) are all checked against the fundamental-matrix
 oracle in :mod:`sleepwatch.chain`, and ``death_probability`` also
-against the general ratio-sum formula in the tests.
+against the general ratio-sum formula in the tests. Each of them, with
+``step_probs`` and ``build_matrix``, refuses a threshold M past the
+element count numpy can size an array for, and the closed forms take the
+products M*(M-i) and M*i in float64, so no M they accept wraps int64.
 """
 
 from __future__ import annotations
@@ -89,11 +92,21 @@ class NetworkChainParams:
 
 
 def _check_threshold(m: int) -> int:
-    """The threshold ``m`` as an ``int`` of at least 2."""
+    """The threshold ``m`` as an ``int`` of at least 2 that numpy can size an array for."""
     m = require_int("threshold", m)
     if m < 2:
         raise OutOfRange(f"threshold must be at least 2, got {m}")
+    if m > _MAX_ITEMS:
+        raise ConfigInvalid(f"threshold {m} is too large for numpy arrays")
     return m
+
+
+def _as_array(value, name: str) -> np.ndarray:
+    """``value`` as an array; a ragged sequence is refused."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise ConfigInvalid(f"{name} must form an array, not a ragged sequence") from None
 
 
 def _states(i, m: int, low: int, high: int) -> np.ndarray:
@@ -102,10 +115,11 @@ def _states(i, m: int, low: int, high: int) -> np.ndarray:
     ``i`` is an integer or an array of an integer dtype: a bool, a float or
     a string is refused, not truncated to a state. Each item of a list or
     tuple is checked as a scalar is, since its array folds a bool into an
-    integer and holds an int past ``int64`` as an object.
+    integer and holds an int past ``int64`` as an object; a ragged one is
+    refused.
     """
     if isinstance(i, (np.ndarray, list, tuple)):
-        states = np.asarray(i)
+        states = _as_array(i, "states")
         if not isinstance(i, np.ndarray) and states.dtype.kind in "iuO":
             for item in np.asarray(i, dtype=object).flat:
                 require_int("state", item)
@@ -155,15 +169,22 @@ def expected_visits_closed(i, j, m: int):
 
     Equals m*(m-i)/(m-j) for j <= i and m*i/j for j > i; matches the
     fundamental-matrix entry of the assembled chain. Both states must be
-    transient (1 <= i, j <= m-1); arrays of states broadcast.
+    transient (1 <= i, j <= m-1); arrays of states broadcast. The products
+    are taken in float64, so a large m cannot wrap int64: below 2**53 both
+    factors are exact floats, and the product rounds once, as the int64
+    product did when it was converted.
     """
     m = _check_threshold(m)
     i, j = _states(i, m, 1, m - 1), _states(j, m, 1, m - 1)
+    try:
+        shape = np.broadcast_shapes(i.shape, j.shape)
+    except ValueError:
+        raise ConfigInvalid(f"states of shapes {i.shape} and {j.shape} do not broadcast") from None
     # each branch divides into one output array, only where it applies
-    out = np.empty(np.broadcast_shapes(i.shape, j.shape))
+    out = np.empty(shape)
     below = np.asarray(j <= i)  # an array also for two 0-d states
-    np.divide(m * (m - i), m - j, out=out, where=below)
-    np.divide(m * i, j, out=out, where=np.logical_not(below, out=below))
+    np.divide(float(m) * (m - i), m - j, out=out, where=below)
+    np.divide(float(m) * i, j, out=out, where=np.logical_not(below, out=below))
     return _result(out)
 
 
@@ -174,7 +195,8 @@ def expected_death_time(i, m: int):
                + m*i * sum(1/j for j in i+1..m-1).
     Zero at both absorbing boundaries. ``i`` is one state or an array of
     states. Agrees with the expected-steps vector of the fundamental
-    matrix to relative 1e-9 over the tested threshold range.
+    matrix to relative 1e-9 over the tested threshold range. The products
+    m*(m-i) and m*i are taken in float64, as in ``expected_visits_closed``.
     """
     m = _check_threshold(m)
     states = _states(i, m, 0, m)
@@ -190,7 +212,7 @@ def expected_death_time(i, m: int):
         below[lo:lo + rows] = np.cumsum(np.where(j <= s, 1.0 / (m - j), 0.0), axis=-1)[:, -1]
         above[lo:lo + rows] = np.cumsum(np.where(j > s, 1.0 / j, 0.0), axis=-1)[:, -1]
     below, above = below.reshape(states.shape), above.reshape(states.shape)
-    return _result(m * (m - states) * below + m * states * above)
+    return _result(float(m) * (m - states) * below + float(m) * states * above)
 
 
 def build_matrix(m: int) -> TransitionMatrix:

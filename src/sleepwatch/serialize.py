@@ -195,11 +195,11 @@ def _format_block(x: np.ndarray, kind: np.ndarray, cells: np.ndarray,
     ax = np.abs(x)
     in_range = (ax >= 1e-4) & (ax < 1e16)
     digits, exp10 = _digits17(np.where(in_range, ax, 1.0))
-    hi, lo = np.divmod(digits, 10**8)
+    hi, lo = _divmod(digits, 10**8)
     groups = np.empty((5, x.size), np.intp)
-    groups[3], groups[4] = np.divmod(lo, 10**4)
-    hi, groups[2] = np.divmod(hi, 10**4)
-    groups[0], groups[1] = np.divmod(hi, 10**4)
+    groups[3], groups[4] = _divmod(lo, 10**4)
+    hi, groups[2] = _divmod(hi, 10**4)
+    groups[0], groups[1] = _divmod(hi, 10**4)
     zeros = group_zeros[groups[:0:-1]]  # groups 4, 3, 2, 1; group 0 is never 0
     trailing = zeros[3]
     for z in zeros[2::-1]:
@@ -220,6 +220,16 @@ def _format_block(x: np.ndarray, kind: np.ndarray, cells: np.ndarray,
         keep[odd, :_NUMBER] = False
         keep[odd, :_FALLBACK_WIDTH] = texts != 0
     return buf[keep].tobytes().decode("ascii")
+
+
+def _divmod(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of non-negative integers ``a`` by ``d``.
+
+    Not ``np.divmod`` or ``%``: only ``//`` takes numpy's fast path for a
+    scalar divisor (about 4x faster on a kernel block with numpy 2.4).
+    """
+    q = a // d
+    return q, a - q * d
 
 
 def _digits17(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

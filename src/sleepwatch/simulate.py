@@ -4,8 +4,11 @@ One kernel steps a group of runs in lockstep, tick by tick, until each
 run's dead count reaches the death threshold M or the tick budget runs
 out. ``run_many`` steps its runs in groups of ``LOCKSTEP_SLOTS // N``
 (at least one) and keeps only their death ticks; ``run_one`` is the
-kernel on a single run, recording its per-tick counts. Every run is a
-pure function of (config, run_index): the attacker's target set and the
+kernel on a single run, recording its per-tick counts. The kernel reads
+what one node is under the scenario (its policy rows, their battery
+costs, the attack window and reach, the death mode) from a
+:class:`NodeModel` built once from the config. Every run is a pure
+function of (config, run_index): the attacker's target set and the
 node stepping each draw from their own PCG64 substreams (see
 :mod:`sleepwatch.rng`), so traces are byte-stable across platforms and a
 no-op attack cannot shift any draw. In a group, each running run reads
@@ -43,12 +46,13 @@ the closed-form death times and the online detector in isolation.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackKind, AttackModel, affected_set, no_attack, transform_policy
+from .attack import AttackModel, affected_set, attacked_count, no_attack, transform_policy
 from .errors import ConfigInvalid, InvariantViolated, require_int
 from .lifecycle import (
     DeathMode,
@@ -192,16 +196,38 @@ class RunSummary:
             object.__setattr__(self, name, value)
 
 
-def _row_costs(drain: np.ndarray, extra_drain: float) -> np.ndarray:
-    """Battery cost of one tick for each of the kernel's 8 policy rows.
+@dataclass(frozen=True, eq=False)
+class NodeModel:
+    """What one node is under a scenario, built once by :meth:`of` for the stepping kernel.
 
-    Row ``s`` is a node in state ``s`` outside the attack, row ``4 + s``
-    an attacked node in state ``s`` inside the window; the attacker adds
-    ``extra_drain`` to an attacked node that is awake.
+    ``probs`` holds 8 policy rows: row ``s`` is a node in state ``s``
+    outside the attack, row ``4 + s`` an attacked node in state ``s``
+    inside the window, whose policy is ``transform_policy`` of the plain
+    one. In energy mode the plain policy has its Dead column stripped and
+    its rows renormalized, since a node then dies of its battery alone.
+    ``costs`` is the battery a tick costs in each row: the state's drain,
+    plus the attack's extra drain on an attacked node that is awake.
+    ``window`` is the range of ticks the attack is on, clipped to
+    ``max_ticks``; ``attacked`` is how many nodes the attacker reaches,
+    ``attack.attacked_count``.
     """
-    s = np.tile(np.arange(4), 2)
-    attacked = np.arange(8) >= 4
-    return drain[s] + extra_drain * (attacked & (s != SLEEP))
+
+    probs: np.ndarray
+    costs: np.ndarray
+    window: range
+    attacked: int
+    energy_death: bool
+
+    @classmethod
+    def of(cls, config: ScenarioConfig) -> NodeModel:
+        attack, energy_death = config.attack, config.death_mode is DeathMode.ENERGY
+        base = strip_death_transitions(config.policy) if energy_death else config.policy
+        s, in_attack = np.tile(np.arange(4), 2), np.arange(8) >= 4
+        end = config.max_ticks if attack.end_tick is None else min(attack.end_tick, config.max_ticks)
+        return cls(np.vstack((base.probs, transform_policy(base, attack).probs)),
+                   config.energy.drain[s] + attack.extra_drain * (in_attack & (s != SLEEP)),
+                   range(attack.start_tick, end + 1),
+                   attacked_count(attack, config.network.n_deployed), energy_death)
 
 
 class _DrawPool:
@@ -255,11 +281,13 @@ def _step_runs(
 ) -> tuple[list[int | None], list[TickRecord]]:
     """Step the runs ``run_indices`` in lockstep; their death ticks and records.
 
-    Only the group's live nodes are stepped. Their state and attack row
-    offset (4 on an attacked node), both int8, and battery sit in
-    compacted arrays, run by run, so a tick's draws are each running
-    run's next uniforms from its own STEP_STREAM in run order, read from
-    a ``_DrawPool``. A group of more than one run also keeps each live
+    The kernel reads what one node is from ``NodeModel.of(config)``, built
+    once per call: its 8 rows, their costs, the attack window and reach,
+    and the death mode. Only the group's live nodes are stepped. Their
+    state and attack row offset (4 on an attacked node), both int8, and
+    battery sit in compacted arrays, run by run, so a tick's draws are
+    each running run's next uniforms from its own STEP_STREAM in run
+    order, read from a ``_DrawPool``. A group of more than one run also keeps each live
     node's bincount bin, ``4 * slot + state``; a group of one counts its
     states directly. The arrays are rebuilt one at a time, dropping the
     dead nodes and the nodes of runs that reached M, only on a tick where
@@ -278,28 +306,21 @@ def _step_runs(
     size = len(run_indices)
     if record and size != 1:
         raise ValueError(f"only a group of one run records its ticks, got {size} runs")
-    attack = config.attack
-
-    base = config.policy
-    if config.death_mode is DeathMode.ENERGY:
-        base = strip_death_transitions(base)
-    # Rows 0..3: cumulative base policy, rows 4..7: the attacked policy. A
-    # node's next state is the number of its row's first three cumulative
+    attack, model = config.attack, NodeModel.of(config)
+    # A node's next state is the number of its row's first three cumulative
     # edges at or below its uniform; the rows never decrease, so a uniform
     # past the last edge (float slack in a row sum) also lands on DEAD.
-    cum = np.cumsum(np.vstack((base.probs, transform_policy(base, attack).probs)), axis=1)
+    cum = np.cumsum(model.probs, axis=1)
     edge0, edge1, edge2 = cum[:, :DEAD].T.copy()
-    costs = _row_costs(config.energy.drain, attack.extra_drain)
 
     offsets = np.zeros(size * n, dtype=np.int8)
-    if attack.kind is not AttackKind.NO_ATTACK:
+    if model.attacked:
         for slot, k in enumerate(run_indices):
             ids = affected_set(attack, n, substream(config.seed, k, AFFECTED_STREAM))
             offsets[slot * n + ids] = 4
 
     pool = _DrawPool([substream(config.seed, k, STEP_STREAM) for k in run_indices], n,
                      config.max_ticks)
-    energy_death = config.death_mode is DeathMode.ENERGY
     # Rows 3 and 7 are never read: a node that dies leaves the live arrays that
     # tick. A uniform lies in [0, 1), so it reaches a live row's third edge only
     # when that edge is below 1.0.
@@ -321,14 +342,14 @@ def _step_runs(
     prev_dead = np.zeros(size, dtype=np.int64)
 
     for tick in range(1, config.max_ticks + 1):
-        row = (states + offsets if attack.in_window(tick) else states).astype(np.intp)
+        row = (states + offsets if tick in model.window else states).astype(np.intp)
         u = pool.take(live)
         states = (u >= edge0.take(row)).view(np.int8)
         states += u >= edge1.take(row)
         if dead_edge:
             states += u >= edge2.take(row)
-        batteries -= costs.take(row)
-        if energy_death:
+        batteries -= model.costs.take(row)
+        if model.energy_death:
             states[batteries <= 0.0] = DEAD
         if record and all_batteries is not batteries:
             all_batteries[nodes] = batteries
@@ -431,7 +452,7 @@ def simulate_chain_trajectory(
         require_int(name, value) for name, value in (
             ("m", m), ("initial_dead", initial_dead), ("seed", seed),
             ("max_ticks", max_ticks), ("run_index", run_index)))
-    if not 0.0 < step_prob <= 1.0:
+    if not isinstance(step_prob, numbers.Real) or not 0.0 < step_prob <= 1.0:
         raise ConfigInvalid(f"step_prob must lie in (0, 1], got {step_prob}")
     if not 0 <= initial_dead <= m or m < 2:
         raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")

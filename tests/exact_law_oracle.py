@@ -20,14 +20,18 @@ moves, as the simulator does. The simulator subtracts floats, so a path
 that lands exactly on 0 can be left a rounding error above it and die
 one tick late; ``late=True`` gives the law in which every such path
 does, and the simulated law lies between the two.
-Nothing here is used by the library; ``test_simulate`` compares
-``run_many`` with it.
+The law reads its own model of one node, ``node_model``, built without
+the library's ``NodeModel``. Nothing here is used by the library;
+``test_simulate`` compares ``run_many`` with the law, and the kernel's
+``NodeModel`` with ``node_model``, field by field.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -92,21 +96,50 @@ def _in_units(values) -> list[int]:
     return [int(f / unit) for f in exact]
 
 
+@dataclass(frozen=True)
+class OracleNode:
+    """The oracle's own model of one node, built without the library's ``NodeModel``.
+
+    ``rows`` stacks the plain policy (the configured one, or in energy mode
+    ``strip_death_transitions`` of it) over ``transform_policy`` of it;
+    ``costs`` is each row's drain per tick, an attacked awake node paying the
+    extra drain too; ``k`` nodes are attacked; ``in_window(t)`` says whether
+    the attack is on at tick ``t`` of the ``max_ticks`` simulated.
+    """
+
+    rows: np.ndarray
+    costs: list[float]
+    k: int
+    in_window: Callable[[int], bool]
+    energy: bool
+
+
+def node_model(config: ScenarioConfig) -> OracleNode:
+    """The oracle's model of one node under ``config``."""
+    attack = config.attack
+    energy = config.death_mode is DeathMode.ENERGY
+    policy = strip_death_transitions(config.policy) if energy else config.policy
+    drain = config.energy.drain.tolist()
+    awake = [d + attack.extra_drain * (s != NodeState.SLEEP) for s, d in enumerate(drain)]
+    end = config.max_ticks if attack.end_tick is None else min(attack.end_tick, config.max_ticks)
+    return OracleNode(
+        rows=np.vstack((policy.probs, transform_policy(policy, attack).probs)),
+        costs=drain + awake,
+        k=math.floor(attack.coverage * config.network.n_deployed + 0.5),  # 0 without an attack
+        in_window=lambda t: attack.start_tick <= t <= end,
+        energy=energy,
+    )
+
+
 def death_tick_cdf(config: ScenarioConfig, late: bool = False) -> np.ndarray:
     """P(T <= t) for t = 0..max_ticks; ``late`` only matters in energy mode."""
     n, m = config.network.n_deployed, config.network.m_threshold
-    attack = config.attack
-    k = math.floor(attack.coverage * n + 0.5)  # 0 without an attack, whose coverage is 0
-    energy = config.death_mode is DeathMode.ENERGY
-    policy = strip_death_transitions(config.policy) if energy else config.policy
-    base = policy.probs
-    attacked = transform_policy(policy, attack).probs
-    end = math.inf if attack.end_tick is None else attack.end_tick
-    window = lambda t: attack.start_tick <= t <= end
-    if energy:
+    node = node_model(config)
+    k, base, attacked, window = node.k, node.rows[:4], node.rows[4:], node.in_window
+    if node.energy:
         live = range(NodeState.DEAD)
         capacity, *drain, extra = _in_units([config.energy.capacity, *config.energy.drain[live],
-                                             attack.extra_drain])
+                                             config.attack.extra_drain])
         awake = [drain[s] + extra * (s != NodeState.SLEEP) for s in live]  # an attacked node's costs
         unaffected = energy_death_cdf(base, base, lambda t: False, config.max_ticks,
                                       drain, drain, capacity, late)

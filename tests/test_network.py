@@ -1,12 +1,17 @@
+import itertools
+import math
 import re
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import closed_form_oracle as oracle
 from sleepwatch import chain, network
-from sleepwatch.errors import ConfigInvalid, OutOfRange, TooFewNodes
+from sleepwatch.detect import Baseline, BaselineSource, estimate_step_rate, online_estimate
+from sleepwatch.errors import ConfigInvalid, OutOfRange, SleepwatchError, TooFewNodes
 from sleepwatch.network import (
     NetworkChainParams,
     build_matrix,
@@ -16,6 +21,7 @@ from sleepwatch.network import (
     step_probs,
     threshold_from_deployed,
 )
+from sleepwatch.simulate import simulate_chain_trajectory
 
 #: thresholds at which every state is compared bit for bit with the oracle
 PINNED_THRESHOLDS = [*range(2, 61), 97, 200, 800]
@@ -274,6 +280,21 @@ class TestExpectedVisitsClosed:
                 analysis.fundamental[i - 1, i - 1], rel=1e-9
             )
 
+    @pytest.mark.parametrize("m", [2**32 + 1, 2**40, 3 * 10**9, 10**15 + 7])
+    def test_large_threshold_does_not_wrap(self, m):
+        # m * (m - i) passes int64 from m ~ 3.04e9 on; in float64 the product and the
+        # quotient each round once, so every entry lies within an ulp of the exact one
+        states = [1, 2, 5, 7, 10**4, m // 3, m // 2, m - 2, m - 1]
+        got = expected_visits_closed(np.array(states)[:, None], np.array(states), m)
+        for (a, i), (b, j) in itertools.product(enumerate(states), repeat=2):
+            exact = Fraction(m * (m - i), m - j) if j <= i else Fraction(m * i, j)
+            assert got[a, b] == pytest.approx(float(exact), rel=2**-52, abs=0.0), (i, j)
+        assert expected_visits_closed(1, 1, m) == float(m)
+
+    def test_large_threshold_examples(self):
+        assert expected_visits_closed(np.array([5]), np.array([2]), 2**32 + 1).tolist() == [4294967294.0]
+        assert expected_visits_closed(1, 1, 2**32 + 1) == 4294967297.0
+
     @pytest.mark.parametrize("i,j,m", [(0, 1, 5), (1, 5, 5), (5, 1, 5), (1, 0, 5)])
     def test_rejects_absorbing_states(self, i, j, m):
         with pytest.raises(OutOfRange):
@@ -436,3 +457,77 @@ class TestThreshold:
         assert params == NetworkChainParams(20, 1, 10)
         assert [type(v) for v in (params.n_deployed, params.initial_dead, params.m_threshold)] == [int] * 3
         assert type(NetworkChainParams(np.int32(20)).m_threshold) is int
+
+
+class TestLibraryBoundary:
+    """Only a ``SleepwatchError`` leaves the public closed forms and estimators."""
+
+    POOL = [-1, 0, 1, 2, 3, 8, 2**31, 2**32 + 1, 2**63, 10**30, True, 2.5, math.nan, "3", None,
+            [1, 2], [[1, 2], [3]], np.array([], dtype=np.int64), np.array([]),
+            np.array([1, 3, -2], dtype=np.int8), np.array([2, 2**64 - 1], dtype=np.uint64),
+            np.array([1.0, 2.5])]
+    # an allocating call takes a threshold or tick count of at most 10**4, or one the
+    # checks refuse: expected_death_time(1, 2**32 + 1) would ask for a 34 GB arange
+    SMALL = [v for v in POOL if not (type(v) is int and 10**4 < v <= network._MAX_ITEMS)]
+
+    TOO_LARGE = f"threshold {10**30} is too large for numpy arrays"
+    RAGGED = "must form an array, not a ragged sequence"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: expected_death_time(2, 10**30), TOO_LARGE),
+        (lambda: step_probs(10**30), TOO_LARGE),
+        (lambda: death_probability(10**30, 10**30), TOO_LARGE),
+        (lambda: expected_visits_closed(5, 2, 10**30), TOO_LARGE),
+        (lambda: death_probability([[1, 2], [3]], 8), f"states {RAGGED}"),
+        (lambda: expected_visits_closed(np.array([], dtype=np.int64), np.array([1, 2]), 3),
+         "states of shapes (0,) and (2,) do not broadcast"),
+        (lambda: estimate_step_rate([[1, 2], [3]], 8, 1), f"chain view {RAGGED}"),
+        (lambda: simulate_chain_trajectory(10, 3, [0.5], 1, 10), "step_prob must lie in (0, 1], got [0.5]"),
+        (lambda: simulate_chain_trajectory(10, 3, np.array([0.5, 0.5]), 1, 10),
+         "step_prob must lie in (0, 1], got [0.5 0.5]"),
+    ], ids=["death-time", "step-probs", "death-probability", "visits", "ragged", "no-broadcast",
+            "ragged-view", "step-prob-list", "step-prob-array"])
+    def test_each_hole_is_refused_in_one_line(self, call, message):
+        with pytest.raises(SleepwatchError) as refused:
+            call()
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("window, stride", [(2, 10**30), (10**30, None), (10**30, 10**30)])
+    def test_window_or_stride_past_the_view_gives_that_length(self, window, stride):
+        baseline = Baseline(40.0, BaselineSource.ANALYTIC, 2.0)
+        view, params = np.arange(10), NetworkChainParams(20)
+        got = online_estimate(view, params, baseline, window=window, min_events=1, stride=stride)
+        assert got == online_estimate(view, params, baseline, window=min(window, 10), min_events=1,
+                                      stride=10)
+
+    def test_random_calls_raise_only_sleepwatch_errors(self):
+        rng = np.random.default_rng(20260)
+        params = NetworkChainParams(10)
+        baseline = Baseline(40.0, BaselineSource.ANALYTIC, 2.0)
+        calls = [
+            (death_probability, [self.POOL] * 2),
+            (expected_death_time, [self.POOL, self.SMALL]),
+            (expected_visits_closed, [self.POOL] * 3),
+            (step_probs, [self.SMALL]),
+            (build_matrix, [self.SMALL]),
+            (threshold_from_deployed, [self.POOL]),
+            (NetworkChainParams, [self.POOL] * 3),
+            (simulate_chain_trajectory, [self.SMALL, self.POOL, self.POOL, self.POOL, self.SMALL,
+                                         self.POOL]),
+            (estimate_step_rate, [self.POOL, self.SMALL, self.POOL]),
+            (lambda view, theta, window, min_events, stride: online_estimate(
+                view, params, baseline, theta, window, min_events, stride), [self.POOL] * 5),
+        ]
+        escaped = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                for fn, pools in calls:
+                    args = [pool[rng.integers(len(pool))] for pool in pools]
+                    try:
+                        fn(*args)
+                    except SleepwatchError:
+                        pass
+                    except Exception as e:  # noqa: BLE001 - what escaped is the finding
+                        escaped.append(f"{getattr(fn, '__name__', fn)}{tuple(args)!r}: {e!r}")
+        assert not escaped, "\n".join(sorted(set(escaped))[:20])

@@ -275,7 +275,10 @@ def test_integers_and_the_switch_to_exponent_form():
         for _ in range(12):
             near.append(x)
             x = np.nextafter(x, np.inf)
-    assert_kernel_matches_format(ints + near + [2.0**53 + 2, 9007199254740993.0, 99999999999999984.0])
+    # the last three split into digit groups of 0000 and of 9999
+    assert_kernel_matches_format(ints + near + [2.0**53 + 2, 9007199254740993.0, 99999999999999984.0,
+                                                10000.000000000002, 9999.9999999999982,
+                                                99999999.999999985])
 
 
 def test_zero_subnormals_and_negatives():

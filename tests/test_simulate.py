@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 import sleepwatch as sw
 from sleepwatch import simulate
 from closed_form_oracle import chain_absorptions
-from exact_law_oracle import death_cdf, death_tick_cdf, death_tick_mean
+from exact_law_oracle import death_cdf, death_tick_cdf, death_tick_mean, node_model
 from scalar_oracle import scalar_run
 from sleepwatch.attack import transform_policy
 from sleepwatch.errors import ConfigInvalid, TooFewNodes
@@ -247,7 +247,9 @@ class TestScalarOracle:
     @pytest.mark.parametrize("extra_drain", [0.0, 0.1, 2.0, 1 / 3])
     def test_row_costs_are_the_drain_expression(self, extra_drain):
         drain = np.array([0.1, 5.0, 1.0, 0.0])
-        costs = simulate._row_costs(drain, extra_drain)
+        config = scenario(energy=sw.EnergyModel(60.0, drain),
+                          attack=sw.rts_cts_flood(coverage=0.5, extra_drain=extra_drain))
+        costs = simulate.NodeModel.of(config).costs
         assert costs.shape == (8,)
         for s in range(4):
             for affected in (False, True):
@@ -753,6 +755,22 @@ class TestExactLaw:
         assert run_one(config).network_death_tick == 3001
         assert np.flatnonzero(death_tick_cdf(config))[0] == 3000
         assert np.flatnonzero(death_tick_cdf(config, late=True))[0] == 3001
+
+    @pytest.mark.parametrize("window", [{}, dict(start_tick=5, end_tick=20)], ids=["open", "5-20"])
+    @pytest.mark.parametrize("mode", list(sw.DeathMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("attack", [sw.no_attack(), sw.rts_cts_flood(), sw.broadcast_replay()],
+                             ids=lambda attack: attack.kind.value)
+    def test_oracle_node_model_is_the_kernel_model(self, attack, mode, window):
+        # the README config under each attack, mode and window
+        config = scenario(20, policy=sw.default_policy(), energy=self.README_ENERGY, death_mode=mode,
+                          attack=replace(attack, **window), max_ticks=600, seed=42)
+        kernel, oracle = simulate.NodeModel.of(config), node_model(config)
+        assert kernel.probs.shape == (8, 4) and kernel.probs.tobytes() == oracle.rows.tobytes()
+        assert kernel.costs.shape == (8,) and kernel.costs.tolist() == oracle.costs
+        assert kernel.attacked == oracle.k == (20 if attack.coverage else 0)
+        ticks = range(config.max_ticks + 2)
+        assert [t in kernel.window for t in ticks] == [oracle.in_window(t) for t in ticks]
+        assert kernel.energy_death == oracle.energy == (mode is sw.DeathMode.ENERGY)
 
     @pytest.mark.parametrize("attack, exact_mean, mean_gap, sup_gap", [
         (sw.no_attack(), 158.838, 0.0499, 0.0072),

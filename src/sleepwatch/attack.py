@@ -68,9 +68,6 @@ class AttackModel:
         ):
             raise ConfigInvalid("a no-attack model must have zero coverage, sleep_block and extra_drain")
 
-    def in_window(self, tick: int) -> bool:
-        return tick >= self.start_tick and (self.end_tick is None or tick <= self.end_tick)
-
 
 def no_attack() -> AttackModel:
     return AttackModel(kind=AttackKind.NO_ATTACK)

@@ -31,10 +31,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import AttackKind
 from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort, require_int
-from .network import _CHUNK, NetworkChainParams, _as_array, expected_death_time, step_probs
+from .network import NetworkChainParams, _as_array, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
 DEFAULT_THRESHOLD_FACTOR = 0.8
+
+#: Values per chunk of the online detector's rows of expected moves (0.5 MB of floats).
+_CHUNK = 1 << 16
 
 
 class Decision(Enum):
@@ -50,21 +53,30 @@ class BaselineSource(Enum):
 
 @dataclass(frozen=True)
 class Baseline:
-    """Expected death time of the healthy network, in simulator ticks."""
+    """Expected death time of the healthy network, in simulator ticks.
+
+    The death ticks and the ticks per chain step are finite reals above 0,
+    and ``source`` is a ``BaselineSource``.
+    """
 
     expected_death_ticks: float
     source: BaselineSource
     ticks_per_chain_step: float
 
     def __post_init__(self) -> None:
+        _require("source", self.source, BaselineSource)
+        _real("ticks_per_chain_step", self.ticks_per_chain_step)
+        _real("expected_death_ticks", self.expected_death_ticks)
         if not 0.0 < self.ticks_per_chain_step < math.inf:
             raise ConfigInvalid(f"ticks_per_chain_step must be finite and > 0, got {self.ticks_per_chain_step}")
         if not 0.0 < self.expected_death_ticks < math.inf:
             raise DegenerateBaseline(f"baseline must be finite and > 0, got {self.expected_death_ticks}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
+    """One decision and what it was measured against; slotted, as ``online_estimate`` makes one per window."""
+
     decision: Decision
     observed_death_ticks: float | None
     baseline_ticks: float
@@ -84,10 +96,17 @@ def compute_baseline(
     attack-free scenario to simulate (Monte Carlo: mean uncensored death
     tick) whose ``network`` is ``params``. The start state
     must be transient; a baseline of zero chain steps cannot anchor any
-    comparison (DegenerateBaseline).
+    comparison (DegenerateBaseline). ``params`` must be a
+    ``NetworkChainParams``, ``scenario`` a ``ScenarioConfig`` and the
+    constant a real number.
     """
+    _require("params", params, NetworkChainParams)
     if (ticks_per_chain_step is None) == (scenario is None):
         raise ConfigInvalid("provide exactly one of ticks_per_chain_step or scenario")
+    if scenario is None:
+        _real("ticks_per_chain_step", ticks_per_chain_step)  # Baseline checks its value
+    else:
+        _require("scenario", scenario, ScenarioConfig)
     i0, m = params.initial_dead, params.m_threshold
     steps = expected_death_time(i0, m)
     if steps <= 0.0:
@@ -108,8 +127,30 @@ def compute_baseline(
     return Baseline(summary.mean_death_tick, BaselineSource.MONTE_CARLO, summary.mean_death_tick / steps)
 
 
+def _require(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ConfigInvalid(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float: a real number, not a ``bool``, within float range."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigInvalid(f"{name} must be a real number, got {value!r}")
+
+
+def _finite(name: str, value) -> float:
+    ticks = _real(name, value)
+    if not math.isfinite(ticks):
+        raise ConfigInvalid(f"{name} must be finite, got {ticks}")
+    return ticks
+
+
 def _check_theta(theta: float) -> None:
-    if not isinstance(theta, numbers.Real) or not 0.0 < theta <= 1.0:
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0.0 < theta <= 1.0:
         raise ConfigInvalid(f"threshold_factor must lie in (0, 1], got {theta}")
 
 
@@ -130,9 +171,15 @@ def decide(
     otherwise. No death: normal once the baseline has fully elapsed,
     inconclusive before that. Each branch only picks the decision, the
     observed tick and the start of the detail; one ``Verdict`` adds the
-    baseline, theta and the calibration note.
+    baseline, theta and the calibration note. The observed tick is None or
+    a finite real number, the elapsed ticks a finite real number; a ``bool``
+    is neither.
     """
     _check_theta(theta)
+    _require("baseline", baseline, Baseline)
+    if observed_death_tick is not None:
+        observed_death_tick = _finite("observed_death_tick", observed_death_tick)
+    elapsed_ticks = _finite("elapsed_ticks", elapsed_ticks)
     b = baseline.expected_death_ticks
     note = _calibration_note(baseline)
     if observed_death_tick is not None:
@@ -163,23 +210,33 @@ def detect(
         return decide(observation.network_death_tick, observation.elapsed_ticks, baseline, theta)
     if isinstance(observation, RunSummary):
         return decide(observation.mean_death_tick, observation.max_ticks, baseline, theta)
-    raise TypeError(f"expected SimulationTrace or RunSummary, got {type(observation).__name__}")
+    raise ConfigInvalid(f"expected SimulationTrace or RunSummary, got {type(observation).__name__}")
 
 
 def _dead_counts(view: np.ndarray) -> np.ndarray:
-    """``view`` as int64, refused unless it is 1-D with an integer dtype."""
+    """``view`` as int64, refused unless it is 1-D with an integer dtype.
+
+    A ``uint64`` value past int64 would wrap to a negative count; it is no
+    dead count of any chain (M is below 2**63), so it is OutOfRange.
+    """
     if view.ndim != 1:
         raise ConfigInvalid(f"chain view must be 1-D, got shape {view.shape}")
     if view.dtype.kind not in "iu":
         raise ConfigInvalid(f"chain view must hold integer dead counts, got dtype {view.dtype}")
-    return view.astype(np.int64, copy=False)
+    counts = view.astype(np.int64, copy=False)
+    if view.dtype.kind == "u":
+        wrapped = view[counts < 0]
+        if wrapped.size:
+            raise OutOfRange(f"dead count {wrapped[0]} is past the int64 range")
+    return counts
 
 
 def _window_rates(view: np.ndarray, m: int, window: int, ends: np.ndarray, min_events: int):
     """Step rates of the windows ``view[t - window : t + 1]``, ``t`` in ``ends``.
 
     Yields ``(ends, rates, reasons)`` for consecutive chunks of ``ends``, at
-    most ``_CHUNK // max(window, m)`` rows each. A window's rate is its
+    most ``_CHUNK // window`` rows each, so a chunk's block of expected
+    moves holds at most ``_CHUNK`` values. A window's rate is its
     observed move count over its expected moves; ``rates`` is NaN, and
     ``reasons`` maps the row to the WindowTooShort message, for a window with
     fewer than ``min_events`` moves or with none expected. Move counts are
@@ -191,7 +248,7 @@ def _window_rates(view: np.ndarray, m: int, window: int, ends: np.ndarray, min_e
     events_before = np.concatenate(([0], np.cumsum(np.abs(np.diff(view)))))
     outside_before = np.concatenate(([0], np.cumsum((view < 0) | (view > m))))
     moves = None
-    rows = max(1, _CHUNK // max(window, m))
+    rows = max(1, _CHUNK // window)
     for lo in range(0, ends.size, rows):
         t = ends[lo:lo + rows]
         starts = t - window
@@ -272,10 +329,13 @@ def online_estimate(
     one closed-form call projects the chunk, so every verdict, and the
     first window that raises, are those of a window-by-window loop. The
     view must be 1-D with an integer dtype, ``window`` and ``stride``
-    integers, and ``min_events`` an integer of at least 1. A ``window``
+    integers, ``min_events`` an integer of at least 1, ``params`` a
+    ``NetworkChainParams`` and ``baseline`` a ``Baseline``. A ``window``
     or ``stride`` past the view's length acts as that length.
     """
     _check_theta(theta)
+    _require("params", params, NetworkChainParams)
+    _require("baseline", baseline, Baseline)
     view = _as_array(chain_view, "chain view")
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")

@@ -21,6 +21,9 @@ against the general ratio-sum formula in the tests. Each of them, with
 ``step_probs`` and ``build_matrix``, refuses a threshold M past the
 element count numpy can size an array for, and the closed forms take the
 products M*(M-i) and M*i in float64, so no M they accept wraps int64.
+``expected_death_time`` adds the terms of each of its two sums left to
+right, as the plain-Python formula does, so its values are that formula's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ THRESHOLD_ROUNDING = "half-up"
 
 #: Largest element count numpy can size for an 8-byte dtype.
 _MAX_ITEMS = np.iinfo(np.intp).max // 8
-
-#: Values per chunk of rows (0.5 MB of floats): the closed forms' rows of
-#: death-time terms, and the online detector's rows of expected moves.
-_CHUNK = 1 << 16
 
 
 def threshold_from_deployed(n: int) -> int:
@@ -197,22 +196,23 @@ def expected_death_time(i, m: int):
     states. Agrees with the expected-steps vector of the fundamental
     matrix to relative 1e-9 over the tested threshold range. The products
     m*(m-i) and m*i are taken in float64, as in ``expected_visits_closed``.
+
+    Both sums add their terms left to right, as the formula reads (np.sum
+    adds pairwise and would change the last bits). The first is one prefix
+    sum over every state; the second is summed from j = i+1 up, once per
+    distinct state asked for, so the memory held is a few arrays of m floats.
     """
     m = _check_threshold(m)
     states = _states(i, m, 0, m)
-    j = np.arange(1, m)
-    flat = states.reshape(-1, 1)
-    below, above = np.empty(flat.size), np.empty(flat.size)
-    # running sums over zero-padded rows add the terms left to right, as the
-    # formula reads; np.sum adds pairwise and would change the last bits.
-    # The rows are summed a chunk of at most _CHUNK terms at a time.
-    rows = max(1, _CHUNK // (m - 1))
-    for lo in range(0, flat.size, rows):
-        s = flat[lo:lo + rows]
-        below[lo:lo + rows] = np.cumsum(np.where(j <= s, 1.0 / (m - j), 0.0), axis=-1)[:, -1]
-        above[lo:lo + rows] = np.cumsum(np.where(j > s, 1.0 / j, 0.0), axis=-1)[:, -1]
-    below, above = below.reshape(states.shape), above.reshape(states.shape)
-    return _result(float(m) * (m - states) * below + float(m) * states * above)
+    inv = 1.0 / np.arange(1, m)
+    below = np.zeros(m + 1)  # below[m] stays 0: its factor m - m is 0
+    np.cumsum(inv[::-1], out=below[1:m])
+    above = np.zeros(m + 1)
+    asked = np.zeros(m + 1, dtype=bool)
+    asked[states] = True
+    for s in np.flatnonzero(asked[:m - 1]):
+        above[s] = np.cumsum(inv[s:])[-1]
+    return _result(float(m) * (m - states) * below[states] + float(m) * states * above[states])
 
 
 def build_matrix(m: int) -> TransitionMatrix:

@@ -1,6 +1,6 @@
 """Plain-Python reference for the dead-count chain's closed forms.
 
-One state at a time, with the builtin ``sum`` adding terms left to right,
+One state at a time, with ``left_to_right`` adding terms one by one,
 exactly as the closed forms were first written. The array versions in
 :mod:`sleepwatch.network` must reproduce these values bit for bit, so
 ``test_network`` compares them with ``==``. ``conditional_death_time``
@@ -44,11 +44,23 @@ def expected_visits(i: int, j: int, m: int) -> float:
     return m * (m - i) / (m - j) if j <= i else m * i / j
 
 
+def left_to_right(terms) -> float:
+    """The terms added one at a time from the first, each sum rounded once.
+
+    From Python 3.12 on, the builtin ``sum`` compensates the rounding of a
+    float sum, which changes the last bits of most of these sums.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def expected_death_time(i: int, m: int) -> float:
     if i == 0 or i == m:
         return 0.0
-    below = sum(1.0 / (m - j) for j in range(1, i + 1))
-    above = sum(1.0 / j for j in range(i + 1, m))
+    below = left_to_right(1.0 / (m - j) for j in range(1, i + 1))
+    above = left_to_right(1.0 / j for j in range(i + 1, m))
     return m * (m - i) * below + m * i * above
 
 

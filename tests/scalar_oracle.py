@@ -66,6 +66,11 @@ def step_node(
     return replace(node, state=nxt, battery=battery)
 
 
+def in_window(model: AttackModel, tick: int) -> bool:
+    """Whether the attack is on at ``tick``, read off the model's own window ticks."""
+    return model.start_tick <= tick and (model.end_tick is None or tick <= model.end_tick)
+
+
 def attack_drain(model: AttackModel, node_state: NodeState, tick: int, affected: bool) -> float:
     """Extra per-tick battery drain on one node.
 
@@ -73,7 +78,7 @@ def attack_drain(model: AttackModel, node_state: NodeState, tick: int, affected:
     neither Dead nor asleep (a node that did manage to sleep is not
     receiving attack traffic).
     """
-    if not affected or not model.in_window(tick):
+    if not affected or not in_window(model, tick):
         return 0.0
     if node_state is NodeState.DEAD or node_state is NodeState.SLEEP:
         return 0.0
@@ -110,7 +115,7 @@ def scalar_run(config: ScenarioConfig, run_index: int = 0) -> tuple[list[tuple],
         stepped = []
         for node in nodes:
             reached = node.id in affected
-            policy = attacked if reached and attack.in_window(tick) else base
+            policy = attacked if reached and in_window(attack, tick) else base
             extra = attack_drain(attack, node.state, tick, reached)
             energy = EnergyModel(config.energy.capacity, config.energy.drain + extra * AWAKE)
             stepped.append(step_node(node, policy, energy, rng, config.death_mode))

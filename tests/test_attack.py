@@ -15,8 +15,10 @@ from sleepwatch.attack import (
     transform_policy,
 )
 from sleepwatch.errors import ConfigInvalid
-from sleepwatch.lifecycle import ALLOWED, NodePolicy, NodeState, default_policy
+from sleepwatch.lifecycle import ALLOWED, NodePolicy, NodeState, default_energy, default_policy
+from sleepwatch.network import NetworkChainParams
 from sleepwatch.rng import substream
+from sleepwatch.simulate import NodeModel, ScenarioConfig
 
 S, A, I, D = NodeState.SLEEP, NodeState.ACTIVE, NodeState.INACTIVE, NodeState.DEAD
 
@@ -52,10 +54,12 @@ class TestAttackModel:
         assert replay.sleep_block == 0.6 and replay.extra_drain == 1.0
 
     def test_open_ended_window(self):
-        model = rts_cts_flood(start_tick=3)
-        assert not model.in_window(2)
-        assert model.in_window(3)
-        assert model.in_window(10**9)
+        config = ScenarioConfig(NetworkChainParams(10), max_ticks=10**9, seed=0, policy=default_policy(),
+                                energy=default_energy(), attack=rts_cts_flood(start_tick=3))
+        window = NodeModel.of(config).window
+        assert 2 not in window
+        assert 3 in window
+        assert 10**9 in window
 
 
 def assert_ids(ids: np.ndarray, size: int) -> None:

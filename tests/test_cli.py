@@ -52,6 +52,11 @@ def readme_scenario(**extra) -> dict:
     return doc
 
 
+#: the default policy with its Dead column moved onto Inactive
+NO_DEATH_PROBS = [[0.70, 0.25, 0.05, 0.0], [0.35, 0.50, 0.15, 0.0],
+                  [0.0, 0.38, 0.62, 0.0], [0.0, 0.0, 0.0, 1.0]]
+
+
 class TestAnalyze:
     def test_report_content_and_schema(self, tmp_path, capsys):
         config = write_config(tmp_path, fast_scenario())
@@ -83,6 +88,14 @@ class TestAnalyze:
         out = tmp_path / "artifacts"
         assert main(["analyze", "--config", config, "--out", str(out)]) == 0
         assert json.loads((out / "analyze.json").read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_policy_without_path_to_dead_has_null_lifetime(self, tmp_path, capsys):
+        # the default policy with its Dead column moved onto Inactive: no node ever dies
+        config = write_config(tmp_path, {"policy": {"probs": NO_DEATH_PROBS}})
+        assert main(["analyze", "--config", config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, schema("analyze_report.schema.json"))
+        assert report["node"]["expected_lifetime_ticks"] is None
 
 
 class TestSimulate:
@@ -164,6 +177,13 @@ class TestDetect:
         main(["detect", "--config", config, "--theta", "0.5"])
         assert json.loads(capsys.readouterr().out)["theta"] == 0.5
 
+    def test_baseline_past_the_float_range_exits_one(self, tmp_path, capsys):
+        doc = {"detector": {"source": "analytic", "ticks_per_chain_step": 1e308}}
+        assert main(["detect", "--config", write_config(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: baseline must be finite and > 0, got inf\n"
+
     def test_verdict_artifact(self, tmp_path, capsys):
         doc = fast_scenario(detector={"source": "monte_carlo", "baseline_runs": 10})
         config = write_config(tmp_path, doc)
@@ -174,6 +194,17 @@ class TestDetect:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("values, message", [
+        (",", "error: --values is empty\n"),
+        ("a,b", "error: --values must be comma-separated numbers: could not convert string to float: 'a'\n"),
+    ], ids=["empty", "not-numbers"])
+    def test_bad_values_exit_one(self, tmp_path, capsys, values, message):
+        config = write_config(tmp_path, fast_scenario())
+        assert main(["sweep", "--config", config, "--param", "coverage", "--values", values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_threshold_sweep_has_one_row_per_value(self, tmp_path, capsys):
         doc = fast_scenario(
             network={"n_deployed": 20, "initial_dead": 1},
@@ -539,6 +570,18 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("doc, extra", [
+        (fast_scenario(run={"runs": 0}), []),
+        (fast_scenario(), ["--runs", "0"]),
+    ], ids=["config", "flag"])
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_zero_runs_exit_one(self, tmp_path, capsys, doc, extra, command):
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", config, "--out", str(tmp_path / "out"), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: runs must be at least 1, got 0\n"
+
     def test_usage_error_exits_one(self, capsys):
         # argparse usage failures must not collide with the verdict exit codes
         assert main(["analyze"]) == 1
@@ -647,3 +690,73 @@ class TestConfigFuzz:
             if code == 1:
                 assert captured.err.startswith("error:"), (command, doc, captured.err)
                 assert captured.err.count("\n") == 1, (command, doc, captured.err)
+
+
+def docstring_config() -> dict:
+    """The example in :mod:`sleepwatch.config`'s docstring, which sets every key."""
+    return json.loads(config.__doc__.split("::\n", 1)[1].split("\n\nPolicy rows", 1)[0])
+
+
+def leaf_paths(doc, path: tuple = ()) -> list[tuple]:
+    """The key or index path to every scalar in ``doc``."""
+    if isinstance(doc, dict):
+        return [leaf for key, value in doc.items() for leaf in leaf_paths(value, path + (key,))]
+    if isinstance(doc, list):
+        return [leaf for i, value in enumerate(doc) for leaf in leaf_paths(value, path + (i,))]
+    return [path]
+
+
+#: what a leaf may become; every integer is at most 200 or one the checks refuse, so no
+#: mutation asks analyze for a large chain (N = 10**6 would ask np.diag for 5 TB)
+LEAF_VALUES = [-7, -1, 0, 1, 2, 3, 20, 200, 2**64, 10**30, 0.0, 0.5, -2.5, 1.5, 1e308,
+               True, False, None, "", "x", "energy", "rts_cts_flood", [], [1, 2], [[0.5, 0.5]],
+               {}, {"a": 1}]
+DELETE = object()
+
+
+class TestDocstringConfigMutations:
+    """One to three leaves of the full example config changed, a few hundred times over."""
+
+    def test_parse_and_analyze_refuse_only_in_one_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(20127)
+        paths = leaf_paths(docstring_config())
+        path = tmp_path / "scenario.json"
+        codes = set()
+        for case in range(300):
+            doc = docstring_config()
+            for _ in range(int(rng.integers(1, 4))):
+                *parents, leaf = paths[int(rng.integers(len(paths)))]
+                parent = doc
+                try:  # an earlier mutation may have replaced or removed the leaf
+                    for key in parents:
+                        parent = parent[key]
+                    parent[leaf]
+                except (KeyError, IndexError, TypeError):
+                    continue
+                value = DELETE if rng.random() < 0.1 else LEAF_VALUES[int(rng.integers(len(LEAF_VALUES)))]
+                if value is not DELETE:
+                    parent[leaf] = value
+                elif isinstance(parent, dict):
+                    del parent[leaf]
+            text = json.dumps(doc)
+            try:
+                config.parse_config(doc)
+            except sleepwatch.SleepwatchError:
+                pass
+            except Exception as exc:  # any escape is the failure this test looks for
+                pytest.fail(f"parse_config raised {exc!r} on {text}")
+            path.write_text(text)
+            try:
+                code = main(["analyze", "--config", str(path)])
+            except Exception as exc:  # any escape is the failure this test looks for
+                pytest.fail(f"analyze raised {exc!r} on {text}")
+            captured = capsys.readouterr()
+            codes.add(code)
+            if code == 0:
+                assert json.loads(captured.out)["m_threshold"] >= 2, text
+            else:
+                assert code == 1, text
+                assert captured.out == "", text
+                assert captured.err.startswith("error:") and captured.err.count("\n") == 1, (text, captured.err)
+                assert "Traceback" not in captured.err, text
+        assert codes == {0, 1}

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -93,7 +94,8 @@ class TestComputeBaseline:
     @pytest.mark.parametrize("ticks_per_step", [0.0, float("nan"), float("inf")])
     def test_analytic_calibration_must_be_positive_and_finite(self, ticks_per_step):
         params = NetworkChainParams(n_deployed=10, initial_dead=1)
-        with pytest.raises(ConfigInvalid):
+        message = re.escape(f"ticks_per_chain_step must be finite and > 0, got {ticks_per_step}")
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
             compute_baseline(params, ticks_per_chain_step=ticks_per_step)
 
     def test_calibration_scenario_must_share_threshold(self):
@@ -145,6 +147,9 @@ class TestDecide:
             decide(400.0, 400.0, self.BASELINE, theta=0.0)
         with pytest.raises(ConfigInvalid):
             decide(400.0, 400.0, self.BASELINE, theta=1.5)
+        # True would act as 1 and reach the verdict as a bool
+        with pytest.raises(ConfigInvalid, match=r"^threshold_factor must lie in \(0, 1\], got True$"):
+            decide(400.0, 400.0, self.BASELINE, theta=True)
 
     def test_decision_monotone_in_theta(self):
         for observed in (300.0, 650.0, 901.0):
@@ -227,8 +232,52 @@ class TestDetectDispatch:
         assert detect(summary, baseline, 0.8).decision is Decision.NORMAL
 
     def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigInvalid, match="^expected SimulationTrace or RunSummary, got list$"):
             detect([0, 1, 2], Baseline(10.0, BaselineSource.ANALYTIC, 1.0), 0.8)
+
+
+class TestEntryPointArguments:
+    """The detector's entry points refuse an argument of the wrong kind as ConfigInvalid."""
+
+    PARAMS = NetworkChainParams(20)
+    BASELINE = Baseline(40.0, BaselineSource.ANALYTIC, 2.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, b: decide("54", 10, b), "observed_death_tick must be a real number, got '54'"),
+        (lambda p, b: decide(True, 10, b), "observed_death_tick must be a real number, got True"),
+        (lambda p, b: decide(math.nan, 10, b), "observed_death_tick must be finite, got nan"),
+        (lambda p, b: decide(math.inf, 10, b), "observed_death_tick must be finite, got inf"),
+        (lambda p, b: decide(10**400, 10, b), f"observed_death_tick must be a real number, got {10**400}"),
+        (lambda p, b: decide(None, "10", b), "elapsed_ticks must be a real number, got '10'"),
+        (lambda p, b: decide(None, -math.inf, b), "elapsed_ticks must be finite, got -inf"),
+        (lambda p, b: decide(5, 10, "b"), "baseline must be a Baseline, got str"),
+        (lambda p, b: detect("x", b), "expected SimulationTrace or RunSummary, got str"),
+        (lambda p, b: compute_baseline(p, ticks_per_chain_step="1"),
+         "ticks_per_chain_step must be a real number, got '1'"),
+        (lambda p, b: compute_baseline("p", ticks_per_chain_step=1.0),
+         "params must be a NetworkChainParams, got str"),
+        (lambda p, b: compute_baseline(p, scenario="s"), "scenario must be a ScenarioConfig, got str"),
+        (lambda p, b: online_estimate([1, 2, 3], "p", b), "params must be a NetworkChainParams, got str"),
+        (lambda p, b: online_estimate([1, 2, 3], p, 40.0), "baseline must be a Baseline, got float"),
+        (lambda p, b: Baseline("x", BaselineSource.ANALYTIC, 1.0),
+         "expected_death_ticks must be a real number, got 'x'"),
+        (lambda p, b: Baseline(40.0, "analytic", 2.0), "source must be a BaselineSource, got str"),
+        (lambda p, b: Baseline(40.0, BaselineSource.ANALYTIC, "2"),
+         "ticks_per_chain_step must be a real number, got '2'"),
+    ], ids=["decide-str", "decide-bool", "decide-nan", "decide-inf", "decide-huge-int",
+            "elapsed-str", "elapsed-inf", "decide-baseline", "detect-str", "ticks-str",
+            "params-str", "scenario-str", "online-params", "online-baseline", "baseline-ticks",
+            "baseline-source", "baseline-calibration"])
+    def test_refused_in_one_line(self, call, message):
+        with pytest.raises(ConfigInvalid) as refused:
+            call(self.PARAMS, self.BASELINE)
+        assert str(refused.value) == message
+
+    def test_numpy_reals_give_the_same_verdict(self):
+        for observed, elapsed in ((20, 30), (None, 30), (None, 50)):
+            numpy_observed = observed if observed is None else np.int64(observed)
+            assert decide(numpy_observed, np.float64(elapsed), self.BASELINE) == decide(
+                observed, elapsed, self.BASELINE)
 
 
 class TestStepRateEstimator:
@@ -448,6 +497,29 @@ class TestOnlineEstimateRefusals:
                               window=int(window), min_events=1,
                               stride=None if stride is None else int(stride))
 
+    @pytest.mark.parametrize("window,stride", [(1, 1), (2, 0)], ids=["window-1", "stride-0"])
+    def test_short_window_or_zero_stride_refused(self, window, stride):
+        with pytest.raises(ConfigInvalid, match=r"^window must be >= 2 and stride >= 1$"):
+            online_estimate([1, 2, 3, 4], self.PARAMS, self.baseline,
+                            window=window, min_events=1, stride=stride)
+
+    def test_uint64_view_past_int64_refused(self):
+        # read as int64, 2**64 - 1 would wrap to -1 and the first window would count 6 events
+        view = np.array([1, 2, 3, 2**64 - 1, 2, 3, 4, 5], dtype=np.uint64)
+        message = f"^dead count {2**64 - 1} is past the int64 range$"
+        with pytest.raises(OutOfRange, match=message):
+            online_estimate(view, self.PARAMS, self.baseline, window=3, stride=1, min_events=50)
+        with pytest.raises(OutOfRange, match=message):
+            estimate_step_rate(view, 20, 1)
+
+    @pytest.mark.parametrize("top", [5, 2**63 - 1], ids=["in-chain", "int64-max"])
+    def test_uint64_view_in_int64_range_kept(self, top):
+        view = np.array([1, 2, 3, top, 2, 3, 4, 5], dtype=np.uint64)
+        for min_events in (1, 50):
+            kwargs = dict(window=3, stride=1, min_events=min_events)
+            assert outcome(online_estimate, view, self.PARAMS, self.baseline, **kwargs) == outcome(
+                online_estimate, view.astype(np.int64), self.PARAMS, self.baseline, **kwargs)
+
     def test_fractional_view_refused(self):
         with pytest.raises(ConfigInvalid, match="integer"):
             online_estimate([1.7, 2.2, 3.9, 4.1], self.PARAMS, self.baseline,
@@ -525,7 +597,7 @@ class TestOnlineEstimateMatchesOracle:
         if chunk is not None:
             monkeypatch.setattr(detect_module, "_CHUNK", chunk)
         m, window = 80, 200
-        rows = detect_module._CHUNK // max(window, m)
+        rows = detect_module._CHUNK // window
         windows = 2 * rows + spare_rows  # chunks filled exactly, or a last chunk of one row
         view = random_walk(m, window + windows, seed=5)  # ticks 0..window + windows - 1
         params = NetworkChainParams(100, initial_dead=10)

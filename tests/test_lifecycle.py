@@ -161,6 +161,9 @@ class TestExpectedLifetime:
         with pytest.raises(NoAbsorptionPath):
             expected_node_lifetime(policy)
 
+    def test_dead_start_has_no_lifetime_left(self):
+        assert expected_node_lifetime(default_policy(), start=D) == 0.0
+
 
 def n_step_death_probability(policy: NodePolicy, n: int, start: NodeState = S) -> float:
     """P(dead after n ticks | started in ``start``), read off P^n of the policy chain."""

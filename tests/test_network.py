@@ -10,7 +10,15 @@ import pytest
 
 import closed_form_oracle as oracle
 from sleepwatch import chain, network
-from sleepwatch.detect import Baseline, BaselineSource, estimate_step_rate, online_estimate
+from sleepwatch.detect import (
+    Baseline,
+    BaselineSource,
+    compute_baseline,
+    decide,
+    detect,
+    estimate_step_rate,
+    online_estimate,
+)
 from sleepwatch.errors import ConfigInvalid, OutOfRange, SleepwatchError, TooFewNodes
 from sleepwatch.network import (
     NetworkChainParams,
@@ -21,7 +29,7 @@ from sleepwatch.network import (
     step_probs,
     threshold_from_deployed,
 )
-from sleepwatch.simulate import simulate_chain_trajectory
+from sleepwatch.simulate import RunSummary, simulate_chain_trajectory
 
 #: thresholds at which every state is compared bit for bit with the oracle
 PINNED_THRESHOLDS = [*range(2, 61), 97, 200, 800]
@@ -122,9 +130,8 @@ class TestArrayArguments:
         assert type(expected_visits_closed(1, m - 1, m)) is float
 
     def test_expected_death_time_rows_span_several_chunks(self):
-        # 801 states at M = 800 take ten chunks of at most 82 rows each
+        # every state at M = 800, permuted into a 3 x 267 array, each value in its place
         m = 800
-        assert network._CHUNK // (m - 1) < m + 1
         states = np.random.default_rng(3).permutation(m + 1).reshape(3, 267)
         got = expected_death_time(states, m)
         assert got.shape == states.shape
@@ -233,13 +240,13 @@ def traced_peak(closed_form, *args):
 
 
 class TestTemporaries:
-    """The closed forms hold one chunk of terms, or one output array, at a time."""
+    """The closed forms hold a few arrays of M floats, or one output array, at a time."""
 
-    def test_expected_death_time_holds_one_chunk_of_terms(self):
-        # unchunked, each of the 801 x 799 term rows and its running sum takes 5.1 MB
+    def test_expected_death_time_holds_a_few_arrays_of_m_floats(self):
+        # each array of 801 floats takes 6.4 KB; 82 rows of 799 terms would take 0.5 MB
         value, peak = traced_peak(expected_death_time, np.arange(801), 800)
         assert value.shape == (801,)
-        assert peak < 2_000_000
+        assert peak < 200_000
 
     def test_expected_visits_fills_one_output_array(self):
         states = np.arange(1, 800)
@@ -323,6 +330,14 @@ class TestExpectedDeathTime:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             expected_death_time(11, 10)
+
+    @pytest.mark.parametrize("m", [4_000, 16_000])
+    def test_large_threshold_bits(self, m):
+        # past PINNED_THRESHOLDS, at the boundaries, next to them and in the middle
+        states = [0, 1, 2, m // 2, m - 2, m - 1, m]
+        got = expected_death_time(np.array(states), m)
+        assert got.tolist() == [oracle.expected_death_time(i, m) for i in states]
+        assert [expected_death_time(i, m) for i in states] == got.tolist()
 
 
 class TestConditionalDeathTime:
@@ -460,12 +475,13 @@ class TestThreshold:
 
 
 class TestLibraryBoundary:
-    """Only a ``SleepwatchError`` leaves the public closed forms and estimators."""
+    """Only a ``SleepwatchError`` leaves the public closed forms, estimators and detector."""
 
-    POOL = [-1, 0, 1, 2, 3, 8, 2**31, 2**32 + 1, 2**63, 10**30, True, 2.5, math.nan, "3", None,
-            [1, 2], [[1, 2], [3]], np.array([], dtype=np.int64), np.array([]),
+    POOL = [-1, 0, 1, 2, 3, 8, 2**31, 2**32 + 1, 2**63, 10**30, True, 2.5, math.nan, math.inf,
+            -math.inf, "3", None, [1, 2], [[1, 2], [3]], np.array([], dtype=np.int64), np.array([]),
             np.array([1, 3, -2], dtype=np.int8), np.array([2, 2**64 - 1], dtype=np.uint64),
-            np.array([1.0, 2.5])]
+            np.array([1.0, 2.5]), NetworkChainParams(10), Baseline(40.0, BaselineSource.ANALYTIC, 2.0),
+            BaselineSource.ANALYTIC, RunSummary(100, (50, None))]
     # an allocating call takes a threshold or tick count of at most 10**4, or one the
     # checks refuse: expected_death_time(1, 2**32 + 1) would ask for a 34 GB arange
     SMALL = [v for v in POOL if not (type(v) is int and 10**4 < v <= network._MAX_ITEMS)]
@@ -502,8 +518,6 @@ class TestLibraryBoundary:
 
     def test_random_calls_raise_only_sleepwatch_errors(self):
         rng = np.random.default_rng(20260)
-        params = NetworkChainParams(10)
-        baseline = Baseline(40.0, BaselineSource.ANALYTIC, 2.0)
         calls = [
             (death_probability, [self.POOL] * 2),
             (expected_death_time, [self.POOL, self.SMALL]),
@@ -515,8 +529,12 @@ class TestLibraryBoundary:
             (simulate_chain_trajectory, [self.SMALL, self.POOL, self.POOL, self.POOL, self.SMALL,
                                          self.POOL]),
             (estimate_step_rate, [self.POOL, self.SMALL, self.POOL]),
-            (lambda view, theta, window, min_events, stride: online_estimate(
-                view, params, baseline, theta, window, min_events, stride), [self.POOL] * 5),
+            (online_estimate, [self.POOL] * 7),
+            # theta at its default, so that most calls get past its check
+            (decide, [self.POOL] * 3),
+            (detect, [self.POOL] * 2),
+            (compute_baseline, [self.POOL] * 3),
+            (Baseline, [self.POOL] * 3),
         ]
         escaped = []
         with warnings.catch_warnings():

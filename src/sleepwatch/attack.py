@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigInvalid, require_int
+from .errors import ConfigInvalid, require_int, require_real, require_type
 from .lifecycle import NodePolicy, NodeState
 
 
@@ -50,6 +50,9 @@ class AttackModel:
     end_tick: int | None = None
 
     def __post_init__(self) -> None:
+        require_type("kind", self.kind, AttackKind)
+        for name in ("coverage", "sleep_block", "extra_drain"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         object.__setattr__(self, "start_tick", require_int("start_tick", self.start_tick))
         if self.end_tick is not None:
             object.__setattr__(self, "end_tick", require_int("end_tick", self.end_tick))

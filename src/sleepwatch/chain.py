@@ -21,22 +21,19 @@ This module is the brute-force oracle against which the closed forms in
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadAbsorbingRow,
-    NoAbsorptionPath,
-    NotStochastic,
-    SingularSystem,
-)
+from .errors import (BadAbsorbingRow, NoAbsorptionPath, NotStochastic, SingularSystem, require_array,
+                     require_int, require_type)
 
 ROW_SUM_TOL = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _readonly(name: str, a: np.ndarray) -> np.ndarray:
+    out = require_array(name, a, reals=True)
     out.setflags(write=False)
     return out
 
@@ -54,8 +51,9 @@ class TransitionMatrix:
     absorbing: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _readonly(self.probs))
-        object.__setattr__(self, "absorbing", frozenset(int(a) for a in self.absorbing))
+        object.__setattr__(self, "probs", _readonly("transition matrix", self.probs))
+        states = require_type("absorbing", self.absorbing, Set)
+        object.__setattr__(self, "absorbing", frozenset(require_int("absorbing state", a) for a in states))
         validate(self)
 
     @property
@@ -85,7 +83,17 @@ class AbsorptionAnalysis:
 
     def __post_init__(self) -> None:
         for name in ("fundamental", "absorb_prob", "expected_steps"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            object.__setattr__(self, name, _readonly(name, getattr(self, name)))
+
+
+def check_rows(p: np.ndarray, entries: str, row_sum) -> None:
+    """NotStochastic unless ``p``'s entries lie in [0, 1] and its rows sum to 1; ``row_sum`` words a bad row."""
+    if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
+        raise NotStochastic(f"{entries} must lie in [0, 1]")
+    sums = p.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        raise NotStochastic(row_sum(int(bad[0]), float(sums[bad[0]])))
 
 
 def validate(matrix: TransitionMatrix) -> TransitionMatrix:
@@ -108,12 +116,8 @@ def validate(matrix: TransitionMatrix) -> TransitionMatrix:
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
         raise NotStochastic(f"transition matrix must be square and non-empty, got shape {p.shape}")
     n = matrix.n_states
-    if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + ROW_SUM_TOL):
-        raise NotStochastic("transition probabilities must lie in [0, 1]")
-    row_sums = p.sum(axis=1)
-    bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
-    if bad.size:
-        raise NotStochastic(f"row {bad[0]} sums to {float(row_sums[bad[0]])}, expected 1 within {ROW_SUM_TOL}")
+    check_rows(p, "transition probabilities",
+               lambda row, total: f"row {row} sums to {total}, expected 1 within {ROW_SUM_TOL}")
     for a in sorted(matrix.absorbing):
         if a < 0 or a >= n:
             raise BadAbsorbingRow(f"absorbing state {a} out of range for {n} states")

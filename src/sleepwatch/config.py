@@ -43,7 +43,6 @@ Policy rows are ordered sleep, active, inactive, dead, matching
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -51,7 +50,8 @@ import numpy as np
 
 from .attack import AttackKind, broadcast_replay, no_attack, rts_cts_flood
 from .detect import DEFAULT_THRESHOLD_FACTOR, BaselineSource
-from .errors import ConfigInvalid, require_int
+from .errors import (ConfigInvalid, require_count, require_fraction, require_int, require_positive,
+                     require_type)
 from .lifecycle import DeathMode, NodePolicy, STATE_NAMES, default_energy, default_policy
 from .network import NetworkChainParams
 from .simulate import ScenarioConfig
@@ -70,16 +70,11 @@ class DetectorSettings:
     baseline_seed: int | None = None
 
     def __post_init__(self) -> None:
+        require_type("detector.source", self.source, BaselineSource)
         # checked under either source, so a key the source ignores is still sane
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigInvalid(f"detector.theta must lie in (0, 1], got {self.theta}")
-        if not 0.0 < self.ticks_per_chain_step < math.inf:
-            raise ConfigInvalid(
-                f"detector.ticks_per_chain_step must be finite and > 0, got {self.ticks_per_chain_step}"
-            )
-        runs = require_int("detector.baseline_runs", self.baseline_runs)
-        if runs < 1:
-            raise ConfigInvalid(f"detector.baseline_runs must be at least 1, got {runs}")
+        require_fraction("detector.theta", self.theta)
+        require_positive("detector.ticks_per_chain_step", self.ticks_per_chain_step)
+        runs = require_count("detector.baseline_runs", self.baseline_runs)
         seed = self.baseline_seed
         if seed is not None:
             seed = require_int("detector.baseline_seed", seed)

@@ -22,7 +22,6 @@ every window gets the bits a window-by-window loop gives it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,8 +29,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import AttackKind
-from .errors import ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort, require_int
-from .network import NetworkChainParams, _as_array, expected_death_time, step_probs
+from .errors import (ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort,
+                     require_array, require_fraction, require_int, require_positive, require_real, require_type)
+from .network import NetworkChainParams, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
 DEFAULT_THRESHOLD_FACTOR = 0.8
@@ -64,12 +64,9 @@ class Baseline:
     ticks_per_chain_step: float
 
     def __post_init__(self) -> None:
-        _require("source", self.source, BaselineSource)
-        _real("ticks_per_chain_step", self.ticks_per_chain_step)
-        _real("expected_death_ticks", self.expected_death_ticks)
-        if not 0.0 < self.ticks_per_chain_step < math.inf:
-            raise ConfigInvalid(f"ticks_per_chain_step must be finite and > 0, got {self.ticks_per_chain_step}")
-        if not 0.0 < self.expected_death_ticks < math.inf:
+        require_type("source", self.source, BaselineSource)
+        require_positive("ticks_per_chain_step", self.ticks_per_chain_step)
+        if not 0.0 < require_real("expected_death_ticks", self.expected_death_ticks) < math.inf:
             raise DegenerateBaseline(f"baseline must be finite and > 0, got {self.expected_death_ticks}")
 
 
@@ -100,13 +97,13 @@ def compute_baseline(
     ``NetworkChainParams``, ``scenario`` a ``ScenarioConfig`` and the
     constant a real number.
     """
-    _require("params", params, NetworkChainParams)
+    require_type("params", params, NetworkChainParams)
     if (ticks_per_chain_step is None) == (scenario is None):
         raise ConfigInvalid("provide exactly one of ticks_per_chain_step or scenario")
     if scenario is None:
-        _real("ticks_per_chain_step", ticks_per_chain_step)  # Baseline checks its value
+        require_real("ticks_per_chain_step", ticks_per_chain_step)  # Baseline checks its value
     else:
-        _require("scenario", scenario, ScenarioConfig)
+        require_type("scenario", scenario, ScenarioConfig)
     i0, m = params.initial_dead, params.m_threshold
     steps = expected_death_time(i0, m)
     if steps <= 0.0:
@@ -125,33 +122,6 @@ def compute_baseline(
             f"all {summary.runs} baseline runs censored at {summary.max_ticks} ticks"
         )
     return Baseline(summary.mean_death_tick, BaselineSource.MONTE_CARLO, summary.mean_death_tick / steps)
-
-
-def _require(name: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise ConfigInvalid(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float: a real number, not a ``bool``, within float range."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigInvalid(f"{name} must be a real number, got {value!r}")
-
-
-def _finite(name: str, value) -> float:
-    ticks = _real(name, value)
-    if not math.isfinite(ticks):
-        raise ConfigInvalid(f"{name} must be finite, got {ticks}")
-    return ticks
-
-
-def _check_theta(theta: float) -> None:
-    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0.0 < theta <= 1.0:
-        raise ConfigInvalid(f"threshold_factor must lie in (0, 1], got {theta}")
 
 
 def _calibration_note(baseline: Baseline) -> str:
@@ -175,11 +145,11 @@ def decide(
     a finite real number, the elapsed ticks a finite real number; a ``bool``
     is neither.
     """
-    _check_theta(theta)
-    _require("baseline", baseline, Baseline)
+    require_fraction("threshold_factor", theta)
+    require_type("baseline", baseline, Baseline)
     if observed_death_tick is not None:
-        observed_death_tick = _finite("observed_death_tick", observed_death_tick)
-    elapsed_ticks = _finite("elapsed_ticks", elapsed_ticks)
+        observed_death_tick = require_real("observed_death_tick", observed_death_tick, finite=True)
+    elapsed_ticks = require_real("elapsed_ticks", elapsed_ticks, finite=True)
     b = baseline.expected_death_ticks
     note = _calibration_note(baseline)
     if observed_death_tick is not None:
@@ -291,7 +261,7 @@ def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> floa
     and ``min_events`` are integers.
     """
     m, min_events = require_int("m", m), require_int("min_events", min_events)
-    view = _as_array(window_view, "chain view")
+    view = require_array("chain view", window_view)
     if view.size < 2:
         raise WindowTooShort(f"window has {view.size} ticks; need at least 2")
     view = _dead_counts(view)
@@ -333,10 +303,10 @@ def online_estimate(
     ``NetworkChainParams`` and ``baseline`` a ``Baseline``. A ``window``
     or ``stride`` past the view's length acts as that length.
     """
-    _check_theta(theta)
-    _require("params", params, NetworkChainParams)
-    _require("baseline", baseline, Baseline)
-    view = _as_array(chain_view, "chain view")
+    require_fraction("threshold_factor", theta)
+    require_type("params", params, NetworkChainParams)
+    require_type("baseline", baseline, Baseline)
+    view = require_array("chain view", chain_view)
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")
     view = _dead_counts(view)

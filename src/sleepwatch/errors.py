@@ -1,6 +1,12 @@
-"""Exception types shared across the toolkit, and the integer check that raises one."""
+"""Exception types shared across the toolkit, and every argument check, each raising ConfigInvalid."""
+
+import math
+import numbers
 
 import numpy as np
+
+#: Largest element count numpy can size for an 8-byte dtype.
+_MAX_ITEMS = np.iinfo(np.intp).max // 8
 
 
 class SleepwatchError(Exception):
@@ -60,3 +66,63 @@ def require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_count(name: str, value, high: float = _MAX_ITEMS) -> int:
+    """``value`` as an ``int`` in [1, ``high``]."""
+    count = require_int(name, value)
+    if count < 1:
+        raise ConfigInvalid(f"{name} must be at least 1, got {count}")
+    if count > high:
+        raise ConfigInvalid(f"{name} {count} is too large for numpy arrays")
+    return count
+
+
+def require_real(name: str, value, finite: bool = False) -> float:
+    """``value`` as a float: a real number, not a ``bool``; finite if asked."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            pass
+        else:
+            if finite and not math.isfinite(real):
+                raise ConfigInvalid(f"{name} must be finite, got {real}")
+            return real
+    raise ConfigInvalid(f"{name} must be a real number, got {value!r}")
+
+
+def require_positive(name: str, value) -> float:
+    """``value`` as a float, finite and above 0."""
+    real = require_real(name, value)
+    if not 0.0 < real < math.inf:
+        raise ConfigInvalid(f"{name} must be finite and > 0, got {real}")
+    return real
+
+
+def require_fraction(name: str, value) -> float:
+    """``value`` as a float in (0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
+        raise ConfigInvalid(f"{name} must lie in (0, 1], got {value}")
+    return float(value)
+
+
+def require_type(name: str, value, kind: type):
+    """``value`` if it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ConfigInvalid(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def require_array(name: str, value, reals: bool = False) -> np.ndarray:
+    """``value`` as an array, not ragged; with ``reals``, a float copy of an integer or float one."""
+    try:
+        array = np.array(value) if reals else np.asarray(value)
+    except ValueError:
+        raise ConfigInvalid(f"{name} must form an array, not a ragged sequence") from None
+    if reals:
+        if array.dtype.kind not in "iuf":
+            raise ConfigInvalid(f"{name} must hold real numbers, got dtype {array.dtype}")
+        array = array.astype(float, copy=False)
+    return array

@@ -24,7 +24,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from . import chain
-from .errors import ConfigInvalid, ForbiddenTransition, NotStochastic
+from .errors import ConfigInvalid, ForbiddenTransition, NotStochastic, require_array, require_real
 
 
 class NodeState(IntEnum):
@@ -64,16 +64,10 @@ class NodePolicy:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float, copy=True)
+        p = require_array("policy", self.probs, reals=True)
         if p.shape != (4, 4):
             raise NotStochastic(f"policy must be 4x4, got shape {p.shape}")
-        if not np.isfinite(p).all() or np.any(p < 0.0) or np.any(p > 1.0 + chain.ROW_SUM_TOL):
-            raise NotStochastic("policy entries must lie in [0, 1]")
-        sums = p.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > chain.ROW_SUM_TOL)
-        if bad.size:
-            s = NodeState(int(bad[0]))
-            raise NotStochastic(f"{s.name} row sums to {float(sums[bad[0]])}")
+        chain.check_rows(p, "policy entries", lambda row, total: f"{NodeState(row).name} row sums to {total}")
         violations = (p != 0.0) & ~ALLOWED
         if violations.any():
             src, dst = np.argwhere(violations)[0]
@@ -97,16 +91,18 @@ class EnergyModel:
     drain: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.array(self.drain, dtype=float, copy=True)
+        d = require_array("drain", self.drain, reals=True)
         if d.shape != (4,):
             raise ConfigInvalid(f"drain must have one entry per state, got shape {d.shape}")
-        if not 0.0 < self.capacity < math.inf:
-            raise ConfigInvalid(f"battery capacity must be positive and finite, got {self.capacity}")
+        capacity = require_real("battery capacity", self.capacity)
+        if not 0.0 < capacity < math.inf:
+            raise ConfigInvalid(f"battery capacity must be positive and finite, got {capacity}")
         if d[NodeState.DEAD] != 0.0:
             raise ConfigInvalid("dead nodes must not drain battery")
         if not (math.inf > d[NodeState.ACTIVE] >= d[NodeState.INACTIVE] >= d[NodeState.SLEEP] >= 0.0):
             raise ConfigInvalid("drain must be finite, ordered active >= inactive >= sleep >= 0")
         d.setflags(write=False)
+        object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "drain", d)
 
 

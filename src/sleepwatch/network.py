@@ -33,16 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionMatrix
-from .errors import ConfigInvalid, OutOfRange, TooFewNodes, require_int
+from .errors import _MAX_ITEMS, ConfigInvalid, OutOfRange, TooFewNodes, require_array, require_int
 
 #: Dead-node fraction at which the network is declared dead.
 DEATH_FRACTION = 4, 5
 
 #: Rounding rule used to turn (4/5) * N into an integer threshold.
 THRESHOLD_ROUNDING = "half-up"
-
-#: Largest element count numpy can size for an 8-byte dtype.
-_MAX_ITEMS = np.iinfo(np.intp).max // 8
 
 
 def threshold_from_deployed(n: int) -> int:
@@ -100,14 +97,6 @@ def _check_threshold(m: int) -> int:
     return m
 
 
-def _as_array(value, name: str) -> np.ndarray:
-    """``value`` as an array; a ragged sequence is refused."""
-    try:
-        return np.asarray(value)
-    except ValueError:
-        raise ConfigInvalid(f"{name} must form an array, not a ragged sequence") from None
-
-
 def _states(i, m: int, low: int, high: int) -> np.ndarray:
     """State argument as an int64 array, every entry checked to lie in [low, high].
 
@@ -118,7 +107,7 @@ def _states(i, m: int, low: int, high: int) -> np.ndarray:
     refused.
     """
     if isinstance(i, (np.ndarray, list, tuple)):
-        states = _as_array(i, "states")
+        states = require_array("states", i)
         if not isinstance(i, np.ndarray) and states.dtype.kind in "iuO":
             for item in np.asarray(i, dtype=object).flat:
                 require_int("state", item)

@@ -46,14 +46,16 @@ the closed-form death times and the online detector in isolation.
 
 from __future__ import annotations
 
-import numbers
+import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attack import AttackModel, affected_set, attacked_count, no_attack, transform_policy
-from .errors import ConfigInvalid, InvariantViolated, require_int
+from .errors import (ConfigInvalid, InvariantViolated, require_count, require_fraction, require_int,
+                     require_type)
 from .lifecycle import (
     DeathMode,
     EnergyModel,
@@ -109,18 +111,14 @@ class ScenarioConfig:
     runs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("max_ticks", "runs", "seed"):
-            object.__setattr__(self, name, require_int(name, getattr(self, name)))
-        if self.max_ticks < 1:
-            raise ConfigInvalid(f"max_ticks must be at least 1, got {self.max_ticks}")
-        if self.runs < 1:
-            raise ConfigInvalid(f"runs must be at least 1, got {self.runs}")
+        for name, kind in (("network", NetworkChainParams), ("policy", NodePolicy), ("energy", EnergyModel),
+                           ("attack", AttackModel), ("death_mode", DeathMode)):
+            require_type(name, getattr(self, name), kind)
+        object.__setattr__(self, "max_ticks", require_count("max_ticks", self.max_ticks, math.inf))
+        object.__setattr__(self, "runs", require_count("runs", self.runs))
+        object.__setattr__(self, "seed", require_int("seed", self.seed))
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed}")
-        if not isinstance(self.attack, AttackModel):
-            raise ConfigInvalid(f"attack must be an AttackModel, got {self.attack!r}")
-        if not isinstance(self.policy, NodePolicy):
-            raise ConfigInvalid(f"policy must be a NodePolicy, got {self.policy!r}")
         capacity, n = self.energy.capacity, self.network.n_deployed
         if not capacity * n <= BATTERY_TOTAL_MAX:
             raise ConfigInvalid(
@@ -173,7 +171,8 @@ class RunSummary:
     ticks. Censored runs are excluded from the mean and standard deviation;
     ``mean_death_tick`` is None when every run was censored,
     ``std_death_tick`` needs at least two uncensored runs. ``traces`` is
-    empty unless ``run_many`` was asked to keep them.
+    empty unless ``run_many`` was asked to keep them. Each tick is None or
+    an integer in [1, max_ticks].
     """
 
     max_ticks: int
@@ -185,13 +184,27 @@ class RunSummary:
     std_death_tick: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        observed = [t for t in self.death_ticks if t is not None]
+        max_ticks = require_count("max_ticks", self.max_ticks, math.inf)
+        ticks = tuple(None if t is None else require_int("death tick", t)
+                      for t in require_type("death_ticks", self.death_ticks, Sequence))
+        observed = [t for t in ticks if t is not None]
+        late = [t for t in observed if not 1 <= t <= max_ticks]
+        if late:
+            raise ConfigInvalid(f"death tick {late[0]} outside [1, {max_ticks}]")
+        for trace in require_type("traces", self.traces, tuple):
+            require_type("trace", trace, SimulationTrace)
+        try:
+            mean = float(np.mean(observed)) if observed else None
+            std = float(np.std(observed, ddof=1)) if len(observed) >= 2 else None
+        except OverflowError:
+            raise ConfigInvalid("death ticks past the float range have no mean") from None
         for name, value in (
-            ("death_ticks", tuple(self.death_ticks)),
-            ("runs", len(self.death_ticks)),
-            ("censored_count", len(self.death_ticks) - len(observed)),
-            ("mean_death_tick", float(np.mean(observed)) if observed else None),
-            ("std_death_tick", float(np.std(observed, ddof=1)) if len(observed) >= 2 else None),
+            ("max_ticks", max_ticks),
+            ("death_ticks", ticks),
+            ("runs", len(ticks)),
+            ("censored_count", len(ticks) - len(observed)),
+            ("mean_death_tick", mean),
+            ("std_death_tick", std),
         ):
             object.__setattr__(self, name, value)
 
@@ -452,8 +465,7 @@ def simulate_chain_trajectory(
         require_int(name, value) for name, value in (
             ("m", m), ("initial_dead", initial_dead), ("seed", seed),
             ("max_ticks", max_ticks), ("run_index", run_index)))
-    if not isinstance(step_prob, numbers.Real) or not 0.0 < step_prob <= 1.0:
-        raise ConfigInvalid(f"step_prob must lie in (0, 1], got {step_prob}")
+    require_fraction("step_prob", step_prob)
     if not 0 <= initial_dead <= m or m < 2:
         raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
     if max_ticks < 0:

@@ -20,10 +20,9 @@ from sleepwatch.detect import (
     Decision,
     Verdict,
     _calibration_note,
-    _check_theta,
     decide,
 )
-from sleepwatch.errors import ConfigInvalid, OutOfRange, WindowTooShort
+from sleepwatch.errors import ConfigInvalid, OutOfRange, WindowTooShort, require_fraction
 from sleepwatch.network import NetworkChainParams, expected_death_time, step_probs
 
 
@@ -54,7 +53,7 @@ def online_estimate(
     stride: int | None = None,
 ) -> list[Verdict]:
     """Verdicts of the trailing windows, fitted and projected one at a time."""
-    _check_theta(theta)
+    require_fraction("threshold_factor", theta)
     view = np.asarray(chain_view, dtype=np.int64)
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")

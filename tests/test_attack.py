@@ -43,6 +43,24 @@ class TestAttackModel:
         assert model == rts_cts_flood(start_tick=2, end_tick=9)
         assert type(model.start_tick) is int and type(model.end_tick) is int
 
+    def test_kind_must_be_an_attack_kind(self):
+        with pytest.raises(ConfigInvalid, match="^kind must be an AttackKind, got str$"):
+            AttackModel("rts_cts_flood", coverage=1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: AttackModel(AttackKind.RTS_CTS_FLOOD, **kw), rts_cts_flood, broadcast_replay,
+    ], ids=["model", "flood", "replay"])
+    @pytest.mark.parametrize("value", ["x", True, None, [0.5]])
+    @pytest.mark.parametrize("name", ["coverage", "sleep_block", "extra_drain"])
+    def test_intensities_must_be_real_numbers(self, build, name, value):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(f'{name} must be a real number, got {value!r}')}$"):
+            build(**{name: value})
+
+    def test_intensities_store_floats(self):
+        model = rts_cts_flood(coverage=1, sleep_block=np.float32(0.5), extra_drain=2)
+        assert model == rts_cts_flood(coverage=1.0, sleep_block=0.5, extra_drain=2.0)
+        assert {type(model.coverage), type(model.sleep_block), type(model.extra_drain)} == {float}
+
     @pytest.mark.parametrize("extra_drain", [float("nan"), float("inf")])
     def test_extra_drain_must_be_finite(self, extra_drain):
         with pytest.raises(ConfigInvalid):

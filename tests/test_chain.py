@@ -1,3 +1,4 @@
+import re
 import sys
 import weakref
 
@@ -9,6 +10,7 @@ from sleepwatch import chain
 from sleepwatch.chain import TransitionMatrix
 from sleepwatch.errors import (
     BadAbsorbingRow,
+    ConfigInvalid,
     NoAbsorptionPath,
     NotStochastic,
     SingularSystem,
@@ -69,6 +71,22 @@ class TestValidate:
         # state 1 is absorbing in all but name, so absorption from it is impossible
         with pytest.raises(NoAbsorptionPath):
             TransitionMatrix(np.eye(2), frozenset({0}))
+
+    @pytest.mark.parametrize("probs, dtype", [([["a"]], "<U1"), (None, "object"), ([[1.0, None], [0.0, 1.0]], "object")],
+                             ids=["str", "none", "mixed"])
+    def test_rejects_non_numeric_entries(self, probs, dtype):
+        with pytest.raises(ConfigInvalid, match=f"^transition matrix must hold real numbers, got dtype {dtype}$"):
+            TransitionMatrix(probs, frozenset())
+
+    @pytest.mark.parametrize("absorbing, message", [
+        (0, "absorbing must be a Set, got int"),
+        ([0], "absorbing must be a Set, got list"),
+        (frozenset({0.0}), "absorbing state must be an integer, got 0.0"),
+        (frozenset({"0"}), "absorbing state must be an integer, got '0'"),
+    ], ids=["int", "list", "float", "str"])
+    def test_rejects_absorbing_states_that_are_not_a_set_of_integers(self, absorbing, message):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            TransitionMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]), absorbing)
 
     def test_rejects_stranded_transient_group(self):
         probs = np.array(

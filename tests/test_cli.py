@@ -469,6 +469,19 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == message
 
+    @pytest.mark.parametrize("args, doc, message", [
+        (["--runs", str(2**64)], readme_scenario(), "runs 18446744073709551616"),
+        ([], readme_scenario(run={"runs": 2**64}), "runs 18446744073709551616"),
+        ([], readme_scenario(detector={"baseline_runs": 2**64}), "detector.baseline_runs 18446744073709551616"),
+    ], ids=["override", "run-runs", "baseline-runs"])
+    def test_run_count_no_summary_can_hold_exits_one(self, tmp_path, capsys, args, doc, message):
+        # analyze runs nothing, so a count it accepts shows as exit 0, not as an endless run
+        config = write_config(tmp_path, doc)
+        assert main(["analyze", "--config", config, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} is too large for numpy arrays\n"
+
     @pytest.mark.parametrize("command", ["analyze", "detect"])
     def test_bad_theta_override_names_its_key(self, tmp_path, capsys, command):
         config = write_config(tmp_path, readme_scenario())

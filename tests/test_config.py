@@ -98,6 +98,19 @@ class TestStrictness:
         with pytest.raises(ConfigInvalid, match=f"^{re.escape(f'detector.{key} must be an integer, got {value!r}')}$"):
             DetectorSettings(**{key: value})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("source", "analytic", "detector.source must be a BaselineSource, got str"),
+        ("source", None, "detector.source must be a BaselineSource, got NoneType"),
+        ("theta", True, "detector.theta must lie in (0, 1], got True"),
+        ("theta", "a", "detector.theta must lie in (0, 1], got a"),
+        ("ticks_per_chain_step", "a", "detector.ticks_per_chain_step must be a real number, got 'a'"),
+        ("ticks_per_chain_step", True, "detector.ticks_per_chain_step must be a real number, got True"),
+    ], ids=["source-str", "source-none", "theta-bool", "theta-str", "tpcs-str", "tpcs-bool"])
+    def test_settings_refuse_a_value_of_the_wrong_type(self, key, value, message):
+        # built directly: a string source would otherwise run the Monte Carlo baseline
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            DetectorSettings(**{key: value})
+
     def test_settings_store_numpy_integers_as_int(self):
         settings = DetectorSettings(baseline_runs=np.int64(5), baseline_seed=np.uint32(9))
         assert (type(settings.baseline_runs), type(settings.baseline_seed)) == (int, int)
@@ -325,6 +338,8 @@ SINGLE_FAULTS = [
     ("detector", "baseline_runs", 7.0, _wrong_type("detector.baseline_runs", 7.0)),
     ("detector", "baseline_runs", None, _wrong_type("detector.baseline_runs", None)),
     ("detector", "baseline_runs", 7, ("detector.baseline_runs", 7)),
+    ("detector", "baseline_runs", 2**64,
+     (ConfigInvalid, "detector.baseline_runs 18446744073709551616 is too large for numpy arrays")),
     ("detector", "baseline_seed", "1", _wrong_type("detector.baseline_seed", "1")),
     ("detector", "baseline_seed", None, ("detector.baseline_seed", None)),
     ("detector", "baseline_seed", 0, ("detector.baseline_seed", 0)),
@@ -339,6 +354,7 @@ SINGLE_FAULTS = [
     ("run", "runs", [3], _wrong_type("run.runs", [3])),
     ("run", "runs", None, _wrong_type("run.runs", None)),
     ("run", "runs", 3, ("scenario.runs", 3)),
+    ("run", "runs", 2**64, (ConfigInvalid, "runs 18446744073709551616 is too large for numpy arrays")),
     ("run", "death_mode", 0, (ConfigInvalid, f"unknown death_mode 0; expected one of {_MODES}")),
     ("run", "death_mode", None, (ConfigInvalid, f"unknown death_mode None; expected one of {_MODES}")),
     ("run", "death_mode", "probabilistic", ("scenario.death_mode", DeathMode.PROBABILISTIC)),

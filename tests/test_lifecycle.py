@@ -72,6 +72,13 @@ class TestValidatePolicy:
         with pytest.raises(NotStochastic):
             NodePolicy(probs)
 
+    @pytest.mark.parametrize("probs, dtype", [
+        ("abcd", "<U4"), ([["0.5"] * 4] * 4, "<U3"), (None, "object"), (np.eye(4, dtype=bool), "bool"),
+    ], ids=["str", "str-rows", "none", "bool"])
+    def test_rejects_non_numeric_entries(self, probs, dtype):
+        with pytest.raises(ConfigInvalid, match=f"^policy must hold real numbers, got dtype {dtype}$"):
+            NodePolicy(probs)
+
 
 class TestEnergyModel:
     def test_default_is_valid(self):
@@ -93,6 +100,19 @@ class TestEnergyModel:
     def test_rejects_non_finite_capacity(self, capacity):
         with pytest.raises(ConfigInvalid):
             EnergyModel(capacity=capacity, drain=np.array([0.1, 5.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("capacity", ["x", True, None])
+    def test_rejects_non_real_capacity(self, capacity):
+        with pytest.raises(ConfigInvalid, match=f"^battery capacity must be a real number, got {capacity!r}$"):
+            EnergyModel(capacity=capacity, drain=np.array([0.1, 5.0, 1.0, 0.0]))
+
+    def test_capacity_is_stored_as_float(self):
+        assert type(EnergyModel(capacity=np.int64(10), drain=np.zeros(4)).capacity) is float
+
+    @pytest.mark.parametrize("drain", [["a", "b", "c", "d"], "abcd", [None] * 4])
+    def test_rejects_non_numeric_drain(self, drain):
+        with pytest.raises(ConfigInvalid, match="^drain must hold real numbers, got dtype "):
+            EnergyModel(capacity=10.0, drain=drain)
 
     def test_rejects_infinite_drain(self):
         with pytest.raises(ConfigInvalid):

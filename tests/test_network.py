@@ -10,9 +10,12 @@ import pytest
 
 import closed_form_oracle as oracle
 from sleepwatch import chain, network
+from sleepwatch.attack import AttackKind, AttackModel, broadcast_replay, rts_cts_flood
+from sleepwatch.config import DetectorSettings
 from sleepwatch.detect import (
     Baseline,
     BaselineSource,
+    Decision,
     compute_baseline,
     decide,
     detect,
@@ -20,6 +23,7 @@ from sleepwatch.detect import (
     online_estimate,
 )
 from sleepwatch.errors import ConfigInvalid, OutOfRange, SleepwatchError, TooFewNodes
+from sleepwatch.lifecycle import DeathMode, EnergyModel, NodePolicy, NodeState, default_energy, default_policy
 from sleepwatch.network import (
     NetworkChainParams,
     build_matrix,
@@ -29,7 +33,7 @@ from sleepwatch.network import (
     step_probs,
     threshold_from_deployed,
 )
-from sleepwatch.simulate import RunSummary, simulate_chain_trajectory
+from sleepwatch.simulate import RunSummary, ScenarioConfig, simulate_chain_trajectory
 
 #: thresholds at which every state is compared bit for bit with the oracle
 PINNED_THRESHOLDS = [*range(2, 61), 97, 200, 800]
@@ -481,7 +485,13 @@ class TestLibraryBoundary:
             -math.inf, "3", None, [1, 2], [[1, 2], [3]], np.array([], dtype=np.int64), np.array([]),
             np.array([1, 3, -2], dtype=np.int8), np.array([2, 2**64 - 1], dtype=np.uint64),
             np.array([1.0, 2.5]), NetworkChainParams(10), Baseline(40.0, BaselineSource.ANALYTIC, 2.0),
-            BaselineSource.ANALYTIC, RunSummary(100, (50, None))]
+            BaselineSource.ANALYTIC, RunSummary(100, (50, None)),
+            # the enums, one instance of each model type, and the enum values as strings;
+            # the scenario has an attack, so no call runs it as a Monte Carlo baseline
+            BaselineSource.MONTE_CARLO, AttackKind.RTS_CTS_FLOOD, DeathMode.ENERGY, NodeState.ACTIVE,
+            Decision.NORMAL, default_policy(), default_energy(), rts_cts_flood(), build_matrix(3),
+            ScenarioConfig(NetworkChainParams(20), 50, 0, default_policy(), default_energy(), rts_cts_flood()),
+            DetectorSettings(), "energy", "analytic", "rts_cts_flood"]
     # an allocating call takes a threshold or tick count of at most 10**4, or one the
     # checks refuse: expected_death_time(1, 2**32 + 1) would ask for a 34 GB arange
     SMALL = [v for v in POOL if not (type(v) is int and 10**4 < v <= network._MAX_ITEMS)]
@@ -535,6 +545,17 @@ class TestLibraryBoundary:
             (detect, [self.POOL] * 2),
             (compute_baseline, [self.POOL] * 3),
             (Baseline, [self.POOL] * 3),
+            # the model types are only built, never run
+            (AttackModel, [self.POOL] * 6),
+            (rts_cts_flood, [self.POOL] * 5),
+            (broadcast_replay, [self.POOL] * 5),
+            (EnergyModel, [self.POOL] * 2),
+            (NodePolicy, [self.POOL]),
+            (chain.TransitionMatrix, [self.POOL] * 2),
+            (chain.AbsorptionAnalysis, [self.POOL] * 5),
+            (RunSummary, [self.POOL] * 3),
+            (ScenarioConfig, [self.POOL] * 8),
+            (DetectorSettings, [self.POOL] * 5),
         ]
         escaped = []
         with warnings.catch_warnings():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sleepwatch as sw
-from sleepwatch import simulate
+from sleepwatch import network, simulate
 from closed_form_oracle import chain_absorptions
 from exact_law_oracle import death_cdf, death_tick_cdf, death_tick_mean, node_model
 from scalar_oracle import scalar_run
@@ -59,6 +59,23 @@ def scenario(n_deployed: int = 5, m_threshold: int | None = None, **overrides) -
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name, value, message", [
+        ("death_mode", "energy", "death_mode must be a DeathMode, got str"),
+        ("network", 20, "network must be a NetworkChainParams, got int"),
+        ("energy", None, "energy must be an EnergyModel, got NoneType"),
+        ("policy", "default", "policy must be a NodePolicy, got str"),
+        ("attack", sw.AttackKind.RTS_CTS_FLOOD, "attack must be an AttackModel, got AttackKind"),
+    ], ids=["death-mode", "network", "energy", "policy", "attack"])
+    def test_rejects_a_field_of_the_wrong_type(self, name, value, message):
+        # replace() builds a new config, so it is checked as a constructed one is
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            replace(scenario(), **{name: value})
+
+    @pytest.mark.parametrize("runs", [network._MAX_ITEMS + 1, 2**64])
+    def test_rejects_more_runs_than_numpy_can_size(self, runs):
+        with pytest.raises(ConfigInvalid, match=f"^runs {runs} is too large for numpy arrays$"):
+            scenario(runs=runs)
+
     def test_rejects_zero_ticks(self):
         with pytest.raises(ConfigInvalid):
             scenario(max_ticks=0)
@@ -369,6 +386,28 @@ class TestRunSummary:
         assert summary == RunSummary(config.max_ticks, summary.death_ticks)
         kept = run_many(config, keep_traces=True)
         assert kept == RunSummary(config.max_ticks, summary.death_ticks, kept.traces)
+
+    @pytest.mark.parametrize("args, message", [
+        (("x", (1,)), "max_ticks must be an integer, got 'x'"),
+        ((0, ()), "max_ticks must be at least 1, got 0"),
+        ((10, (20,)), "death tick 20 outside [1, 10]"),
+        ((10, (5, 0)), "death tick 0 outside [1, 10]"),
+        ((10, "ab"), "death tick must be an integer, got 'a'"),
+        ((10, (2.0,)), "death tick must be an integer, got 2.0"),
+        ((10, 5), "death_ticks must be a Sequence, got int"),
+        ((10, (5,), None), "traces must be a tuple, got NoneType"),
+        ((10, (5,), ("trace",)), "trace must be a SimulationTrace, got str"),
+        ((10**400, (10**400,)), "death ticks past the float range have no mean"),
+    ], ids=["max-ticks-str", "max-ticks-zero", "late", "zero", "str", "float", "int", "traces-none",
+            "trace-str", "huge"])
+    def test_refuses_what_no_run_could_give(self, args, message):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            RunSummary(*args)
+
+    def test_stores_numpy_ticks_as_int(self):
+        summary = RunSummary(np.int64(10), [np.int64(3), None, np.uint8(10)])
+        assert summary == RunSummary(10, (3, None, 10))
+        assert {type(summary.max_ticks)} | {type(t) for t in summary.death_ticks} == {int, type(None)}
 
     @pytest.mark.parametrize("name", ["runs", "censored_count", "mean_death_tick", "std_death_tick"])
     def test_derived_fields_cannot_be_passed_in(self, name):
@@ -819,6 +858,10 @@ class TestChainTrajectory:
     def test_rejects_bad_step_prob(self):
         with pytest.raises(ConfigInvalid):
             simulate_chain_trajectory(6, 3, step_prob=0.0, seed=1, max_ticks=10)
+
+    def test_rejects_bool_step_prob(self):
+        with pytest.raises(ConfigInvalid, match=re.escape("step_prob must lie in (0, 1], got True")):
+            simulate_chain_trajectory(6, 3, step_prob=True, seed=1, max_ticks=10)
 
     @pytest.mark.parametrize("max_ticks", [-1, -2])
     def test_rejects_negative_max_ticks(self, max_ticks):

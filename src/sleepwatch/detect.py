@@ -72,7 +72,10 @@ class Baseline:
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """One decision and what it was measured against; slotted, as ``online_estimate`` makes one per window."""
+    """One decision and what it was measured against; slotted, as ``online_estimate`` makes one per window.
+
+    Unchecked: only ``decide`` and ``online_estimate`` build one, and no library call takes one.
+    """
 
     decision: Decision
     observed_death_ticks: float | None

@@ -43,6 +43,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .errors import require_type
 from .simulate import SimulationTrace
 
 TRACE_HEADER = "tick,dead,sleep,active,inactive,battery"
@@ -293,7 +294,7 @@ def write_json(path: str | Path, value) -> None:
 
 def trace_to_csv(trace: SimulationTrace) -> str:
     lines = [TRACE_HEADER]
-    for rec in trace.per_tick:
+    for rec in require_type("trace", trace, SimulationTrace).per_tick:
         lines.append(
             f"{rec.tick},{rec.dead},{rec.sleep},{rec.active},{rec.inactive},"
             f"{format_float(rec.battery)}"

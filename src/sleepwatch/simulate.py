@@ -55,7 +55,7 @@ import numpy as np
 
 from .attack import AttackModel, affected_set, attacked_count, no_attack, transform_policy
 from .errors import (ConfigInvalid, InvariantViolated, require_count, require_fraction, require_int,
-                     require_type)
+                     require_real, require_type)
 from .lifecycle import (
     DeathMode,
     EnergyModel,
@@ -149,17 +149,45 @@ class TickRecord:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Per-tick state counts plus the death tick, if reached."""
+    """One run's per-tick records, from which its death tick and N derive.
+
+    ``per_tick`` is a non-empty tuple of ``TickRecord``s with integer
+    counts and a finite battery. ``network_death_tick`` is the tick of the
+    first record whose dead count reaches ``m_threshold``, or None;
+    ``n_deployed`` is the first record's four counts.
+    """
 
     per_tick: tuple[TickRecord, ...]
-    network_death_tick: int | None
     m_threshold: int
-    n_deployed: int
     run_index: int
+    network_death_tick: int | None = field(init=False)
+    n_deployed: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        records = require_type("per_tick", self.per_tick, tuple)
+        if not records:
+            raise ConfigInvalid("per_tick must hold at least one record")
+        for rec in records:
+            require_type("per_tick record", rec, TickRecord)
+            for name in ("tick", "dead", "sleep", "active", "inactive"):
+                require_int(name, getattr(rec, name))
+            require_real("battery", rec.battery, finite=True)
+        m = require_count("m_threshold", self.m_threshold, math.inf)
+        run_index = require_int("run_index", self.run_index)
+        if run_index < 0:
+            raise ConfigInvalid(f"run_index must be non-negative, got {run_index}")
+        first = records[0]
+        for name, value in (
+            ("m_threshold", m),
+            ("run_index", run_index),
+            ("network_death_tick", next((int(r.tick) for r in records if r.dead >= m), None)),
+            ("n_deployed", int(first.dead + first.sleep + first.active + first.inactive)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def elapsed_ticks(self) -> int:
-        return self.per_tick[-1].tick if self.per_tick else 0
+        return int(self.per_tick[-1].tick)
 
 
 @dataclass(frozen=True)
@@ -171,8 +199,9 @@ class RunSummary:
     ticks. Censored runs are excluded from the mean and standard deviation;
     ``mean_death_tick`` is None when every run was censored,
     ``std_death_tick`` needs at least two uncensored runs. ``traces`` is
-    empty unless ``run_many`` was asked to keep them. Each tick is None or
-    an integer in [1, max_ticks].
+    empty unless ``run_many`` was asked to keep them; if given, trace k
+    has the k-th death tick and runs at most max_ticks. Each tick is None
+    or an integer in [1, max_ticks].
     """
 
     max_ticks: int
@@ -191,8 +220,15 @@ class RunSummary:
         late = [t for t in observed if not 1 <= t <= max_ticks]
         if late:
             raise ConfigInvalid(f"death tick {late[0]} outside [1, {max_ticks}]")
-        for trace in require_type("traces", self.traces, tuple):
+        traces = require_type("traces", self.traces, tuple)
+        if traces and len(traces) != len(ticks):
+            raise ConfigInvalid(f"one trace per death tick: got {len(traces)} for {len(ticks)}")
+        for k, (trace, tick) in enumerate(zip(traces, ticks)):
             require_type("trace", trace, SimulationTrace)
+            if trace.network_death_tick != tick:
+                raise ConfigInvalid(f"trace {k} has death tick {trace.network_death_tick}, not {tick}")
+            if trace.elapsed_ticks > max_ticks:
+                raise ConfigInvalid(f"trace {k} runs {trace.elapsed_ticks} ticks, past max_ticks {max_ticks}")
         try:
             mean = float(np.mean(observed)) if observed else None
             std = float(np.std(observed, ddof=1)) if len(observed) >= 2 else None
@@ -419,9 +455,8 @@ def run_one(config: ScenarioConfig, run_index: int = 0) -> SimulationTrace:
     run_index = require_int("run_index", run_index)
     if not 0 <= run_index < config.runs:
         raise ConfigInvalid(f"run_index {run_index} outside [0, {config.runs})")
-    (death_tick,), records = _step_runs(config, range(run_index, run_index + 1), record=True)
-    n, m = config.network.n_deployed, config.network.m_threshold
-    return SimulationTrace(tuple(records), death_tick, m, n, run_index)
+    _, records = _step_runs(config, range(run_index, run_index + 1), record=True)
+    return SimulationTrace(tuple(records), config.network.m_threshold, run_index)
 
 
 def run_many(config: ScenarioConfig, keep_traces: bool = False) -> RunSummary:

@@ -29,7 +29,7 @@ from sleepwatch.errors import (
     WindowTooShort,
 )
 from sleepwatch.network import NetworkChainParams, expected_death_time, step_probs
-from sleepwatch.simulate import run_one, simulate_chain_trajectory
+from sleepwatch.simulate import SimulationTrace, TickRecord, run_one, simulate_chain_trajectory
 
 # the package re-exports a function named ``detect``, which shadows the submodule
 detect_module = importlib.import_module("sleepwatch.detect")
@@ -230,6 +230,12 @@ class TestDetectDispatch:
         baseline = Baseline(10.0, BaselineSource.ANALYTIC, 1.0)
         # censored everywhere, but elapsed 20 >= baseline 10
         assert detect(summary, baseline, 0.8).decision is Decision.NORMAL
+
+    def test_hand_built_trace_is_judged_at_its_first_crossing(self):
+        # M = 4 is first reached at tick 2 < 0.8 * 3; the last record, at tick 4, is not
+        records = tuple(TickRecord(t, d, 5 - d, 0, 0, 5.0 - d) for t, d in enumerate((0, 2, 4, 5, 5)))
+        verdict = detect(SimulationTrace(records, 4, 0), Baseline(3.0, BaselineSource.ANALYTIC, 1.0), 0.8)
+        assert (verdict.decision, verdict.observed_death_ticks) == (Decision.UNDER_ATTACK, 2.0)
 
     def test_rejects_other_types(self):
         with pytest.raises(ConfigInvalid, match="^expected SimulationTrace or RunSummary, got list$"):

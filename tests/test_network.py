@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import closed_form_oracle as oracle
-from sleepwatch import chain, network
+from sleepwatch import chain, network, serialize
 from sleepwatch.attack import AttackKind, AttackModel, broadcast_replay, rts_cts_flood
 from sleepwatch.config import DetectorSettings
 from sleepwatch.detect import (
@@ -33,7 +33,8 @@ from sleepwatch.network import (
     step_probs,
     threshold_from_deployed,
 )
-from sleepwatch.simulate import RunSummary, ScenarioConfig, simulate_chain_trajectory
+from sleepwatch.simulate import (RunSummary, ScenarioConfig, SimulationTrace, TickRecord, run_one,
+                                 simulate_chain_trajectory)
 
 #: thresholds at which every state is compared bit for bit with the oracle
 PINNED_THRESHOLDS = [*range(2, 61), 97, 200, 800]
@@ -491,7 +492,10 @@ class TestLibraryBoundary:
             BaselineSource.MONTE_CARLO, AttackKind.RTS_CTS_FLOOD, DeathMode.ENERGY, NodeState.ACTIVE,
             Decision.NORMAL, default_policy(), default_energy(), rts_cts_flood(), build_matrix(3),
             ScenarioConfig(NetworkChainParams(20), 50, 0, default_policy(), default_energy(), rts_cts_flood()),
-            DetectorSettings(), "energy", "analytic", "rts_cts_flood"]
+            DetectorSettings(), "energy", "analytic", "rts_cts_flood",
+            # records, bare and in a tuple, and a real trace, for the trace's builders and readers
+            TickRecord(0, 0, 5, 0, 0, 5000.0), (TickRecord(0, 0, 5, 0, 0, 5000.0), TickRecord(1, 4, 1, 0, 0, 4.0)),
+            (), run_one(ScenarioConfig(NetworkChainParams(5), 60, 1, default_policy(), default_energy()))]
     # an allocating call takes a threshold or tick count of at most 10**4, or one the
     # checks refuse: expected_death_time(1, 2**32 + 1) would ask for a 34 GB arange
     SMALL = [v for v in POOL if not (type(v) is int and 10**4 < v <= network._MAX_ITEMS)]
@@ -554,6 +558,8 @@ class TestLibraryBoundary:
             (chain.TransitionMatrix, [self.POOL] * 2),
             (chain.AbsorptionAnalysis, [self.POOL] * 5),
             (RunSummary, [self.POOL] * 3),
+            (SimulationTrace, [self.POOL] * 3),
+            (serialize.trace_to_csv, [self.POOL]),
             (ScenarioConfig, [self.POOL] * 8),
             (DetectorSettings, [self.POOL] * 5),
         ]

@@ -29,6 +29,7 @@ from canonical_oracle import dumps_canonical as oracle_dumps
 from conftest import random_float64
 from sleepwatch import cli, serialize
 from sleepwatch.config import load_config
+from sleepwatch.errors import ConfigInvalid
 from sleepwatch.serialize import dump_canonical, dumps_canonical, write_json
 
 EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 0.1, 1 / 3, 1e308)
@@ -524,3 +525,9 @@ def test_analyze_out_file_equals_stdout_and_oracle(tmp_path, capsys, n_deployed)
     stdout = capsys.readouterr().out
     assert (tmp_path / "out" / "analyze.json").read_text() == stdout
     assert stdout == oracle_dumps(cli._analyze_report(load_config(config))) + "\n"
+
+
+def test_write_trace_csv_refuses_what_is_not_a_trace(tmp_path):
+    with pytest.raises(ConfigInvalid, match="^trace must be a SimulationTrace, got int$"):
+        serialize.write_trace_csv(tmp_path / "run.csv", 3)
+    assert not (tmp_path / "run.csv").exists()

@@ -154,6 +154,11 @@ class TestConfigValidation:
         assert scenario(max_ticks=10**400, death_mode=sw.DeathMode.ENERGY).max_ticks == 10**400
 
 
+def five_node_records(*dead: int) -> tuple:
+    """Records of five nodes from tick 0 on, with the given dead counts and the rest asleep."""
+    return tuple(simulate.TickRecord(tick, d, 5 - d, 0, 0, 1000.0 * (5 - d)) for tick, d in enumerate(dead))
+
+
 class TestRunOne:
     def test_five_nodes_die_at_threshold_four(self):
         trace = run_one(scenario(), 0)
@@ -224,6 +229,41 @@ class TestRunOne:
             tracemalloc.stop()
         assert trace.network_death_tick is not None
         assert peak < 1_450_000
+
+    @pytest.mark.parametrize("dead, death_tick", [
+        ((0, 1, 3, 4), 3),
+        ((0, 1, 2, 3), None),
+        ((0, 2, 4, 5, 5), 2),
+    ], ids=["death-on-last", "censored", "first-crossing"])
+    def test_death_tick_and_n_derive_from_the_records(self, dead, death_tick):
+        trace = simulate.SimulationTrace(five_node_records(*dead), 4, 7)
+        assert (trace.network_death_tick, trace.n_deployed) == (death_tick, 5)
+        assert (trace.elapsed_ticks, trace.m_threshold, trace.run_index) == (len(dead) - 1, 4, 7)
+
+    @pytest.mark.parametrize("name", ["network_death_tick", "n_deployed"])
+    def test_derived_fields_cannot_be_passed_in(self, name):
+        simulate.SimulationTrace(per_tick=five_node_records(0), m_threshold=4, run_index=0)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            simulate.SimulationTrace(per_tick=five_node_records(0), m_threshold=4, run_index=0,
+                                     **{name: 1})
+
+    @pytest.mark.parametrize("args, message", [
+        (("x", 16, 0), "per_tick must be a tuple, got str"),
+        (([simulate.TickRecord(0, 0, 5, 0, 0, 5.0)], 16, 0), "per_tick must be a tuple, got list"),
+        (((), 16, 0), "per_tick must hold at least one record"),
+        (((5,), 16, 0), "per_tick record must be a TickRecord, got int"),
+        (((simulate.TickRecord(0, 0, 5, 0, 0, "x"),), 16, 0), "battery must be a real number, got 'x'"),
+        (((simulate.TickRecord(0, 0, 5, 0, 0, float("nan")),), 16, 0), "battery must be finite, got nan"),
+        (((simulate.TickRecord(0.0, 0, 5, 0, 0, 5.0),), 16, 0), "tick must be an integer, got 0.0"),
+        (((simulate.TickRecord(0, True, 5, 0, 0, 5.0),), 16, 0), "dead must be an integer, got True"),
+        ((five_node_records(0), 0, 0), "m_threshold must be at least 1, got 0"),
+        ((five_node_records(0), "4", 0), "m_threshold must be an integer, got '4'"),
+        ((five_node_records(0), 4, -1), "run_index must be non-negative, got -1"),
+    ], ids=["str", "list", "empty", "not-a-record", "battery-str", "battery-nan", "tick-float",
+            "dead-bool", "m-zero", "m-str", "run-index-negative"])
+    def test_refuses_what_no_run_could_give(self, args, message):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            simulate.SimulationTrace(*args)
 
 
 class TestScalarOracle:
@@ -358,6 +398,11 @@ class TestRunMany:
         assert first.mean_death_tick == second.mean_death_tick
 
 
+#: A censored 200-tick trace: nothing drains and no node dies of its policy.
+CENSORED_200 = run_one(scenario(policy=sw.default_policy(), energy=sw.EnergyModel(10.0, np.zeros(4)),
+                                death_mode=sw.DeathMode.ENERGY, max_ticks=200))
+
+
 class TestRunSummary:
     """A summary is built from its death ticks alone; every other count derives from them."""
 
@@ -398,8 +443,11 @@ class TestRunSummary:
         ((10, (5,), None), "traces must be a tuple, got NoneType"),
         ((10, (5,), ("trace",)), "trace must be a SimulationTrace, got str"),
         ((10**400, (10**400,)), "death ticks past the float range have no mean"),
+        ((100, (50, None), (CENSORED_200, CENSORED_200)), "trace 0 has death tick None, not 50"),
+        ((10, (None,), (CENSORED_200,)), "trace 0 runs 200 ticks, past max_ticks 10"),
+        ((200, (None, None), (CENSORED_200,)), "one trace per death tick: got 1 for 2"),
     ], ids=["max-ticks-str", "max-ticks-zero", "late", "zero", "str", "float", "int", "traces-none",
-            "trace-str", "huge"])
+            "trace-str", "huge", "trace-death-tick", "trace-too-long", "trace-count"])
     def test_refuses_what_no_run_could_give(self, args, message):
         with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
             RunSummary(*args)

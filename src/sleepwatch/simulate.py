@@ -37,6 +37,11 @@ apply battery deaths, count, check, stop at M. Dead-count monotonicity
 and node-count conservation are checked for every run inside the loop
 (InvariantViolated), also under ``python -O``; a run's dead count is
 its nodes dropped by earlier rebuilds plus those that died this tick.
+A group of more than one run counts its states with one ``bincount``
+over the nodes' bins and keeps its counts in arrays. A group of one run
+(every ``run_one``) counts each state with ``count_nonzero`` and keeps
+its dead count, checks, stop at M and records in Python ints: bincount
+would copy its int8 states to intp every tick.
 
 ``simulate_chain_trajectory`` runs the (M+1)-state dead-count chain
 itself instead of individual nodes. The node-level death process is not
@@ -152,9 +157,11 @@ class SimulationTrace:
     """One run's per-tick records, from which its death tick and N derive.
 
     ``per_tick`` is a non-empty tuple of ``TickRecord``s with integer
-    counts and a finite battery. ``network_death_tick`` is the tick of the
-    first record whose dead count reaches ``m_threshold``, or None;
-    ``n_deployed`` is the first record's four counts.
+    counts and a finite battery, as a run gives them: record k is at tick
+    k, record 0 has no dead node, every record's four counts add up to
+    record 0's, and the dead count never falls. Records may go on past
+    the first that reaches ``m_threshold``; ``network_death_tick`` is that
+    record's tick, or None. ``n_deployed`` is record 0's four counts.
     """
 
     per_tick: tuple[TickRecord, ...]
@@ -167,21 +174,34 @@ class SimulationTrace:
         records = require_type("per_tick", self.per_tick, tuple)
         if not records:
             raise ConfigInvalid("per_tick must hold at least one record")
-        for rec in records:
+        n = prev_dead = 0
+        for k, rec in enumerate(records):
             require_type("per_tick record", rec, TickRecord)
             for name in ("tick", "dead", "sleep", "active", "inactive"):
                 require_int(name, getattr(rec, name))
             require_real("battery", rec.battery, finite=True)
+            tick, dead = rec.tick, rec.dead
+            total = dead + rec.sleep + rec.active + rec.inactive
+            if tick != k:
+                raise ConfigInvalid(f"record {k} is at tick {tick}, not {k}")
+            if k == 0:
+                n = total
+                if dead:
+                    raise ConfigInvalid(f"record 0 has {dead} dead nodes, not 0")
+            if dead < prev_dead:
+                raise ConfigInvalid(f"dead count falls from {prev_dead} to {dead} at tick {k}")
+            if total != n:
+                raise ConfigInvalid(f"record {k} counts {total} nodes, record 0 {n}")
+            prev_dead = dead
         m = require_count("m_threshold", self.m_threshold, math.inf)
         run_index = require_int("run_index", self.run_index)
         if run_index < 0:
             raise ConfigInvalid(f"run_index must be non-negative, got {run_index}")
-        first = records[0]
         for name, value in (
             ("m_threshold", m),
             ("run_index", run_index),
-            ("network_death_tick", next((int(r.tick) for r in records if r.dead >= m), None)),
-            ("n_deployed", int(first.dead + first.sleep + first.active + first.inactive)),
+            ("network_death_tick", next((k for k, r in enumerate(records) if r.dead >= m), None)),
+            ("n_deployed", int(n)),
         ):
             object.__setattr__(self, name, value)
 
@@ -325,6 +345,24 @@ class _DrawPool:
         self.streams[r].random(out=row[tail:])
 
 
+def _count_states(states: np.ndarray) -> list[int]:
+    """How many of a group of one run's live nodes are in each of the four states."""
+    return [int(np.count_nonzero(states == s)) for s in range(4)]
+
+
+def _violation(tick: int, run_indices: range, prev_dead, dead, total, n: int) -> InvariantViolated:
+    """The first broken invariant: a run whose dead count fell, else one whose nodes are not n."""
+    prev_dead, dead, total = np.atleast_1d(prev_dead, dead, total)
+    fell = np.flatnonzero(dead < prev_dead)
+    if fell.size:
+        s = fell[0]
+        return InvariantViolated(
+            f"dead count fell from {prev_dead[s]} to {dead[s]} at tick {tick} in run {run_indices[s]}"
+        )
+    s = np.flatnonzero(total != n)[0]
+    return InvariantViolated(f"{total[s]} nodes counted at tick {tick} in run {run_indices[s]}, {n} deployed")
+
+
 def _step_runs(
     config: ScenarioConfig, run_indices: range, record: bool = False
 ) -> tuple[list[int | None], list[TickRecord]]:
@@ -336,20 +374,22 @@ def _step_runs(
     state and attack row offset (4 on an attacked node), both int8, and
     battery sit in compacted arrays, run by run, so a tick's draws are
     each running run's next uniforms from its own STEP_STREAM in run
-    order, read from a ``_DrawPool``. A group of more than one run also keeps each live
-    node's bincount bin, ``4 * slot + state``; a group of one counts its
-    states directly. The arrays are rebuilt one at a time, dropping the
-    dead nodes and the nodes of runs that reached M, only on a tick where
-    a node died or a run stopped; a run's live count is read from the
-    rebuilt arrays, and its dead count is the nodes dropped so far plus
-    its nodes that died this tick. The DEAD edge is compared only when
-    some live row's is below 1.0 (float slack after renormalization, or a
-    death probability). With ``record``, which only a group of one run
-    takes, the run's per-tick records are kept, its battery column summed
-    over all N nodes in node order: the live battery array until the
-    first rebuild, then the array that rebuild left behind, into which the
-    live batteries are scattered by node index, which only a recording
-    run keeps.
+    order, read from a ``_DrawPool``. A group of more than one run also
+    keeps each live node's bincount bin, ``4 * slot + state``, and its
+    per-run counts in arrays; a group of one counts its states with
+    ``_count_states`` and does its per-tick accounting in Python ints.
+    The arrays are rebuilt one at a time, dropping the dead nodes and the
+    nodes of runs that reached M, only on a tick where a node died or a
+    run stopped; a run's live count is read from the rebuilt arrays, and
+    its dead count is the nodes dropped so far plus its nodes that died
+    this tick. The DEAD edge is compared only when some live row's is
+    below 1.0 (float slack after renormalization, or a death
+    probability). With ``record``, which only a group of one run takes,
+    the run's per-tick records are kept, its battery column summed over
+    all N nodes in node order: the live battery array until the first
+    rebuild, then the array that rebuild left behind, into which the live
+    batteries are scattered by node index, which only a recording run
+    keeps.
     """
     n, m = config.network.n_deployed, config.network.m_threshold
     size = len(run_indices)
@@ -376,19 +416,20 @@ def _step_runs(
     dead_edge = bool((edge2.reshape(2, 4)[:, :DEAD] < 1.0).any())
     states = np.full(size * n, SLEEP, dtype=np.int8)
     batteries = np.full(size * n, config.energy.capacity, dtype=float)
-    # a node's bincount bin is 4 * slot + state; a group of one counts its states
+    # a node's bincount bin is 4 * slot + state; a group of one counts its states in ints
     bins = np.repeat(4 * np.arange(size), n) if size > 1 else None
     nodes = np.arange(size * n) if record else None
     run_bins = 4 * np.arange(size + 1)
     live = np.full(size, n)  # per run, its nodes in the live arrays
-    removed = np.zeros(size, dtype=np.int64)  # per run, nodes dropped from the live arrays
+    # per run, nodes dropped from the live arrays and its last dead count: Python
+    # ints in a group of one
+    removed = prev_dead = 0 if size == 1 else np.zeros(size, dtype=np.int64)
 
     # Every node's battery in node order, for the records: the live array itself
     # until the first rebuild, then that tick's array, updated from the live one.
     all_batteries = batteries if record else None
     records = [TickRecord(0, 0, n, 0, 0, float(all_batteries.sum()))] if record else []
     death_at = np.zeros(size, dtype=np.int64)  # 0 until the run reaches M
-    prev_dead = np.zeros(size, dtype=np.int64)
 
     for tick in range(1, config.max_ticks + 1):
         row = (states + offsets if tick in model.window else states).astype(np.intp)
@@ -403,49 +444,53 @@ def _step_runs(
         if record and all_batteries is not batteries:
             all_batteries[nodes] = batteries
 
-        counts = np.bincount(states if bins is None else states + bins,
-                             minlength=4 * size).reshape(size, 4)
-        died = counts[:, DEAD]
-        dead = removed + died
-        fell = np.flatnonzero(dead < prev_dead)
-        if fell.size:
-            s = fell[0]
-            raise InvariantViolated(
-                f"dead count fell from {prev_dead[s]} to {dead[s]} at tick {tick} in run {run_indices[s]}"
-            )
-        totals = removed + counts.sum(axis=1)
-        wrong = np.flatnonzero(totals != n)
-        if wrong.size:
-            s = wrong[0]
-            raise InvariantViolated(
-                f"{totals[s]} nodes counted at tick {tick} in run {run_indices[s]}, {n} deployed"
-            )
-        prev_dead = dead
-        if record:
-            c = counts[0]
-            records.append(TickRecord(tick, int(dead[0]), int(c[SLEEP]), int(c[NodeState.ACTIVE]),
-                                      int(c[NodeState.INACTIVE]), float(all_batteries.sum())))
-        stopped = (dead >= m) & (death_at == 0)
-        if stopped.any():
-            death_at[stopped] = tick
-            if death_at.all():
+        if bins is None:  # a group of one run keeps its accounting in Python ints
+            counts = _count_states(states)
+            died = counts[DEAD]
+            dead, total = removed + died, removed + sum(counts)
+            if dead < prev_dead or total != n:
+                raise _violation(tick, run_indices, prev_dead, dead, total, n)
+            prev_dead = dead
+            if record:
+                records.append(TickRecord(tick, dead, counts[SLEEP], counts[NodeState.ACTIVE],
+                                          counts[NodeState.INACTIVE], float(all_batteries.sum())))
+            if dead >= m:
+                death_at[0] = tick
                 break
-        if died.any():  # also on the tick a run reaches M
+            if not died:
+                continue
+            keep = states != DEAD
+        else:
+            counts = np.bincount(states + bins, minlength=4 * size).reshape(size, 4)
+            died = counts[:, DEAD]
+            dead, total = removed + died, removed + counts.sum(axis=1)
+            if (dead < prev_dead).any() or (total != n).any():
+                raise _violation(tick, run_indices, prev_dead, dead, total, n)
+            prev_dead = dead
+            stopped = (dead >= m) & (death_at == 0)
+            if stopped.any():
+                death_at[stopped] = tick
+                if death_at.all():
+                    break
+            if not died.any():  # a run reaching M has a death this tick
+                continue
             keep = states != DEAD
             if stopped.any():
                 keep &= np.repeat(death_at == 0, live)
-            # One array per statement: each old array is freed before the next is copied.
-            states = states[keep]
-            offsets = offsets[keep]
-            batteries = batteries[keep]
-            if bins is None:
-                live = np.array([states.size])
-            else:
-                bins = bins[keep]
-                live = np.diff(np.searchsorted(bins, run_bins))
-            if record:
-                nodes = nodes[keep]
+        # A node died: rebuild the live arrays, one per statement, so that each
+        # old array is freed before the next is copied.
+        states = states[keep]
+        offsets = offsets[keep]
+        batteries = batteries[keep]
+        if bins is None:
+            removed = n - states.size
+            live = np.array([states.size])
+        else:
+            bins = bins[keep]
+            live = np.diff(np.searchsorted(bins, run_bins))
             removed = n - live
+        if record:
+            nodes = nodes[keep]
 
     return [t or None for t in death_at.tolist()], records
 

@@ -265,6 +265,23 @@ class TestRunOne:
         with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
             simulate.SimulationTrace(*args)
 
+    @pytest.mark.parametrize("records, message", [
+        # at M from its first record, then a jump to tick 7, a falling dead count and
+        # 10 nodes after 5: detect judged it under attack at tick 0
+        ((simulate.TickRecord(0, 4, 1, 0, 0, 5.0), simulate.TickRecord(7, 1, 9, 0, 0, 5.0)),
+         "record 0 has 4 dead nodes, not 0"),
+        (five_node_records(0, 1)[:1] + five_node_records(0, 1, 2)[2:], "record 1 is at tick 2, not 1"),
+        (five_node_records(0, 1)[1:], "record 0 is at tick 1, not 0"),
+        (five_node_records(1, 2), "record 0 has 1 dead nodes, not 0"),
+        (five_node_records(0, 1) + (simulate.TickRecord(2, 1, 3, 0, 0, 3.0),),
+         "record 2 counts 4 nodes, record 0 5"),
+        (five_node_records(0, 2, 1), "dead count falls from 2 to 1 at tick 2"),
+    ], ids=["dead-at-tick-0-and-tick-7", "tick-skipped", "first-tick-not-0", "dead-at-tick-0",
+            "node-lost", "dead-count-falls"])
+    def test_refuses_records_no_run_could_give(self, records, message):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            simulate.SimulationTrace(records, 4, 0)
+
 
 class TestScalarOracle:
     # dyadic drains let a battery reach exactly 0.0, which the death rule must count
@@ -317,7 +334,33 @@ class TestScalarOracle:
                     assert costs[s + 4 * (affected and in_window)] == expected[0]
 
 
-# Runs `simulate` with run_one's per-tick state count corrupted by {corrupt}.
+# Runs `simulate` with run_one's per-tick state counts, a list of four ints,
+# corrupted by {corrupt}; the class keeps CORRUPTED_COUNT_SCRIPT's name, whose
+# corruptions it shares.
+ONE_RUN_CORRUPTED_COUNT_SCRIPT = """
+import sys
+from sleepwatch import simulate
+from sleepwatch.cli import main
+
+count_states = simulate._count_states
+
+class CorruptedNumpy:
+    calls = 0
+
+def corrupted_count_states(states):
+    counts = count_states(states)
+    CorruptedNumpy.calls += 1
+    {corrupt}
+    return counts
+
+simulate._count_states = corrupted_count_states
+sys.exit(main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+# Runs `simulate` (or, with the name replaced, `detect`) with every np.bincount
+# count corrupted by {corrupt}: only a lockstep group of more than one run, such as
+# `detect`'s Monte Carlo baseline, calls it.
 CORRUPTED_COUNT_SCRIPT = """
 import sys
 import numpy as np
@@ -362,7 +405,7 @@ class TestInvariantChecks:
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"network": {"n_deployed": 10}, "run": {"max_ticks": 20},
                                       **extra}))
-        script = CORRUPTED_COUNT_SCRIPT.format(corrupt=corrupt)
+        script = ONE_RUN_CORRUPTED_COUNT_SCRIPT.format(corrupt=corrupt)
         env = {**os.environ, "PYTHONPATH": str(Path(sw.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-O", "-c", script, str(config), str(tmp_path / "out")],
                               capture_output=True, text=True, env=env, timeout=60)
@@ -612,7 +655,8 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize("case", TestLockstep.CASES)
     def test_groups_of_one_run_give_the_same_runs(self, monkeypatch, case):
-        # a group of one run that records nothing keeps no bincount bins or node indices
+        # a group of one run that records nothing counts its states in Python ints
+        # and keeps no node indices
         config = scenario(n_deployed=12, runs=7, **TestLockstep.CASES[case])
         groups = []
         step_runs = simulate._step_runs

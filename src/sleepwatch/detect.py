@@ -13,10 +13,11 @@ t < theta * baseline, with theta = 0.8 by default.
 it estimates how many chain steps elapse per tick from the dead-count
 trajectory, projects the remaining time to death from the current state,
 and compares elapsed + projected against the baseline. It evaluates its
-trailing windows as arrays, a chunk of rows at a time: event counts are
-differences of an exact integer prefix sum, and each window's expected
-moves are summed left to right in tick order by a row-wise cumsum, so
-every window gets the bits a window-by-window loop gives it.
+trailing windows in one array pass: event counts are differences of an
+exact integer prefix sum, each window's expected moves are summed left
+to right in tick order by a row-wise cumsum, and one closed-form call
+projects every fitted window, so every window gets the bits a
+window-by-window loop gives it.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .attack import AttackKind
 from .errors import (ConfigInvalid, DegenerateBaseline, OutOfRange, Uncalibratable, WindowTooShort,
                      require_array, require_fraction, require_int, require_positive, require_real, require_type)
-from .network import NetworkChainParams, expected_death_time, step_probs
+from .network import NetworkChainParams, _check_threshold, expected_death_time, step_probs
 from .simulate import RunSummary, ScenarioConfig, SimulationTrace, run_many
 
 DEFAULT_THRESHOLD_FACTOR = 0.8
 
-#: Values per chunk of the online detector's rows of expected moves (0.5 MB of floats).
+#: Values per block of the online detector's rows of expected moves (0.5 MB of floats).
 _CHUNK = 1 << 16
 
 
@@ -205,51 +206,40 @@ def _dead_counts(view: np.ndarray) -> np.ndarray:
 
 
 def _window_rates(view: np.ndarray, m: int, window: int, ends: np.ndarray, min_events: int):
-    """Step rates of the windows ``view[t - window : t + 1]``, ``t`` in ``ends``.
+    """``(rates, reasons)`` of the windows ``view[t - window : t + 1]``, ``t`` in ``ends[:stop]``.
 
-    Yields ``(ends, rates, reasons)`` for consecutive chunks of ``ends``, at
-    most ``_CHUNK // window`` rows each, so a chunk's block of expected
-    moves holds at most ``_CHUNK`` values. A window's rate is its
-    observed move count over its expected moves; ``rates`` is NaN, and
-    ``reasons`` maps the row to the WindowTooShort message, for a window with
-    fewer than ``min_events`` moves or with none expected. Move counts are
-    differences of an exact int64 prefix sum, and a prefix count of ticks
-    outside [0, m] finds the windows whose states leave the chain. A fitted
-    window with such a state raises OutOfRange, after the rows before it
-    have been yielded, so a caller meets every window in order.
+    ``stop`` is the first fitted window (at least ``min_events`` moves)
+    whose states, apart from its end tick, leave [0, m]. A window's rate
+    is its observed move count over its expected moves, and its reason
+    None; with fewer than ``min_events`` moves or none expected, its rate
+    is NaN and its reason the WindowTooShort message. Move counts are
+    differences of an exact int64 prefix sum, as is the count of ticks
+    outside [0, m]; the fitted windows' expected moves are summed by a
+    row-wise cumsum, in blocks of at most ``_CHUNK`` values.
     """
+    starts = ends - window
     events_before = np.concatenate(([0], np.cumsum(np.abs(np.diff(view)))))
     outside_before = np.concatenate(([0], np.cumsum((view < 0) | (view > m))))
-    moves = None
-    rows = max(1, _CHUNK // window)
-    for lo in range(0, ends.size, rows):
-        t = ends[lo:lo + rows]
-        starts = t - window
-        events = events_before[t] - events_before[starts]
-        fitted = events >= min_events
-        if moves is None and fitted.any():
-            doubled = step_probs(m)[0][np.clip(view[:-1], 0, m)]
-            doubled *= 2.0
-            moves = sliding_window_view(doubled, window)
-        outside = np.flatnonzero(fitted & (outside_before[t] > outside_before[starts]))
-        stop = int(outside[0]) if outside.size else t.size
-        fit = np.flatnonzero(fitted[:stop])
-        expected = np.empty(0)
-        if fit.size:
-            block = moves[starts[fit]]  # a copy: one row per fitted window
+    events = events_before[ends] - events_before[starts]
+    fitted = events >= min_events
+    outside = np.flatnonzero(fitted & (outside_before[ends] > outside_before[starts]))
+    stop = int(outside[0]) if outside.size else ends.size
+    fit = np.flatnonzero(fitted[:stop])
+    expected = np.zeros(stop)
+    if fit.size:  # a window as long as the view has no slice
+        moves = sliding_window_view((2.0 * step_probs(m)[0])[np.clip(view[:-1], 0, m)], window)
+        rows = max(1, _CHUNK // window)
+        for lo in range(0, fit.size, rows):
+            block = moves[starts[fit[lo:lo + rows]]]  # a copy: one row per fitted window
             # each row is summed left to right, in tick order, as np.cumsum sums one window
-            expected = np.cumsum(block, axis=1, out=block)[:, -1].copy()
-            del block  # freed before the chunk is handed to the caller
-        pinned = expected <= 0.0
-        rates = np.full(stop, np.nan)
-        rates[fit[~pinned]] = events[fit[~pinned]] / expected[~pinned]
-        reasons = {int(row): f"{events[row]} events in window, need at least {min_events}"
-                   for row in np.flatnonzero(~fitted[:stop])}
-        reasons.update((int(row), "no moves expected in window; states pinned at a boundary")
-                       for row in fit[pinned])
-        yield t[:stop], rates, reasons
-        if outside.size:
-            raise OutOfRange(f"window states outside [0, {m}]")
+            expected[fit[lo:lo + rows]] = np.cumsum(block, axis=1, out=block)[:, -1]
+            del block  # freed before the next block is taken, which then reuses its memory
+        del moves  # as are the per-tick moves, before the rates and reasons are built
+    rates = np.divide(events[:stop], expected, out=np.full(stop, np.nan), where=expected > 0.0)
+    reasons = [f"{count} events in window, need at least {min_events}" if count < min_events
+               else "no moves expected in window; states pinned at a boundary" if math.isnan(rate) else None
+               for count, rate in zip(events[:stop].tolist(), rates.tolist())]
+    return rates, reasons
 
 
 def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> float:
@@ -261,18 +251,18 @@ def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> floa
     WindowTooShort when fewer than ``min_events`` moves were observed or
     when no moves were expected (window pinned at a boundary), and
     ConfigInvalid unless the window is 1-D with an integer dtype and ``m``
-    and ``min_events`` are integers.
+    and ``min_events`` are integers. ``m`` is checked as a threshold
+    before the window is read.
     """
-    m, min_events = require_int("m", m), require_int("min_events", min_events)
+    m, min_events = _check_threshold(require_int("m", m)), require_int("min_events", min_events)
     view = require_array("chain view", window_view)
     if view.size < 2:
         raise WindowTooShort(f"window has {view.size} ticks; need at least 2")
     view = _dead_counts(view)
-    window = view.size - 1
-    ((_, rates, reasons),) = _window_rates(view, m, window, np.array([window]), min_events)
-    if reasons:
-        raise WindowTooShort(reasons[0])
-    return float(rates[0])
+    rates, reasons = _window_rates(view, m, view.size - 1, np.array([view.size - 1]), min_events)
+    if rates.size and reasons[0] is None:
+        return float(rates[0])
+    raise WindowTooShort(reasons[0]) if rates.size else OutOfRange(f"window states outside [0, {m}]")
 
 
 def online_estimate(
@@ -297,10 +287,10 @@ def online_estimate(
     threshold, the final verdict is the plain observed-death decision and
     evaluation stops there.
 
-    The windows are evaluated as arrays, a chunk of rows at a time: one
-    row-wise cumsum sums each window's expected moves in tick order and
-    one closed-form call projects the chunk, so every verdict, and the
-    first window that raises, are those of a window-by-window loop. The
+    The windows are evaluated as arrays: a row-wise cumsum sums each
+    window's expected moves in tick order and one closed-form call
+    projects every fitted window, so every verdict, and the first window
+    that raises, are those of a window-by-window loop. The
     view must be 1-D with an integer dtype, ``window`` and ``stride``
     integers, ``min_events`` an integer of at least 1, ``params`` a
     ``NetworkChainParams`` and ``baseline`` a ``Baseline``. A ``window``
@@ -320,7 +310,8 @@ def online_estimate(
     if require_int("min_events", min_events) < 1:
         raise ConfigInvalid(f"min_events must be >= 1, got {min_events}")
     # a window or stride past the view's length gives the windows that length gives;
-    # np.arange refuses one past its size limit
+    # np.arange refuses one past its size limit, and ``ends - window`` one past int64
+    window = min(window, view.size)
     stride = min(stride if stride is not None else window, view.size)
     m = params.m_threshold
     b = baseline.expected_death_ticks
@@ -328,21 +319,22 @@ def online_estimate(
 
     death_positions = np.flatnonzero(view >= m)
     horizon = int(death_positions[0]) if death_positions.size else view.size - 1
-
+    ends = np.arange(window, horizon + 1, stride)
+    rates, reasons = _window_rates(view[:horizon + 1], m, window, ends, min_events)
+    t = ends[:rates.size]
+    fit = ~np.isnan(rates)
+    projected = np.full(t.size, np.nan)
+    # a fitted window's end state outside [0, m] raises here, before a later window's OutOfRange
+    projected[fit] = t[fit] + expected_death_time(view[t[fit]], m) / rates[fit]
     verdicts: list[Verdict] = []
-    ends = np.arange(min(window, view.size), horizon + 1, stride)
-    for t, rates, reasons in _window_rates(view[:horizon + 1], m, window, ends, min_events):
-        fit = ~np.isnan(rates)
-        projected = np.full(t.size, np.nan)
-        projected[fit] = t[fit] + expected_death_time(view[t[fit]], m) / rates[fit]
-        for row, (tick, rate, proj) in enumerate(zip(t.tolist(), rates.tolist(), projected.tolist())):
-            if row in reasons:
-                decision, text = Decision.INCONCLUSIVE, reasons[row]
-            else:
-                decision = Decision.UNDER_ATTACK if proj < theta * b else Decision.NORMAL
-                text = (f"rate {rate:.6g} steps/tick, projected death {proj:.6g} "
-                        f"vs {theta:g} * baseline {b:.6g}")
-            verdicts.append(Verdict(decision, None, b, theta, f"tick {tick}: {text} [{note}]"))
+    for tick, rate, proj, reason in zip(t.tolist(), rates.tolist(), projected.tolist(), reasons):
+        decision = (Decision.INCONCLUSIVE if reason else
+                    Decision.UNDER_ATTACK if proj < theta * b else Decision.NORMAL)
+        text = reason or (f"rate {rate:.6g} steps/tick, projected death {proj:.6g} "
+                          f"vs {theta:g} * baseline {b:.6g}")
+        verdicts.append(Verdict(decision, None, b, theta, f"tick {tick}: {text} [{note}]"))
+    if t.size < ends.size:
+        raise OutOfRange(f"window states outside [0, {m}]")
     if death_positions.size:
         verdicts.append(decide(float(horizon), float(horizon), baseline, theta))
     return verdicts

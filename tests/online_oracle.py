@@ -5,8 +5,8 @@
 ``np.cumsum`` and raises for a window it cannot fit, and a scalar
 ``expected_death_time`` call projects each fitted window.
 :func:`sleepwatch.detect.online_estimate` evaluates the windows as arrays,
-a chunk at a time, and must return the same verdicts and raise the same
-errors, so ``test_detect`` compares the two. Nothing here is used by the
+with one projection call, and must return the same verdicts and raise the
+same errors, so ``test_detect`` compares the two. Nothing here is used by the
 library.
 """
 

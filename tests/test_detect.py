@@ -339,6 +339,16 @@ class TestStepRateEstimator:
         with pytest.raises(ConfigInvalid, match=message):
             estimate_step_rate(np.array([5, 6, 6, 7]), m, min_events)
 
+    @pytest.mark.parametrize("view", [[1, 1, 1], [1, 2, 1]])  # quiet and busy
+    @pytest.mark.parametrize("m,error,message", [
+        (-5, OutOfRange, "threshold must be at least 2, got -5"),
+        (10**30, ConfigInvalid, f"threshold {10**30} is too large for numpy arrays"),
+    ])
+    def test_threshold_checked_before_the_window(self, view, m, error, message):
+        # a quiet window is not fitted, so it must not hide a bad threshold behind WindowTooShort
+        with pytest.raises(error, match=re.escape(message)):
+            estimate_step_rate(np.array(view), m, min_events=1)
+
     def test_numpy_integer_m_and_min_events_accepted(self):
         view = np.array([5, 6, 6, 7])
         assert estimate_step_rate(view, np.int64(20), np.int8(2)) == estimate_step_rate(view, 20, 2)
@@ -616,6 +626,21 @@ class TestOnlineEstimateMatchesOracle:
         view[-1] = -1
         assert outcome(online_estimate, view, params, baseline, window=window, stride=1) == (
             OutOfRange, "state -1 outside [0, 80]")
+
+    def test_one_projection_call(self, monkeypatch):
+        asked = []
+
+        def counted(i, m):
+            asked.append(np.size(i))
+            return expected_death_time(i, m)
+
+        monkeypatch.setattr(detect_module, "expected_death_time", counted)
+        monkeypatch.setattr(detect_module, "_CHUNK", 3 * 200)  # blocks of 3 rows
+        view = random_walk(80, 1_200, seed=5)
+        params = NetworkChainParams(100, initial_dead=10)
+        verdicts = online_estimate(view, params, analytic_baseline(80, 10, 2.0), window=200, stride=1)
+        assert len(verdicts) == 1_000
+        assert asked == [sum(v.decision is not Decision.INCONCLUSIVE for v in verdicts)]
 
     def test_row_sums_are_one_window_sums(self):
         rng = np.random.default_rng(21)

@@ -26,8 +26,8 @@ import numpy as np
 from . import chain
 from .attack import AttackModel, no_attack
 from .config import BASELINE_SEED_OFFSET, ParsedConfig, load_config
-from .detect import Baseline, BaselineSource, Decision, Verdict, compute_baseline, decide, detect
-from .errors import NoAbsorptionPath, SleepwatchError
+from .detect import Baseline, BaselineSource, Decision, Verdict, compute_baseline, detect
+from .errors import NoAbsorptionPath, SleepwatchError, require_real
 from .lifecycle import NodeState, expected_node_lifetime
 from .network import (
     THRESHOLD_ROUNDING,
@@ -264,17 +264,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if scenario_key not in summaries:
             summaries[scenario_key] = run_many(point.scenario)
         summary = summaries[scenario_key]
-        counts = {Decision.NORMAL: 0, Decision.UNDER_ATTACK: 0, Decision.INCONCLUSIVE: 0}
-        for tick in summary.death_ticks:  # elapsed is read only when no death was observed
-            counts[decide(tick, summary.max_ticks, baseline, point.detector.theta).decision] += 1
+        # max_ticks checked as decide checks it; a censored run (None) is no death within it
+        elapsed = require_real("elapsed_ticks", summary.max_ticks, finite=True)
+        codes = baseline._decisions(summary.death_ticks, elapsed, point.detector.theta)
+        counts = ",".join(map(str, np.bincount(codes, minlength=3).tolist()))  # in Decision's order
         mean = summary.mean_death_tick
         mean = format_float(mean) if mean is not None else ""
         value_text = str(int(value)) if args.param == "m" else format_float(value)
-        rows.append(
-            f"{value_text},{format_float(baseline.expected_death_ticks)},{mean},"
-            f"{counts[Decision.NORMAL]},{counts[Decision.UNDER_ATTACK]},"
-            f"{counts[Decision.INCONCLUSIVE]}"
-        )
+        rows.append(f"{value_text},{format_float(baseline.expected_death_ticks)},{mean},{counts}")
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
     if out is not None:

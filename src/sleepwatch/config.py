@@ -72,8 +72,8 @@ class DetectorSettings:
     def __post_init__(self) -> None:
         require_type("detector.source", self.source, BaselineSource)
         # checked under either source, so a key the source ignores is still sane
-        require_fraction("detector.theta", self.theta)
-        require_positive("detector.ticks_per_chain_step", self.ticks_per_chain_step)
+        for name, check in (("theta", require_fraction), ("ticks_per_chain_step", require_positive)):
+            object.__setattr__(self, name, check(f"detector.{name}", getattr(self, name)))
         runs = require_count("detector.baseline_runs", self.baseline_runs)
         seed = self.baseline_seed
         if seed is not None:

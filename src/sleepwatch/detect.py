@@ -7,16 +7,16 @@ ticks-per-chain-step calibration constant) or Monte Carlo (mean death
 tick of attack-free simulation runs). A strict "died earlier than
 expected" rule would fire on every downward fluctuation, so the verdict
 uses a configurable margin: death at tick t is an attack iff
-t < theta * baseline, with theta = 0.8 by default.
+t < theta * baseline, with theta = 0.8 by default. The rule is one array
+comparison, ``Baseline._decisions``, with four users: ``decide`` on one
+observation, ``detect`` through ``decide``, ``online_estimate`` on every
+window and the CLI's ``sweep`` on every run of a value, each at once.
 
 ``online_estimate`` applies the same comparison before death is observed:
 it estimates how many chain steps elapse per tick from the dead-count
 trajectory, projects the remaining time to death from the current state,
 and compares elapsed + projected against the baseline. It evaluates its
-trailing windows in one array pass: event counts are differences of an
-exact integer prefix sum, each window's expected moves are summed left
-to right in tick order by a row-wise cumsum, and one closed-form call
-projects every fitted window, so every window gets the bits a
+trailing windows in one array pass, and every window gets the bits a
 window-by-window loop gives it.
 """
 
@@ -57,7 +57,7 @@ class Baseline:
     """Expected death time of the healthy network, in simulator ticks.
 
     The death ticks and the ticks per chain step are finite reals above 0,
-    and ``source`` is a ``BaselineSource``.
+    kept as floats, and ``source`` is a ``BaselineSource``.
     """
 
     expected_death_ticks: float
@@ -66,9 +66,17 @@ class Baseline:
 
     def __post_init__(self) -> None:
         require_type("source", self.source, BaselineSource)
-        require_positive("ticks_per_chain_step", self.ticks_per_chain_step)
-        if not 0.0 < require_real("expected_death_ticks", self.expected_death_ticks) < math.inf:
+        for name, check in (("ticks_per_chain_step", require_positive), ("expected_death_ticks", require_real)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+        if not 0.0 < self.expected_death_ticks < math.inf:
             raise DegenerateBaseline(f"baseline must be finite and > 0, got {self.expected_death_ticks}")
+
+    def _decisions(self, death_ticks, elapsed_ticks: float, theta: float):
+        """The death-time rule in float64, as indices in ``Decision``'s order: under attack where
+        t < theta * baseline, inconclusive where no death (None or NaN) was seen within ``elapsed_ticks``
+        and the baseline has not elapsed, normal otherwise."""
+        ticks, b = np.asarray(death_ticks, float), self.expected_death_ticks
+        return np.where(ticks < theta * b, 1, np.where(np.isnan(ticks) & (elapsed_ticks < b), 2, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +113,8 @@ def compute_baseline(
     if (ticks_per_chain_step is None) == (scenario is None):
         raise ConfigInvalid("provide exactly one of ticks_per_chain_step or scenario")
     if scenario is None:
-        require_real("ticks_per_chain_step", ticks_per_chain_step)  # Baseline checks its value
+        # Baseline checks its value
+        ticks_per_chain_step = require_real("ticks_per_chain_step", ticks_per_chain_step)
     else:
         require_type("scenario", scenario, ScenarioConfig)
     i0, m = params.initial_dead, params.m_threshold
@@ -139,35 +148,31 @@ def decide(
     baseline: Baseline,
     theta: float = DEFAULT_THRESHOLD_FACTOR,
 ) -> Verdict:
-    """Core decision rule shared by trace, summary, and online paths.
+    """The death-time rule on one observation, as a ``Verdict``.
 
     Death observed at t: attack iff t < theta * baseline, normal
     otherwise. No death: normal once the baseline has fully elapsed,
-    inconclusive before that. Each branch only picks the decision, the
-    observed tick and the start of the detail; one ``Verdict`` adds the
-    baseline, theta and the calibration note. The observed tick is None or
-    a finite real number, the elapsed ticks a finite real number; a ``bool``
-    is neither.
+    inconclusive before that. It is ``Baseline._decisions``, which also
+    judges ``online_estimate``'s windows and ``sweep``'s runs, on one value,
+    and adds the detail, the baseline, theta and the calibration note. The
+    observed tick is None or a finite real number, the elapsed ticks a
+    finite real number; a ``bool`` is neither.
     """
-    require_fraction("threshold_factor", theta)
+    theta = require_fraction("threshold_factor", theta)
     require_type("baseline", baseline, Baseline)
     if observed_death_tick is not None:
         observed_death_tick = require_real("observed_death_tick", observed_death_tick, finite=True)
     elapsed_ticks = require_real("elapsed_ticks", elapsed_ticks, finite=True)
     b = baseline.expected_death_ticks
-    note = _calibration_note(baseline)
+    decision = list(Decision)[int(baseline._decisions(observed_death_tick, elapsed_ticks, theta))]
     if observed_death_tick is not None:
-        attack = observed_death_tick < theta * b
-        decision = Decision.UNDER_ATTACK if attack else Decision.NORMAL
-        observed = float(observed_death_tick)
-        text = f"death at tick {observed_death_tick:g} {'<' if attack else '>='} {theta:g} * baseline"
-    elif elapsed_ticks >= b:
-        decision, observed = Decision.NORMAL, None
+        text = (f"death at tick {observed_death_tick:g} "
+                f"{'<' if decision is Decision.UNDER_ATTACK else '>='} {theta:g} * baseline")
+    elif decision is Decision.NORMAL:
         text = f"no death within {elapsed_ticks:g} ticks >= baseline"
     else:
-        decision, observed = Decision.INCONCLUSIVE, None
         text = f"no death yet at tick {elapsed_ticks:g} < baseline"
-    return Verdict(decision, observed, b, theta, f"{text} {b:.6g} [{note}]")
+    return Verdict(decision, observed_death_tick, b, theta, f"{text} {b:.6g} [{_calibration_note(baseline)}]")
 
 
 def detect(
@@ -280,12 +285,12 @@ def online_estimate(
     estimate the chain step rate; the remaining death time from the
     current dead count is the closed-form chain-step count divided by
     that rate, and elapsed + projected is compared against the baseline
-    exactly like an observed death time. Windows too quiet to fit a rate
-    yield inconclusive verdicts; each window picks its decision and
-    reason, and one ``Verdict`` per window adds the tick, the baseline,
-    theta and the calibration note. If the trajectory reaches the death
-    threshold, the final verdict is the plain observed-death decision and
-    evaluation stops there.
+    exactly like an observed death time, by one comparison over every
+    window. Windows too quiet to fit a rate yield inconclusive verdicts;
+    one ``Verdict`` per window adds its decision, tick and reason, the
+    baseline, theta and the calibration note. If the trajectory reaches
+    the death threshold, the final verdict is the plain observed-death
+    decision and evaluation stops there.
 
     The windows are evaluated as arrays: a row-wise cumsum sums each
     window's expected moves in tick order and one closed-form call
@@ -296,7 +301,7 @@ def online_estimate(
     ``NetworkChainParams`` and ``baseline`` a ``Baseline``. A ``window``
     or ``stride`` past the view's length acts as that length.
     """
-    require_fraction("threshold_factor", theta)
+    theta = require_fraction("threshold_factor", theta)
     require_type("params", params, NetworkChainParams)
     require_type("baseline", baseline, Baseline)
     view = require_array("chain view", chain_view)
@@ -326,13 +331,12 @@ def online_estimate(
     projected = np.full(t.size, np.nan)
     # a fitted window's end state outside [0, m] raises here, before a later window's OutOfRange
     projected[fit] = t[fit] + expected_death_time(view[t[fit]], m) / rates[fit]
-    verdicts: list[Verdict] = []
-    for tick, rate, proj, reason in zip(t.tolist(), rates.tolist(), projected.tolist(), reasons):
-        decision = (Decision.INCONCLUSIVE if reason else
-                    Decision.UNDER_ATTACK if proj < theta * b else Decision.NORMAL)
+    codes = baseline._decisions(projected, 0.0, theta).tolist()  # unfitted: NaN, 0 elapsed, inconclusive
+    decisions, verdicts = list(Decision), []
+    for code, tick, rate, proj, reason in zip(codes, t.tolist(), rates.tolist(), projected.tolist(), reasons):
         text = reason or (f"rate {rate:.6g} steps/tick, projected death {proj:.6g} "
                           f"vs {theta:g} * baseline {b:.6g}")
-        verdicts.append(Verdict(decision, None, b, theta, f"tick {tick}: {text} [{note}]"))
+        verdicts.append(Verdict(decisions[code], None, b, theta, f"tick {tick}: {text} [{note}]"))
     if t.size < ends.size:
         raise OutOfRange(f"window states outside [0, {m}]")
     if death_positions.size:

@@ -545,7 +545,7 @@ def simulate_chain_trajectory(
         require_int(name, value) for name, value in (
             ("m", m), ("initial_dead", initial_dead), ("seed", seed),
             ("max_ticks", max_ticks), ("run_index", run_index)))
-    require_fraction("step_prob", step_prob)
+    step_prob = require_fraction("step_prob", step_prob)
     if not 0 <= initial_dead <= m or m < 2:
         raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
     if max_ticks < 0:

@@ -11,8 +11,9 @@ import pytest
 import sleepwatch
 from sleepwatch import cli, config
 from sleepwatch.cli import main
+from sleepwatch.detect import Decision, decide
 from sleepwatch.serialize import TRACE_HEADER
-from sleepwatch.simulate import BATTERY_TOTAL_MAX
+from sleepwatch.simulate import BATTERY_TOTAL_MAX, run_many
 
 SCHEMA_DIR = Path(sleepwatch.__file__).parent / "schemas"
 
@@ -312,6 +313,47 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert ran == []
+
+    @pytest.mark.parametrize("param, values", [("coverage", "0,0.1,0.5,1"), ("theta", "0.5,0.8,0.99,1")])
+    @pytest.mark.parametrize("max_ticks, censored", [(158, Decision.INCONCLUSIVE), (160, Decision.NORMAL)],
+                             ids=["censored-inconclusive", "censored-normal"])
+    def test_counts_match_one_decide_per_run(self, tmp_path, capsys, param, values, max_ticks, censored):
+        """Every row's counts are those of one ``decide`` per run, and add up to the runs.
+
+        The analytic baseline is 3.0 * 53.09 = 159.27 ticks, so a run censored at
+        158 ticks is inconclusive and one censored at 160 is normal.
+        """
+        doc = readme_scenario(run={"max_ticks": max_ticks, "seed": 7, "runs": 300}, attack={"coverage": 0.5})
+        doc["detector"] = {"source": "analytic", "ticks_per_chain_step": 3.0}
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path, "--param", param, "--values", values]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        parsed = config.load_config(path)
+        order = (Decision.NORMAL, Decision.UNDER_ATTACK, Decision.INCONCLUSIVE)
+        seen = dict.fromkeys(Decision, 0)
+        for value, row in zip(values.split(","), rows, strict=True):
+            point = cli._sweep_point(parsed, param, float(value))
+            baseline, summary = cli._build_baseline(point), run_many(point.scenario)
+            counts = dict.fromkeys(Decision, 0)
+            for tick in summary.death_ticks:
+                counts[decide(tick, summary.max_ticks, baseline, point.detector.theta).decision] += 1
+            assert row.split(",")[3:] == [str(counts[decision]) for decision in order]
+            assert sum(counts.values()) == 300
+            seen = {decision: seen[decision] + counts[decision] for decision in Decision}
+            assert summary.censored_count > 0 or value == "1"
+        assert seen[censored] and seen[Decision.UNDER_ATTACK]
+        if (param, max_ticks) == ("coverage", 158):
+            assert rows[0].endswith(",149,0,151")
+
+    def test_max_ticks_past_the_float_range_refused(self, tmp_path, capsys):
+        """Every run dies, but max_ticks is still checked as ``decide`` checks it."""
+        doc = readme_scenario(run={"max_ticks": 10**400, "runs": 2})
+        doc["detector"] = {"source": "analytic", "ticks_per_chain_step": 3.0}
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config, "--param", "theta", "--values", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: elapsed_ticks must be a real number, got {10**400}\n"
 
     def test_writes_csv_artifact(self, tmp_path, capsys):
         doc = fast_scenario(detector={"source": "analytic", "ticks_per_chain_step": 3.0})

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import closed_form_oracle as oracle
 import online_oracle
 import sleepwatch as sw
+from sleepwatch.config import DetectorSettings
 from sleepwatch.detect import (
     Baseline,
     BaselineSource,
@@ -284,6 +286,25 @@ class TestEntryPointArguments:
             numpy_observed = observed if observed is None else np.int64(observed)
             assert decide(numpy_observed, np.float64(elapsed), self.BASELINE) == decide(
                 observed, elapsed, self.BASELINE)
+        # theta and the baseline's fields are kept as the floats their checks return: a float32
+        # theta is not compared in float32, and a Fraction formats in the detail
+        baseline = Baseline(100.0, BaselineSource.ANALYTIC, 1.0)
+        for theta in (np.float32(0.8), np.float64(0.8), Fraction(4, 5), np.float32(0.5)):
+            for observed in (50.0, 80.0, None):
+                verdict = decide(observed, 80.0, baseline, theta)
+                assert verdict == decide(observed, 80.0, baseline, float(theta))
+        fractions = Baseline(Fraction(100), BaselineSource.ANALYTIC, Fraction(1))
+        assert (fractions, decide(80.0, 80.0, fractions)) == (baseline, decide(80.0, 80.0, baseline))
+        fraction, real = (compute_baseline(self.PARAMS, ticks_per_chain_step=t) for t in (Fraction(3, 2), 1.5))
+        assert (fraction, decide(None, 10, fraction)) == (real, decide(None, 10, real))
+        trace = run_one(immortal_scenario(), 0)
+        assert detect(trace, baseline, Fraction(4, 5)) == detect(trace, baseline, 0.8)
+        view = simulate_chain_trajectory(16, 8, 0.7, 3, 2_000)
+        assert online_estimate(view, NetworkChainParams(20), baseline, Fraction(4, 5), window=50) == (
+            online_estimate(view, NetworkChainParams(20), baseline, 0.8, window=50))
+        settings = DetectorSettings(theta=Fraction(4, 5), ticks_per_chain_step=np.float32(1.5))
+        stored = (settings.theta, settings.ticks_per_chain_step)
+        assert [(type(x), x) for x in stored] == [(float, 0.8), (float, 1.5)]
 
 
 class TestStepRateEstimator:

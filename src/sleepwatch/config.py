@@ -50,7 +50,7 @@ import numpy as np
 
 from .attack import AttackKind, broadcast_replay, no_attack, rts_cts_flood
 from .detect import DEFAULT_THRESHOLD_FACTOR, BaselineSource
-from .errors import (ConfigInvalid, require_count, require_fraction, require_int, require_positive,
+from .errors import (ConfigInvalid, require_count, require_fraction, require_non_negative, require_positive,
                      require_type)
 from .lifecycle import DeathMode, NodePolicy, STATE_NAMES, default_energy, default_policy
 from .network import NetworkChainParams
@@ -77,9 +77,7 @@ class DetectorSettings:
         runs = require_count("detector.baseline_runs", self.baseline_runs)
         seed = self.baseline_seed
         if seed is not None:
-            seed = require_int("detector.baseline_seed", seed)
-            if seed < 0:
-                raise ConfigInvalid(f"detector.baseline_seed must be a non-negative integer, got {seed}")
+            seed = require_non_negative("detector.baseline_seed", seed)
         object.__setattr__(self, "baseline_runs", runs)
         object.__setattr__(self, "baseline_seed", seed)
 

@@ -68,14 +68,22 @@ def require_int(name: str, value) -> int:
     return int(value)
 
 
-def require_count(name: str, value, high: float = _MAX_ITEMS) -> int:
-    """``value`` as an ``int`` in [1, ``high``]."""
+def require_count(name: str, value) -> int:
+    """``value`` as an ``int`` in [1, ``_MAX_ITEMS``], so also a finite float."""
     count = require_int(name, value)
     if count < 1:
         raise ConfigInvalid(f"{name} must be at least 1, got {count}")
-    if count > high:
+    if count > _MAX_ITEMS:
         raise ConfigInvalid(f"{name} {count} is too large for numpy arrays")
     return count
+
+
+def require_non_negative(name: str, value) -> int:
+    """``value`` as an ``int`` of at least 0: a seed, run index or tick budget."""
+    integer = require_int(name, value)
+    if integer < 0:
+        raise ConfigInvalid(f"{name} must be a non-negative integer, got {integer}")
+    return integer
 
 
 def require_real(name: str, value, finite: bool = False) -> float:

@@ -25,7 +25,5 @@ CHAIN_STREAM = 2
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Return the PCG64 generator addressed by (seed, *key)."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     seq = np.random.SeedSequence(seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(seq))

@@ -51,7 +51,6 @@ the closed-form death times and the online detector in isolation.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -60,7 +59,7 @@ import numpy as np
 
 from .attack import AttackModel, affected_set, attacked_count, no_attack, transform_policy
 from .errors import (ConfigInvalid, InvariantViolated, require_count, require_fraction, require_int,
-                     require_real, require_type)
+                     require_non_negative, require_real, require_type)
 from .lifecycle import (
     DeathMode,
     EnergyModel,
@@ -68,7 +67,7 @@ from .lifecycle import (
     NodeState,
     strip_death_transitions,
 )
-from .network import NetworkChainParams, step_probs
+from .network import NetworkChainParams, _check_threshold, step_probs
 from .rng import AFFECTED_STREAM, CHAIN_STREAM, STEP_STREAM, substream
 
 DEAD = int(NodeState.DEAD)
@@ -96,8 +95,10 @@ class ScenarioConfig:
     N and M come from ``network`` and are stored nowhere else. Every run
     starts with all N nodes asleep; ``network.initial_dead`` is the chain
     start state of the detector's baseline and is not simulated. No
-    attacker is ``no_attack()``, the default. ``max_ticks``, ``runs`` and
-    ``seed`` are integers. N full batteries may total at most
+    attacker is ``no_attack()``, the default. ``max_ticks`` and ``runs``
+    are integers in [1, ``errors._MAX_ITEMS``], so the tick budget is a
+    finite float wherever it is read as elapsed time; ``seed`` is a
+    non-negative integer. N full batteries may total at most
     ``BATTERY_TOTAL_MAX``. So may N batteries that each hold a full charge
     plus a tick's largest cost (the top drain plus the attack's extra
     drain) times the ticks a node can keep paying it: one in energy mode,
@@ -119,21 +120,18 @@ class ScenarioConfig:
         for name, kind in (("network", NetworkChainParams), ("policy", NodePolicy), ("energy", EnergyModel),
                            ("attack", AttackModel), ("death_mode", DeathMode)):
             require_type(name, getattr(self, name), kind)
-        object.__setattr__(self, "max_ticks", require_count("max_ticks", self.max_ticks, math.inf))
+        object.__setattr__(self, "max_ticks", require_count("max_ticks", self.max_ticks))
         object.__setattr__(self, "runs", require_count("runs", self.runs))
-        object.__setattr__(self, "seed", require_int("seed", self.seed))
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed}")
+        object.__setattr__(self, "seed", require_non_negative("seed", self.seed))
         capacity, n = self.energy.capacity, self.network.n_deployed
         if not capacity * n <= BATTERY_TOTAL_MAX:
             raise ConfigInvalid(
                 f"battery capacity {capacity!r} is too large for {n} nodes: their total "
                 f"battery must be at most {BATTERY_TOTAL_MAX!r}"
             )
-        # Python floats, which overflow to inf without a numpy warning; min() keeps
-        # the tick count convertible to a float
+        # Python floats, which overflow to inf without a numpy warning
         cost = float(max(self.energy.drain)) + float(self.attack.extra_drain)
-        ticks = 1 if self.death_mode is DeathMode.ENERGY else min(self.max_ticks, sys.float_info.max)
+        ticks = 1 if self.death_mode is DeathMode.ENERGY else self.max_ticks
         if not n * (float(capacity) + cost * ticks) <= BATTERY_TOTAL_MAX:
             raise ConfigInvalid(
                 f"a drain of up to {cost!r} per tick for {ticks} tick(s) is too large for {n} "
@@ -193,13 +191,10 @@ class SimulationTrace:
             if total != n:
                 raise ConfigInvalid(f"record {k} counts {total} nodes, record 0 {n}")
             prev_dead = dead
-        m = require_count("m_threshold", self.m_threshold, math.inf)
-        run_index = require_int("run_index", self.run_index)
-        if run_index < 0:
-            raise ConfigInvalid(f"run_index must be non-negative, got {run_index}")
+        m = require_count("m_threshold", self.m_threshold)
         for name, value in (
             ("m_threshold", m),
-            ("run_index", run_index),
+            ("run_index", require_non_negative("run_index", self.run_index)),
             ("network_death_tick", next((k for k, r in enumerate(records) if r.dead >= m), None)),
             ("n_deployed", int(n)),
         ):
@@ -221,7 +216,8 @@ class RunSummary:
     ``std_death_tick`` needs at least two uncensored runs. ``traces`` is
     empty unless ``run_many`` was asked to keep them; if given, trace k
     has the k-th death tick and runs at most max_ticks. Each tick is None
-    or an integer in [1, max_ticks].
+    or an integer in [1, max_ticks], and max_ticks is bounded as in
+    :class:`ScenarioConfig`, so the mean and deviation are finite.
     """
 
     max_ticks: int
@@ -233,7 +229,7 @@ class RunSummary:
     std_death_tick: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        max_ticks = require_count("max_ticks", self.max_ticks, math.inf)
+        max_ticks = require_count("max_ticks", self.max_ticks)
         ticks = tuple(None if t is None else require_int("death tick", t)
                       for t in require_type("death_ticks", self.death_ticks, Sequence))
         observed = [t for t in ticks if t is not None]
@@ -249,18 +245,13 @@ class RunSummary:
                 raise ConfigInvalid(f"trace {k} has death tick {trace.network_death_tick}, not {tick}")
             if trace.elapsed_ticks > max_ticks:
                 raise ConfigInvalid(f"trace {k} runs {trace.elapsed_ticks} ticks, past max_ticks {max_ticks}")
-        try:
-            mean = float(np.mean(observed)) if observed else None
-            std = float(np.std(observed, ddof=1)) if len(observed) >= 2 else None
-        except OverflowError:
-            raise ConfigInvalid("death ticks past the float range have no mean") from None
         for name, value in (
             ("max_ticks", max_ticks),
             ("death_ticks", ticks),
             ("runs", len(ticks)),
             ("censored_count", len(ticks) - len(observed)),
-            ("mean_death_tick", mean),
-            ("std_death_tick", std),
+            ("mean_death_tick", float(np.mean(observed)) if observed else None),
+            ("std_death_tick", float(np.std(observed, ddof=1)) if len(observed) >= 2 else None),
         ):
             object.__setattr__(self, name, value)
 
@@ -541,18 +532,13 @@ def simulate_chain_trajectory(
     tick 0 and stops at absorption or after ``max_ticks`` ticks, and is
     only as long as the run. Every argument but ``step_prob`` is an integer.
     """
-    m, initial_dead, seed, max_ticks, run_index = (
-        require_int(name, value) for name, value in (
-            ("m", m), ("initial_dead", initial_dead), ("seed", seed),
-            ("max_ticks", max_ticks), ("run_index", run_index)))
+    m, initial_dead = _check_threshold(require_int("m", m)), require_int("initial_dead", initial_dead)
+    seed, max_ticks, run_index = (
+        require_non_negative(name, value)
+        for name, value in (("seed", seed), ("max_ticks", max_ticks), ("run_index", run_index)))
     step_prob = require_fraction("step_prob", step_prob)
-    if not 0 <= initial_dead <= m or m < 2:
-        raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}] or m < 2")
-    if max_ticks < 0:
-        raise ConfigInvalid(f"max_ticks must be non-negative, got {max_ticks}")
-    for name, value in (("seed", seed), ("run_index", run_index)):
-        if value < 0:
-            raise ConfigInvalid(f"{name} must be non-negative, got {value}")
+    if not 0 <= initial_dead <= m:
+        raise ConfigInvalid(f"initial_dead {initial_dead} outside [0, {m}]")
     move = step_probs(m)[0]
     rng = substream(seed, run_index, CHAIN_STREAM)
     i = initial_dead

@@ -346,14 +346,14 @@ class TestSweep:
             assert rows[0].endswith(",149,0,151")
 
     def test_max_ticks_past_the_float_range_refused(self, tmp_path, capsys):
-        """Every run dies, but max_ticks is still checked as ``decide`` checks it."""
+        """Every run would die, but the tick budget is refused when the config is loaded."""
         doc = readme_scenario(run={"max_ticks": 10**400, "runs": 2})
         doc["detector"] = {"source": "analytic", "ticks_per_chain_step": 3.0}
         config = write_config(tmp_path, doc)
         assert main(["sweep", "--config", config, "--param", "theta", "--values", "0.5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: elapsed_ticks must be a real number, got {10**400}\n"
+        assert captured.err == f"error: max_ticks {10**400} is too large for numpy arrays\n"
 
     def test_writes_csv_artifact(self, tmp_path, capsys):
         doc = fast_scenario(detector={"source": "analytic", "ticks_per_chain_step": 3.0})
@@ -549,6 +549,26 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert ran == []
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["simulate"],
+        ["detect"],
+        ["sweep", "--param", "theta", "--values", "0.5"],
+    ], ids=lambda command: command[0])
+    def test_tick_budget_past_the_float_range_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                                       command):
+        ran = []
+        for name in ("run_many", "_build_baseline", "_analyze_report"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+        config = write_config(tmp_path, readme_scenario(run={"max_ticks": 10**400}))
+        out = tmp_path / "d"
+        assert main([*command, "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max_ticks {10**400} is too large for numpy arrays\n"
+        assert ran == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 47.7 GiB for an array with shape (80001, 80001) and data type float64",

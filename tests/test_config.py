@@ -10,7 +10,7 @@ from sleepwatch import config
 from sleepwatch.attack import AttackKind
 from sleepwatch.config import DetectorSettings, load_config, parse_config
 from sleepwatch.detect import BaselineSource
-from sleepwatch.errors import ConfigInvalid, OutOfRange, TooFewNodes
+from sleepwatch.errors import _MAX_ITEMS, ConfigInvalid, OutOfRange, TooFewNodes
 from sleepwatch.lifecycle import DeathMode, NodeState, default_energy, default_policy
 
 
@@ -347,6 +347,9 @@ SINGLE_FAULTS = [
     ("run", "max_ticks", None, _wrong_type("run.max_ticks", None)),
     ("run", "max_ticks", 0, (ConfigInvalid, "max_ticks must be at least 1, got 0")),
     ("run", "max_ticks", 50, ("scenario.max_ticks", 50)),
+    ("run", "max_ticks", _MAX_ITEMS, ("scenario.max_ticks", _MAX_ITEMS)),
+    ("run", "max_ticks", _MAX_ITEMS + 1,
+     (ConfigInvalid, f"max_ticks {_MAX_ITEMS + 1} is too large for numpy arrays")),
     ("run", "seed", True, _wrong_type("run.seed", True)),
     ("run", "seed", None, _wrong_type("run.seed", None)),
     ("run", "seed", -1, (ConfigInvalid, "seed must be a non-negative integer, got -1")),

@@ -482,7 +482,7 @@ class TestThreshold:
 class TestLibraryBoundary:
     """Only a ``SleepwatchError`` leaves the public closed forms, estimators and detector."""
 
-    POOL = [-1, 0, 1, 2, 3, 8, 2**31, 2**32 + 1, 2**63, 10**30, True, 2.5, math.nan, math.inf,
+    POOL = [-1, 0, 1, 2, 3, 8, 2**31, 2**32 + 1, 2**63, 10**30, 10**400, True, 2.5, math.nan, math.inf,
             -math.inf, "3", None, [1, 2], [[1, 2], [3]], np.array([], dtype=np.int64), np.array([]),
             np.array([1, 3, -2], dtype=np.int8), np.array([2, 2**64 - 1], dtype=np.uint64),
             np.array([1.0, 2.5]), NetworkChainParams(10), Baseline(40.0, BaselineSource.ANALYTIC, 2.0),

@@ -15,9 +15,11 @@ window and the CLI's ``sweep`` on every run of a value, each at once.
 ``online_estimate`` applies the same comparison before death is observed:
 it estimates how many chain steps elapse per tick from the dead-count
 trajectory, projects the remaining time to death from the current state,
-and compares elapsed + projected against the baseline. It evaluates its
-trailing windows in one array pass, and every window gets the bits a
-window-by-window loop gives it.
+and compares elapsed + projected against the baseline. Its view, like
+``estimate_step_rate``'s window, is read once, by ``_dead_counts``: every
+count must be a chain state in [0, M], and the first that is not is
+refused before any window. It then evaluates its trailing windows in one
+array pass, and every window gets the bits a window-by-window loop gives it.
 """
 
 from __future__ import annotations
@@ -192,47 +194,43 @@ def detect(
     raise ConfigInvalid(f"expected SimulationTrace or RunSummary, got {type(observation).__name__}")
 
 
-def _dead_counts(view: np.ndarray) -> np.ndarray:
-    """``view`` as int64, refused unless it is 1-D with an integer dtype.
+def _dead_counts(value, m: int) -> np.ndarray:
+    """The chain view ``value`` as int64 dead counts, every one a state in [0, m].
 
-    A ``uint64`` value past int64 would wrap to a negative count; it is no
-    dead count of any chain (M is below 2**63), so it is OutOfRange.
+    A view that is not 1-D with an integer dtype is ConfigInvalid, and the
+    first count outside [0, m] is OutOfRange. The counts are compared in the
+    view's own dtype, so a ``uint64`` count past int64 is refused with its
+    true value before the cast could wrap it.
     """
+    view = require_array("chain view", value)
     if view.ndim != 1:
         raise ConfigInvalid(f"chain view must be 1-D, got shape {view.shape}")
     if view.dtype.kind not in "iu":
         raise ConfigInvalid(f"chain view must hold integer dead counts, got dtype {view.dtype}")
-    counts = view.astype(np.int64, copy=False)
-    if view.dtype.kind == "u":
-        wrapped = view[counts < 0]
-        if wrapped.size:
-            raise OutOfRange(f"dead count {wrapped[0]} is past the int64 range")
-    return counts
+    outside = np.flatnonzero((view < 0) | (view > m))
+    if outside.size:
+        raise OutOfRange(f"dead count {view[outside[0]]} at tick {outside[0]} outside [0, {m}]")
+    return view.astype(np.int64, copy=False)
 
 
 def _window_rates(view: np.ndarray, m: int, window: int, ends: np.ndarray, min_events: int):
-    """``(rates, reasons)`` of the windows ``view[t - window : t + 1]``, ``t`` in ``ends[:stop]``.
+    """``(rates, reasons)`` of the windows ``view[t - window : t + 1]``, ``t`` in ``ends``.
 
-    ``stop`` is the first fitted window (at least ``min_events`` moves)
-    whose states, apart from its end tick, leave [0, m]. A window's rate
-    is its observed move count over its expected moves, and its reason
-    None; with fewer than ``min_events`` moves or none expected, its rate
-    is NaN and its reason the WindowTooShort message. Move counts are
-    differences of an exact int64 prefix sum, as is the count of ticks
-    outside [0, m]; the fitted windows' expected moves are summed by a
-    row-wise cumsum, in blocks of at most ``_CHUNK`` values.
+    Every count of ``view`` is a state in [0, m], as ``_dead_counts``
+    checked it, so no window can fail on one. A window's rate is its
+    observed move count over its expected moves, and its reason None; with
+    fewer than ``min_events`` moves or none expected, its rate is NaN and
+    its reason the WindowTooShort message. Move counts are differences of
+    an exact int64 prefix sum; the fitted windows' expected moves are
+    summed by a row-wise cumsum, in blocks of at most ``_CHUNK`` values.
     """
     starts = ends - window
     events_before = np.concatenate(([0], np.cumsum(np.abs(np.diff(view)))))
-    outside_before = np.concatenate(([0], np.cumsum((view < 0) | (view > m))))
     events = events_before[ends] - events_before[starts]
-    fitted = events >= min_events
-    outside = np.flatnonzero(fitted & (outside_before[ends] > outside_before[starts]))
-    stop = int(outside[0]) if outside.size else ends.size
-    fit = np.flatnonzero(fitted[:stop])
-    expected = np.zeros(stop)
+    fit = np.flatnonzero(events >= min_events)
+    expected = np.zeros(ends.size)
     if fit.size:  # a window as long as the view has no slice
-        moves = sliding_window_view((2.0 * step_probs(m)[0])[np.clip(view[:-1], 0, m)], window)
+        moves = sliding_window_view((2.0 * step_probs(m)[0])[view[:-1]], window)
         rows = max(1, _CHUNK // window)
         for lo in range(0, fit.size, rows):
             block = moves[starts[fit[lo:lo + rows]]]  # a copy: one row per fitted window
@@ -240,10 +238,10 @@ def _window_rates(view: np.ndarray, m: int, window: int, ends: np.ndarray, min_e
             expected[fit[lo:lo + rows]] = np.cumsum(block, axis=1, out=block)[:, -1]
             del block  # freed before the next block is taken, which then reuses its memory
         del moves  # as are the per-tick moves, before the rates and reasons are built
-    rates = np.divide(events[:stop], expected, out=np.full(stop, np.nan), where=expected > 0.0)
+    rates = np.divide(events, expected, out=np.full(ends.size, np.nan), where=expected > 0.0)
     reasons = [f"{count} events in window, need at least {min_events}" if count < min_events
                else "no moves expected in window; states pinned at a boundary" if math.isnan(rate) else None
-               for count, rate in zip(events[:stop].tolist(), rates.tolist())]
+               for count, rate in zip(events.tolist(), rates.tolist())]
     return rates, reasons
 
 
@@ -252,22 +250,23 @@ def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> floa
 
     Transitions out of state i move with probability up(i) + down(i) per
     chain step, so the step rate is the observed move count divided by
-    the per-tick expected moves accumulated along the window. Raises
-    WindowTooShort when fewer than ``min_events`` moves were observed or
-    when no moves were expected (window pinned at a boundary), and
-    ConfigInvalid unless the window is 1-D with an integer dtype and ``m``
-    and ``min_events`` are integers. ``m`` is checked as a threshold
-    before the window is read.
+    the per-tick expected moves accumulated along the window. ``m`` is
+    checked as a threshold before the window is read. The window must be
+    1-D with an integer dtype (ConfigInvalid), and every count, the end
+    tick's too, must lie in [0, m] (OutOfRange), whether or not the window
+    could be fitted. Raises WindowTooShort for a window of fewer than 2
+    ticks, when fewer than ``min_events`` moves were observed or when no
+    moves were expected (window pinned at a boundary), and ConfigInvalid
+    unless ``m`` and ``min_events`` are integers.
     """
     m, min_events = _check_threshold(require_int("m", m)), require_int("min_events", min_events)
-    view = require_array("chain view", window_view)
+    view = _dead_counts(window_view, m)
     if view.size < 2:
         raise WindowTooShort(f"window has {view.size} ticks; need at least 2")
-    view = _dead_counts(view)
     rates, reasons = _window_rates(view, m, view.size - 1, np.array([view.size - 1]), min_events)
-    if rates.size and reasons[0] is None:
-        return float(rates[0])
-    raise WindowTooShort(reasons[0]) if rates.size else OutOfRange(f"window states outside [0, {m}]")
+    if reasons[0] is not None:
+        raise WindowTooShort(reasons[0])
+    return float(rates[0])
 
 
 def online_estimate(
@@ -292,22 +291,24 @@ def online_estimate(
     the death threshold, the final verdict is the plain observed-death
     decision and evaluation stops there.
 
-    The windows are evaluated as arrays: a row-wise cumsum sums each
+    The view is the chain's: every count, wherever the windows fall, must
+    be a state in [0, M] (OutOfRange for the first one outside it, before
+    any window is evaluated), and it must be 1-D with an integer dtype.
+    The windows are then evaluated as arrays: a row-wise cumsum sums each
     window's expected moves in tick order and one closed-form call
-    projects every fitted window, so every verdict, and the first window
-    that raises, are those of a window-by-window loop. The
-    view must be 1-D with an integer dtype, ``window`` and ``stride``
-    integers, ``min_events`` an integer of at least 1, ``params`` a
+    projects every fitted window, so every verdict is that of a
+    window-by-window loop. ``window`` and ``stride`` must be integers,
+    ``min_events`` an integer of at least 1, ``params`` a
     ``NetworkChainParams`` and ``baseline`` a ``Baseline``. A ``window``
     or ``stride`` past the view's length acts as that length.
     """
     theta = require_fraction("threshold_factor", theta)
     require_type("params", params, NetworkChainParams)
     require_type("baseline", baseline, Baseline)
-    view = require_array("chain view", chain_view)
+    m = params.m_threshold
+    view = _dead_counts(chain_view, m)
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")
-    view = _dead_counts(view)
     window = require_int("window", window)
     stride = stride if stride is None else require_int("stride", stride)
     if window < 2 or (stride is not None and stride < 1):
@@ -318,7 +319,6 @@ def online_estimate(
     # np.arange refuses one past its size limit, and ``ends - window`` one past int64
     window = min(window, view.size)
     stride = min(stride if stride is not None else window, view.size)
-    m = params.m_threshold
     b = baseline.expected_death_ticks
     note = _calibration_note(baseline)
 
@@ -326,19 +326,15 @@ def online_estimate(
     horizon = int(death_positions[0]) if death_positions.size else view.size - 1
     ends = np.arange(window, horizon + 1, stride)
     rates, reasons = _window_rates(view[:horizon + 1], m, window, ends, min_events)
-    t = ends[:rates.size]
     fit = ~np.isnan(rates)
-    projected = np.full(t.size, np.nan)
-    # a fitted window's end state outside [0, m] raises here, before a later window's OutOfRange
-    projected[fit] = t[fit] + expected_death_time(view[t[fit]], m) / rates[fit]
+    projected = np.full(ends.size, np.nan)
+    projected[fit] = ends[fit] + expected_death_time(view[ends[fit]], m) / rates[fit]
     codes = baseline._decisions(projected, 0.0, theta).tolist()  # unfitted: NaN, 0 elapsed, inconclusive
     decisions, verdicts = list(Decision), []
-    for code, tick, rate, proj, reason in zip(codes, t.tolist(), rates.tolist(), projected.tolist(), reasons):
+    for code, tick, rate, proj, reason in zip(codes, ends.tolist(), rates.tolist(), projected.tolist(), reasons):
         text = reason or (f"rate {rate:.6g} steps/tick, projected death {proj:.6g} "
                           f"vs {theta:g} * baseline {b:.6g}")
         verdicts.append(Verdict(decisions[code], None, b, theta, f"tick {tick}: {text} [{note}]"))
-    if t.size < ends.size:
-        raise OutOfRange(f"window states outside [0, {m}]")
     if death_positions.size:
         verdicts.append(decide(float(horizon), float(horizon), baseline, theta))
     return verdicts

@@ -6,8 +6,11 @@
 ``expected_death_time`` call projects each fitted window.
 :func:`sleepwatch.detect.online_estimate` evaluates the windows as arrays,
 with one projection call, and must return the same verdicts and raise the
-same errors, so ``test_detect`` compares the two. Nothing here is used by the
-library.
+same errors, so ``test_detect`` compares the two. The range rule (every
+count of the view a state in [0, m], the first one outside refused before
+any window) is the library's, restated here as one up-front check in
+``_dead_counts``: it is shared, not cross-checked. Nothing here is used by
+the library.
 """
 
 from __future__ import annotations
@@ -26,17 +29,23 @@ from sleepwatch.errors import ConfigInvalid, OutOfRange, WindowTooShort, require
 from sleepwatch.network import NetworkChainParams, expected_death_time, step_probs
 
 
+def _dead_counts(view: np.ndarray, m: int) -> np.ndarray:
+    """``view`` as int64, refused at its first count outside [0, m]."""
+    outside = np.flatnonzero((view < 0) | (view > m))
+    if outside.size:
+        raise OutOfRange(f"dead count {view[outside[0]]} at tick {outside[0]} outside [0, {m}]")
+    return view.astype(np.int64)
+
+
 def estimate_step_rate(window_view: np.ndarray, m: int, min_events: int) -> float:
     """Observed moves over expected moves along one window of dead counts."""
-    view = np.asarray(window_view, dtype=np.int64)
+    view = _dead_counts(np.asarray(window_view), m)
     if view.size < 2:
         raise WindowTooShort(f"window has {view.size} ticks; need at least 2")
     events = int(np.abs(np.diff(view)).sum())
     if events < min_events:
         raise WindowTooShort(f"{events} events in window, need at least {min_events}")
     move, states = step_probs(m)[0], view[:-1]
-    if states.min() < 0 or states.max() > m:
-        raise OutOfRange(f"window states outside [0, {m}]")
     expected_moves = np.cumsum(2.0 * move[states])[-1]  # summed in tick order
     if expected_moves <= 0.0:
         raise WindowTooShort("no moves expected in window; states pinned at a boundary")
@@ -54,13 +63,13 @@ def online_estimate(
 ) -> list[Verdict]:
     """Verdicts of the trailing windows, fitted and projected one at a time."""
     require_fraction("threshold_factor", theta)
-    view = np.asarray(chain_view, dtype=np.int64)
+    m = params.m_threshold
+    view = _dead_counts(np.asarray(chain_view), m)
     if view.size == 0:
         raise ConfigInvalid("chain view is empty")
     if window < 2 or (stride is not None and stride < 1):
         raise ConfigInvalid("window must be >= 2 and stride >= 1")
     stride = stride if stride is not None else window
-    m = params.m_threshold
     b = baseline.expected_death_ticks
     note = _calibration_note(baseline)
 

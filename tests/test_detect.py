@@ -326,10 +326,15 @@ class TestStepRateEstimator:
             events = int(np.abs(np.diff(view)).sum())
             assert estimate_step_rate(view, m, min_events=0) == events / expected_moves
 
-    @pytest.mark.parametrize("view", [[-1, 0, 1], [5, 21, 20]])
+    @pytest.mark.parametrize("view", [[-1, 0, 1], [5, 21, 20], [5, 6, 21], [5, 6, -2]])  # end ticks too
     def test_states_outside_chain(self, view):
         with pytest.raises(OutOfRange):
             estimate_step_rate(np.array(view), 20, min_events=0)
+
+    def test_states_outside_chain_refused_in_a_quiet_window(self):
+        # 2 events, too few to fit, but -1 is no chain state
+        with pytest.raises(OutOfRange, match=re.escape("dead count -1 at tick 1 outside [0, 20]")):
+            estimate_step_rate(np.array([1, -1, 1]), 20, min_events=5)
 
     def test_too_few_events(self):
         with pytest.raises(WindowTooShort):
@@ -543,11 +548,26 @@ class TestOnlineEstimateRefusals:
     def test_uint64_view_past_int64_refused(self):
         # read as int64, 2**64 - 1 would wrap to -1 and the first window would count 6 events
         view = np.array([1, 2, 3, 2**64 - 1, 2, 3, 4, 5], dtype=np.uint64)
-        message = f"^dead count {2**64 - 1} is past the int64 range$"
-        with pytest.raises(OutOfRange, match=message):
+        message = f"dead count {2**64 - 1} at tick 3 outside [0, "
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message + '16]')}$"):
             online_estimate(view, self.PARAMS, self.baseline, window=3, stride=1, min_events=50)
-        with pytest.raises(OutOfRange, match=message):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message + '20]')}$"):
             estimate_step_rate(view, 20, 1)
+
+    @pytest.mark.parametrize("window,stride", [(4, 4), (3, 1), (8, 8), (3, 2), (5, 2)])
+    def test_count_above_m_refused_wherever_the_windows_end(self, window, stride):
+        view = [0, 1, 2, 3, 4, 5, 6, 7, 9]
+        with pytest.raises(OutOfRange, match=re.escape("dead count 9 at tick 8 outside [0, 8]")):
+            online_estimate(view, NetworkChainParams(10, m_threshold=8), analytic_baseline(8, 1, 1.0),
+                            window=window, stride=stride)
+
+    def test_count_below_zero_refused_in_unfitted_windows(self):
+        view = simulate_chain_trajectory(80, 10, 0.5, 42, 400)
+        params, baseline = NetworkChainParams(100, initial_dead=10), analytic_baseline(80, 10, 2.0)
+        assert len(online_estimate(view, params, baseline, window=50, stride=10, min_events=10**6)) == 36
+        view[3] = -1  # every window is too quiet to fit, yet the count is no chain state
+        with pytest.raises(OutOfRange, match=re.escape("dead count -1 at tick 3 outside [0, 80]")):
+            online_estimate(view, params, baseline, window=50, stride=10, min_events=10**6)
 
     @pytest.mark.parametrize("top", [5, 2**63 - 1], ids=["in-chain", "int64-max"])
     def test_uint64_view_in_int64_range_kept(self, top):
@@ -622,11 +642,11 @@ class TestOnlineEstimateMatchesOracle:
                     assert got == outcome(online_oracle.online_estimate, *args, **kwargs), (
                         m, window, stride, min_events, kind, theta)
                     if isinstance(got, tuple):
-                        seen.add(got[1].split(" outside")[0].replace(str(m + 3), "above"))
+                        seen.add("below" if int(got[1].split()[2]) < 0 else "above")
                     elif got and got[-1][1] is not None:
                         seen.add("death")
-        # the grid reaches both OutOfRange messages and an observed death
-        assert {"window states", "state -1", "state above", "death"} <= seen
+        # the grid reaches a count refused below 0, one refused above M, and an observed death
+        assert {"below", "above", "death"} <= seen
 
     @pytest.mark.parametrize("spare_rows", [0, 1])
     @pytest.mark.parametrize("chunk", [None, 3 * 200])
@@ -643,10 +663,10 @@ class TestOnlineEstimateMatchesOracle:
         assert len(got) == windows
         assert got == outcome(online_oracle.online_estimate, view, params, baseline,
                               window=window, stride=1)
-        # an end state below 0 in the last window raises after every earlier row
+        # an end state below 0 in the last window is refused before any window
         view[-1] = -1
         assert outcome(online_estimate, view, params, baseline, window=window, stride=1) == (
-            OutOfRange, "state -1 outside [0, 80]")
+            OutOfRange, f"dead count -1 at tick {view.size - 1} outside [0, 80]")
 
     def test_one_projection_call(self, monkeypatch):
         asked = []
